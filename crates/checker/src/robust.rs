@@ -15,9 +15,22 @@
 //!
 //! The inner adversary problem per state — extremize `Σ p_t · x_t` over
 //! the row polytope `{p : lo ≤ p ≤ hi, Σ p = 1}` — is solved exactly in
-//! `O(n log n)`: start every transition at its lower bound and distribute
-//! the remaining mass `1 − Σ lo` greedily in value order (ascending to
-//! minimize, descending to maximize), capping each transition at `hi`.
+//! `O(k log k)` for a row of `k` transitions: start every transition at
+//! its lower bound and distribute the remaining mass `1 − Σ lo` greedily
+//! in value order (ascending to minimize, descending to maximize), capping
+//! each transition at `hi`. Short rows do this without allocating.
+//!
+//! **Solve order.** Unbounded operators are solved SCC-first: the
+//! *support graph* (an edge wherever some member can step, `hi > 0`) is
+//! condensed once per query, and in-place Gauss–Seidel min-max sweeps run
+//! one component at a time in dependency order, successors first. The
+//! support graph over-approximates the graph of every member, and
+//! Gauss–Seidel from below on a monotone operator reaches the same least
+//! fixed point as a synchronous (Jacobi) sweep, so the brackets converge
+//! to the values of whole-model iteration at a fraction of the backups.
+//! A fixed block order and in-block order keep them bitwise repeatable.
+//! Step-bounded operators (`U<=k`, `C<=k`) keep synchronous sweeps, which
+//! their exact k-step semantics needs.
 //!
 //! **Supported fragment.** Top-level `P ⋈ b [·]` / `R ⋈ c [·]` whose
 //! operands are propositional (labels and boolean connectives), plus purely
@@ -29,9 +42,10 @@
 //! qualitative machinery this checker does not carry); cumulative rewards
 //! work on both model kinds.
 //!
-//! Every solve is budget-aware (sweeps charge the shared [`Budget`]) and
-//! telemetry-instrumented: `checker.robust.solves` / `.sweeps` /
-//! `.degraded` counters plus the `checker.backend.robust.{ok,fail}` pair
+//! Every solve is budget-aware (it charges the shared [`Budget`] in
+//! sweep-equivalents: backups divided by the state count, rounded up) and
+//! telemetry-instrumented: `checker.robust.solves` / `.sweeps` / `.blocks`
+//! / `.degraded` counters plus the `checker.backend.robust.{ok,fail}` pair
 //! that feeds the runtime's `robust` circuit breaker. When that breaker has
 //! cleared [`CheckOptions::robust_vi_enabled`] under [`LinearSolver::Auto`],
 //! robust calls degrade to a scalar solve on the nominal (midpoint) model
@@ -40,6 +54,7 @@
 use tml_logic::{PathFormula, Query, RewardKind, StateFormula};
 use tml_models::interval::{IntervalChoice, IntervalDtmc, IntervalMdp, IntervalTransition};
 use tml_models::{Labeling, RewardStructure};
+use tml_numerics::scc::{condensation_from, Condensation};
 use tml_numerics::{Budget, Diagnostics};
 
 use crate::run::CheckRun;
@@ -221,41 +236,81 @@ fn validate_row(row: &[IntervalTransition], state: usize) -> Result<(), CheckErr
     Ok(())
 }
 
-/// Extremizes `Σ p_t · x_t` over the row polytope in `O(n log n)`: lower
-/// bounds everywhere, then the remaining mass in value order. Ties break on
-/// the target index so the result is independent of input ordering.
+/// Rows up to this many transitions order their adversary in a stack
+/// buffer with an insertion sort (at two or three transitions the library
+/// sort costs more than the rest of the backup); longer rows take one heap
+/// allocation and the library sort per backup.
+const INLINE_ROW: usize = 16;
+
+/// Extremizes `Σ p_t · x_t` over the row polytope in `O(k log k)`: lower
+/// bounds everywhere, then the remaining mass in value order. Both sums
+/// run in a canonical order — the base sum by target, the greedy by value
+/// with ties broken on the target — so the result is bitwise independent
+/// of the input ordering. Rows that are already strictly ascending by
+/// target (as every builder emits them) skip the target sort, and rows of
+/// up to [`INLINE_ROW`] transitions allocate nothing.
 fn inner_expectation(row: &[IntervalTransition], values: &[f64], maximize: bool) -> f64 {
-    // Accumulate in target order so the result is bitwise independent of
-    // the input row ordering (builders sort rows, hand-built slices may not).
-    let mut order: Vec<usize> = (0..row.len()).collect();
-    order.sort_unstable_by_key(|&i| row[i].0);
+    let mut inline = [0usize; INLINE_ROW];
+    let mut heap = Vec::new();
+    let order: &mut [usize] = if row.len() <= INLINE_ROW {
+        &mut inline[..row.len()]
+    } else {
+        heap.resize(row.len(), 0);
+        &mut heap
+    };
+    for (i, slot) in order.iter_mut().enumerate() {
+        *slot = i;
+    }
+    if !row.windows(2).all(|w| w[0].0 < w[1].0) {
+        order.sort_unstable_by_key(|&i| row[i].0);
+    }
     let mut total = 0.0;
     let mut budget = 1.0;
-    for &i in &order {
-        let (t, lo, _) = row[i];
+    // Base sum in target order; keep only the transitions with slack for
+    // the greedy pass.
+    let mut slack = 0;
+    for k in 0..order.len() {
+        let i = order[k];
+        let (t, lo, hi) = row[i];
         if lo > 0.0 {
             total += lo * values[t];
         }
         budget -= lo;
+        if hi > lo {
+            order[slack] = i;
+            slack += 1;
+        }
     }
     if budget <= 0.0 {
         return total;
     }
-    order.sort_unstable_by(|&a, &b| {
+    let greedy = &mut order[..slack];
+    let cmp = |&a: &usize, &b: &usize| {
         let (va, vb) = (values[row[a].0], values[row[b].0]);
         let ord = va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal);
         let ord = if maximize { ord.reverse() } else { ord };
         ord.then_with(|| row[a].0.cmp(&row[b].0))
-    });
-    for &i in &order {
+    };
+    if row.len() <= INLINE_ROW {
+        for j in 1..greedy.len() {
+            let i = greedy[j];
+            let mut k = j;
+            while k > 0 && cmp(&i, &greedy[k - 1]).is_lt() {
+                greedy[k] = greedy[k - 1];
+                k -= 1;
+            }
+            greedy[k] = i;
+        }
+    } else {
+        greedy.sort_unstable_by(cmp);
+    }
+    for &i in greedy.iter() {
         let (t, lo, hi) = row[i];
         let take = (hi - lo).min(budget);
-        if take > 0.0 {
-            total += take * values[t];
-            budget -= take;
-            if budget <= 0.0 {
-                break;
-            }
+        total += take * values[t];
+        budget -= take;
+        if budget <= 0.0 {
+            break;
         }
     }
     total
@@ -278,9 +333,16 @@ trait RobustModel {
         values: &[f64],
         maximize_inner: bool,
         minimize_outer: bool,
-        extra: &dyn Fn(usize, usize) -> f64,
+        extra: &impl Fn(usize, usize) -> f64,
     ) -> f64;
     fn reward_structure(&self, name: Option<&str>) -> Result<&RewardStructure, CheckError>;
+    /// Appends the support successors of `state`: targets some member can
+    /// reach in one step (`hi > 0` in any choice). May repeat targets.
+    fn support(&self, state: usize, out: &mut Vec<usize>);
+}
+
+fn row_support(row: &[IntervalTransition], out: &mut Vec<usize>) {
+    out.extend(row.iter().filter(|&&(_, _, hi)| hi > 0.0).map(|&(t, _, _)| t));
 }
 
 impl RobustModel for IntervalDtmc {
@@ -299,12 +361,15 @@ impl RobustModel for IntervalDtmc {
         values: &[f64],
         maximize_inner: bool,
         _minimize_outer: bool,
-        extra: &dyn Fn(usize, usize) -> f64,
+        extra: &impl Fn(usize, usize) -> f64,
     ) -> f64 {
         inner_expectation(self.row(state), values, maximize_inner) + extra(state, 0)
     }
     fn reward_structure(&self, name: Option<&str>) -> Result<&RewardStructure, CheckError> {
         lookup(name, |n| self.reward_structure(n).ok(), self.default_reward_structure())
+    }
+    fn support(&self, state: usize, out: &mut Vec<usize>) {
+        row_support(self.row(state), out);
     }
 }
 
@@ -324,7 +389,7 @@ impl RobustModel for IntervalMdp {
         values: &[f64],
         maximize_inner: bool,
         minimize_outer: bool,
-        extra: &dyn Fn(usize, usize) -> f64,
+        extra: &impl Fn(usize, usize) -> f64,
     ) -> f64 {
         let fold = |acc: f64, v: f64| if minimize_outer { acc.min(v) } else { acc.max(v) };
         let mut best = if minimize_outer { f64::INFINITY } else { f64::NEG_INFINITY };
@@ -339,6 +404,11 @@ impl RobustModel for IntervalMdp {
     }
     fn reward_structure(&self, name: Option<&str>) -> Result<&RewardStructure, CheckError> {
         lookup(name, |n| self.reward_structure(n).ok(), self.default_reward_structure())
+    }
+    fn support(&self, state: usize, out: &mut Vec<usize>) {
+        for choice in self.choices(state) {
+            row_support(&choice.transitions, out);
+        }
     }
 }
 
@@ -401,78 +471,221 @@ fn zip(a: Vec<bool>, b: Vec<bool>, f: impl Fn(bool, bool) -> bool) -> Vec<bool> 
     a.into_iter().zip(b).map(|(x, y)| f(x, y)).collect()
 }
 
-/// One robust value-iteration solve. `seed` initializes the iterate,
-/// `frozen[s]` states never update (targets, infinite-reward states),
-/// `step` computes the backup for a live state. Charges the run's budget
-/// per sweep and returns the best iterate on exhaustion.
+/// The dependency structure of one unbounded query: the strongly
+/// connected components of the support graph, in dependency order.
+///
+/// The support graph has an edge `s → t` when some member of the ball can
+/// step from a live state `s` to `t` (`hi > 0`, united over an MDP's
+/// choices). Frozen states never update, so their out-edges carry no
+/// dependency and are left out. The graph over-approximates the graph of
+/// every member, so solving components successors-first is sound for the
+/// whole ball at once.
+struct SupportBlocks {
+    cond: Condensation,
+    /// Whether each component needs iterating: more than one state, or one
+    /// state with a self-loop. Any other block is exact after one backup.
+    cyclic: Vec<bool>,
+}
+
+impl SupportBlocks {
+    fn new<M: RobustModel>(model: &M, frozen: &[bool]) -> Self {
+        let n = model.num_states();
+        let mut targets = Vec::new();
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        for (s, &f) in frozen.iter().enumerate() {
+            if !f {
+                model.support(s, &mut targets);
+            }
+            starts.push(targets.len());
+        }
+        let succ = |s: usize| &targets[starts[s]..starts[s + 1]];
+        let cond = condensation_from(n, succ);
+        let cyclic = cond.components().map(|c| c.len() > 1 || succ(c[0]).contains(&c[0])).collect();
+        SupportBlocks { cond, cyclic }
+    }
+}
+
+/// How far a robust value iteration runs.
+enum Horizon<'a> {
+    /// Exactly `k` synchronous steps (`U<=k`, `C<=k`).
+    Steps(u64),
+    /// To the fixed point, block by block.
+    Unbounded(&'a SupportBlocks),
+}
+
+/// An unbounded solve polls the budget before a block sweep once this many
+/// backups, or a sweep-equivalent if that is fewer, have run since the
+/// last poll; that keeps the deadline clock off the per-state path.
+const BUDGET_POLL_STRIDE: u64 = 4096;
+
+/// One robust value-iteration solve. `x` holds the seed values, `frozen[s]`
+/// states never update (targets, `!φ` states, infinite-reward states) and
+/// `step` computes the backup of a live state from the current iterate.
+///
+/// * [`Horizon::Steps`] runs exactly `k` synchronous (Jacobi) sweeps: step
+///   `i` must read only step `i − 1`, which the exact k-step semantics of
+///   `U<=k` and `C<=k` needs.
+/// * [`Horizon::Unbounded`] runs in-place Gauss–Seidel sweeps one block at
+///   a time in dependency order, each block until its largest change is at
+///   most [`CheckOptions::tolerance`] (or [`CheckOptions::max_iterations`]
+///   sweeps). Fully frozen blocks are skipped.
+///
+/// Work is charged to the run's budget in sweep-equivalents — backups
+/// divided by the state count, rounded up — so evaluation caps keep the
+/// meaning they had for whole-model sweeps. On exhaustion the iterate so
+/// far is returned: every value is then a bound from below.
 fn robust_vi(
+    run: &CheckRun<'_>,
+    x: Vec<f64>,
+    frozen: &[bool],
+    horizon: &Horizon<'_>,
+    step: impl Fn(usize, &[f64]) -> f64,
+) -> Vec<f64> {
+    tml_telemetry::counter!("checker.robust.solves", 1);
+    match horizon {
+        Horizon::Steps(k) => robust_vi_steps(run, x, frozen, *k, step),
+        Horizon::Unbounded(blocks) => robust_vi_blocks(run, x, frozen, blocks, step),
+    }
+}
+
+fn robust_vi_steps(
     run: &CheckRun<'_>,
     mut x: Vec<f64>,
     frozen: &[bool],
-    horizon: Option<u64>,
+    k: u64,
     step: impl Fn(usize, &[f64]) -> f64,
 ) -> Vec<f64> {
-    let n = x.len();
-    let opts = run.opts;
-    let max_sweeps = horizon.unwrap_or(opts.max_iterations as u64);
-    tml_telemetry::counter!("checker.robust.solves", 1);
+    // Frozen entries are never written, so they stay equal in both buffers.
+    let mut next = x.clone();
     let mut sweeps = 0u64;
-    let mut diff = f64::INFINITY;
-    while sweeps < max_sweeps {
-        if let Some(cause) = run.exhausted() {
+    while sweeps < k {
+        if let Some(cause) = run.exhausted_after(sweeps) {
             run.mark_exhausted(cause);
             break;
         }
-        diff = 0.0;
-        let mut next = x.clone();
-        for s in 0..n {
-            if frozen[s] {
-                continue;
+        for (s, &f) in frozen.iter().enumerate() {
+            if !f {
+                next[s] = step(s, &x);
             }
-            let v = step(s, &x);
-            let d = if v.is_infinite() && x[s].is_infinite() { 0.0 } else { (v - x[s]).abs() };
-            diff = diff.max(d);
-            next[s] = v;
         }
-        x = next;
+        std::mem::swap(&mut x, &mut next);
         sweeps += 1;
-        run.spend(1);
-        // A fixed horizon runs exactly `horizon` sweeps; an unbounded solve
-        // stops at the tolerance.
-        if horizon.is_none() && diff <= opts.tolerance {
-            break;
+    }
+    run.spend(sweeps);
+    tml_telemetry::counter!("checker.robust.sweeps", sweeps);
+    run.record_backend("robust", true);
+    x
+}
+
+fn robust_vi_blocks(
+    run: &CheckRun<'_>,
+    mut x: Vec<f64>,
+    frozen: &[bool],
+    blocks: &SupportBlocks,
+    step: impl Fn(usize, &[f64]) -> f64,
+) -> Vec<f64> {
+    let n = x.len().max(1) as u64;
+    let opts = run.opts;
+    let poll_every = n.min(BUDGET_POLL_STRIDE);
+    let mut backups = 0u64;
+    let mut next_poll = 0u64;
+    let mut iterated = 0u64;
+    let mut converged = true;
+    let mut residual = 0.0_f64;
+    'blocks: for (comp, &cyclic) in blocks.cond.components().zip(&blocks.cyclic) {
+        if comp.iter().all(|&s| frozen[s]) {
+            continue;
+        }
+        iterated += u64::from(cyclic);
+        let mut sweeps = 0usize;
+        loop {
+            if backups >= next_poll {
+                if let Some(cause) = run.exhausted_after(backups / n) {
+                    run.mark_exhausted(cause);
+                    converged = false;
+                    break 'blocks;
+                }
+                next_poll = backups + poll_every;
+            }
+            let mut diff = 0.0_f64;
+            // Descending order: models number states in flow order, so a
+            // cycle's successors mostly come later, and this order carries
+            // a fresh value once around a cycle per sweep (ascending order
+            // needs about twice the sweeps).
+            for &s in comp.iter().rev() {
+                if frozen[s] {
+                    continue;
+                }
+                let v = step(s, &x);
+                let d = if v.is_infinite() && x[s].is_infinite() { 0.0 } else { (v - x[s]).abs() };
+                diff = diff.max(d);
+                x[s] = v;
+                backups += 1;
+            }
+            sweeps += 1;
+            if !cyclic || diff <= opts.tolerance {
+                break;
+            }
+            if sweeps >= opts.max_iterations {
+                converged = false;
+                if diff.is_finite() {
+                    residual = residual.max(diff);
+                }
+                break;
+            }
         }
     }
-    tml_telemetry::counter!("checker.robust.sweeps", sweeps);
-    if horizon.is_none() {
-        let converged = diff <= opts.tolerance;
-        run.record_backend("robust", converged);
-        if !converged && diff.is_finite() {
-            run.record_residual(diff);
-        }
-    } else {
-        run.record_backend("robust", true);
+    let equivalents = backups.div_ceil(n);
+    run.spend(equivalents);
+    tml_telemetry::counter!("checker.robust.sweeps", equivalents);
+    tml_telemetry::counter!("checker.robust.blocks", iterated);
+    run.record_backend("robust", converged);
+    if residual > 0.0 {
+        run.record_residual(residual);
     }
     x
 }
 
-/// Robust `P(φ U ψ)` per state for one side of the bracket.
+/// One side of the robust `P(φ U ψ)`, with `frozen = ψ ∨ ¬φ`.
 fn robust_until<M: RobustModel>(
+    model: &M,
+    target: &[bool],
+    frozen: &[bool],
+    horizon: &Horizon<'_>,
+    run: &CheckRun<'_>,
+    maximize: bool,
+    minimize_outer: bool,
+) -> Vec<f64> {
+    let x: Vec<f64> = target.iter().map(|&t| if t { 1.0 } else { 0.0 }).collect();
+    let zero = |_: usize, _: usize| 0.0;
+    robust_vi(run, x, frozen, horizon, |s, vals| {
+        model.backup(s, vals, maximize, minimize_outer, &zero).clamp(0.0, 1.0)
+    })
+}
+
+/// The `(pessimistic, optimistic)` pair of `P(φ U ψ)`. Both sides share
+/// one frozen mask and, when unbounded, one condensation.
+fn until_bracket<M: RobustModel>(
     model: &M,
     phi: &[bool],
     target: &[bool],
     bound: Option<u64>,
     run: &CheckRun<'_>,
-    maximize: bool,
-    minimize_outer: bool,
-) -> Vec<f64> {
-    let n = model.num_states();
-    let x: Vec<f64> = target.iter().map(|&t| if t { 1.0 } else { 0.0 }).collect();
-    let frozen: Vec<bool> = (0..n).map(|s| target[s] || !phi[s]).collect();
-    let zero = |_: usize, _: usize| 0.0;
-    robust_vi(run, x, &frozen, bound, |s, vals| {
-        model.backup(s, vals, maximize, minimize_outer, &zero).clamp(0.0, 1.0)
-    })
+) -> (Vec<f64>, Vec<f64>) {
+    let frozen: Vec<bool> = target.iter().zip(phi).map(|(&t, &p)| t || !p).collect();
+    let blocks;
+    let horizon = match bound {
+        Some(k) => Horizon::Steps(k),
+        None => {
+            blocks = SupportBlocks::new(model, &frozen);
+            Horizon::Unbounded(&blocks)
+        }
+    };
+    (
+        robust_until(model, target, &frozen, &horizon, run, false, true),
+        robust_until(model, target, &frozen, &horizon, run, true, false),
+    )
 }
 
 /// One-step robust `P(X target)`.
@@ -493,30 +706,36 @@ fn robust_next<M: RobustModel>(
     (0..n).map(|s| model.backup(s, &ind, maximize, minimize_outer, &zero).clamp(0.0, 1.0)).collect()
 }
 
-/// Robust expected reward accumulated until reaching `target` on an
-/// interval DTMC. States whose worst-case (for this side) reach probability
-/// falls short of one get `+∞`.
-fn robust_reach_rewards(
+/// The robust bracket of the expected reward accumulated until reaching
+/// `target` on an interval DTMC. States whose reach probability on a side
+/// falls short of one get `+∞` there. The reach pre-pass and both reward
+/// sides share one condensation.
+fn reach_reward_bracket(
     model: &IntervalDtmc,
     rewards: &RewardStructure,
     target: &[bool],
     run: &CheckRun<'_>,
-    maximize: bool,
-) -> Vec<f64> {
-    let n = RobustModel::num_states(model);
-    let all = vec![true; n];
-    // Maximal reward is finite only when *every* member reaches a.s.
-    // (pessimistic reach = 1); minimal reward needs *some* member to reach
-    // a.s. (optimistic reach = 1).
-    let reach = robust_until(model, &all, target, None, run, !maximize, false);
-    let finite: Vec<bool> = reach.iter().map(|&p| p >= 1.0 - AS_REACH_EPS).collect();
-    let x: Vec<f64> =
-        (0..n).map(|s| if target[s] || finite[s] { 0.0 } else { f64::INFINITY }).collect();
-    let frozen: Vec<bool> = (0..n).map(|s| target[s] || !finite[s]).collect();
-    let zero = |_: usize, _: usize| 0.0;
-    robust_vi(run, x, &frozen, None, |s, vals| {
-        rewards.state_reward(s) + RobustModel::backup(model, s, vals, maximize, false, &zero)
-    })
+) -> RobustBracket {
+    let blocks = SupportBlocks::new(model, target);
+    let horizon = Horizon::Unbounded(&blocks);
+    let side = |maximize: bool| {
+        // Maximal reward is finite only when *every* member reaches a.s.
+        // (pessimistic reach = 1); minimal reward needs *some* member to
+        // reach a.s. (optimistic reach = 1).
+        let reach = robust_until(model, target, target, &horizon, run, !maximize, false);
+        let finite: Vec<bool> = reach.iter().map(|&p| p >= 1.0 - AS_REACH_EPS).collect();
+        let x: Vec<f64> = target
+            .iter()
+            .zip(&finite)
+            .map(|(&t, &f)| if t || f { 0.0 } else { f64::INFINITY })
+            .collect();
+        let frozen: Vec<bool> = target.iter().zip(&finite).map(|(&t, &f)| t || !f).collect();
+        let zero = |_: usize, _: usize| 0.0;
+        robust_vi(run, x, &frozen, &horizon, |s, vals| {
+            rewards.state_reward(s) + RobustModel::backup(model, s, vals, maximize, false, &zero)
+        })
+    };
+    RobustBracket { pessimistic: side(false), optimistic: side(true) }
 }
 
 /// Robust expected reward cumulated over `k` steps.
@@ -532,7 +751,7 @@ fn robust_cumulative_rewards<M: RobustModel>(
     let x = vec![0.0; n];
     let frozen = vec![false; n];
     let extra = |s: usize, c: usize| rewards.state_reward(s) + rewards.choice_reward(s, c);
-    robust_vi(run, x, &frozen, Some(k), |s, vals| {
+    robust_vi(run, x, &frozen, &Horizon::Steps(k), |s, vals| {
         model.backup(s, vals, maximize, minimize_outer, &extra)
     })
 }
@@ -560,27 +779,18 @@ fn path_bracket<M: RobustModel>(
         PathFormula::Until { lhs, rhs, bound } => {
             let phi = eval_propositional(lab, n, lhs)?;
             let target = eval_propositional(lab, n, rhs)?;
-            (
-                robust_until(model, &phi, &target, *bound, run, false, true),
-                robust_until(model, &phi, &target, *bound, run, true, false),
-            )
+            until_bracket(model, &phi, &target, *bound, run)
         }
         PathFormula::Eventually { sub, bound } => {
             let target = eval_propositional(lab, n, sub)?;
-            let phi = vec![true; n];
-            (
-                robust_until(model, &phi, &target, *bound, run, false, true),
-                robust_until(model, &phi, &target, *bound, run, true, false),
-            )
+            until_bracket(model, &vec![true; n], &target, *bound, run)
         }
         PathFormula::Globally { sub, bound } => {
             // Robust duality: the adversary maximizing P(F ¬φ) is the one
             // minimizing P(G φ), so the G-bracket is the complemented,
             // side-swapped F-bracket.
             let inv: Vec<bool> = eval_propositional(lab, n, sub)?.iter().map(|b| !b).collect();
-            let phi = vec![true; n];
-            let f_hi = robust_until(model, &phi, &inv, *bound, run, true, false);
-            let f_lo = robust_until(model, &phi, &inv, *bound, run, false, true);
+            let (f_lo, f_hi) = until_bracket(model, &vec![true; n], &inv, *bound, run);
             (
                 f_hi.iter().map(|p| (1.0 - p).clamp(0.0, 1.0)).collect(),
                 f_lo.iter().map(|p| (1.0 - p).clamp(0.0, 1.0)).collect(),
@@ -627,10 +837,7 @@ impl AnyInterval<'_> {
                     RewardKind::Reach(target) => {
                         let n = RobustModel::num_states(*m);
                         let mask = eval_propositional(RobustModel::labeling(*m), n, target)?;
-                        Ok(RobustBracket {
-                            pessimistic: robust_reach_rewards(m, rewards, &mask, run, false),
-                            optimistic: robust_reach_rewards(m, rewards, &mask, run, true),
-                        })
+                        Ok(reach_reward_bracket(m, rewards, &mask, run))
                     }
                     RewardKind::Cumulative(k) => Ok(RobustBracket {
                         pessimistic: robust_cumulative_rewards(*m, rewards, *k, run, false, true),
@@ -1072,5 +1279,30 @@ mod tests {
         // 0.1*0.9(lo) + 0.2*0.1(lo) + 0.1*0.5(lo) + 0.4*0.1 + 0.2*0.5.
         let pess = inner_expectation(&row_a, &values, false);
         assert!((pess - (0.09 + 0.02 + 0.05 + 0.04 + 0.1)).abs() < 1e-12, "{pess}");
+    }
+
+    #[test]
+    fn long_rows_take_the_heap_path_and_stay_order_independent() {
+        // More transitions than INLINE_ROW, with tied values, in three
+        // input orders.
+        let k = INLINE_ROW + 4;
+        let values: Vec<f64> = (0..k).map(|t| ((t * 7) % 5) as f64 / 4.0).collect();
+        let row: Vec<IntervalTransition> =
+            (0..k).map(|t| (t, 0.2 / k as f64, 3.0 / k as f64)).collect();
+        let mut reversed = row.clone();
+        reversed.reverse();
+        let mut rotated = row.clone();
+        rotated.rotate_left(5);
+        for maximize in [false, true] {
+            let a = inner_expectation(&row, &values, maximize);
+            assert!((0.0..=1.0).contains(&a), "{a}");
+            for other in [&reversed, &rotated] {
+                let b = inner_expectation(other, &values, maximize);
+                assert_eq!(a.to_bits(), b.to_bits(), "bitwise determinism");
+            }
+        }
+        let (lo, hi) =
+            (inner_expectation(&row, &values, false), inner_expectation(&row, &values, true));
+        assert!(lo < hi, "a real bracket: {lo} < {hi}");
     }
 }

@@ -28,7 +28,13 @@ impl<'a> CheckRun<'a> {
 
     /// Polls the shared budget against the sweeps spent so far.
     pub(crate) fn exhausted(&self) -> Option<Exhaustion> {
-        self.budget.check(self.diag.borrow().evaluations)
+        self.exhausted_after(0)
+    }
+
+    /// Polls the shared budget as if `pending` more sweeps had been spent —
+    /// for solves that charge their work once, when they finish.
+    pub(crate) fn exhausted_after(&self, pending: u64) -> Option<Exhaustion> {
+        self.budget.check(self.diag.borrow().evaluations + pending)
     }
 
     /// Charges `sweeps` sweeps to the run (one call per solve, so the live

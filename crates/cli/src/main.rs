@@ -19,8 +19,14 @@
 //! Every command accepts `--trace-json PATH` (stream a `tml-trace/v1`
 //! JSONL trace of spans and counters) and `--metrics` (print a metrics
 //! summary table when the command finishes).
+//!
+//! Output to a reader that stops early (`tml info big.tml | head -1`) is
+//! not an error: once stdout refuses a write, the rest of the output is
+//! dropped quietly, and the command finishes and exits with its usual
+//! code.
 
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,6 +39,40 @@ use tml_models::dsl::{parse_model, ModelFile};
 use tml_models::StochasticPolicy;
 use tml_telemetry::sink::JsonlSink;
 use tml_telemetry::{summary, Subscriber};
+
+/// `print!` for command output, through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for command output, through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Set once stdout has refused a write.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes command output to stdout. `print!` panics when the write fails,
+/// which it does with `BrokenPipe` as soon as the reader of a pipe exits.
+/// Here the first failure instead drops all later output: a closed pipe
+/// silently, any other error with one line on stderr.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write to stdout: {e}");
+        }
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -260,7 +300,7 @@ impl Default for BatchFlags {
 fn run(raw: &[String]) -> Result<u8, UsageError> {
     let (args, opts) = parse_flags(raw)?;
     if opts.help || args.first().map(String::as_str) == Some("help") {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return Ok(0);
     }
     let subscriber = install_telemetry(&opts)?;
@@ -271,9 +311,9 @@ fn run(raw: &[String]) -> Result<u8, UsageError> {
         if opts.metrics {
             let table = summary::render_metrics(&sub.metrics_snapshot());
             if table.is_empty() {
-                println!("no metrics recorded");
+                outln!("no metrics recorded");
             } else {
-                print!("{table}");
+                out!("{table}");
             }
         }
     }
@@ -498,41 +538,41 @@ fn load(path: &str) -> Result<ModelFile, UsageError> {
 
 fn info(path: &str) -> Result<(), UsageError> {
     let model = load(path)?;
-    println!("kind:    {}", model.kind());
-    println!("states:  {}", model.num_states());
+    outln!("kind:    {}", model.kind());
+    outln!("states:  {}", model.num_states());
     match &model {
         ModelFile::Dtmc(m) => {
-            println!("transitions: {}", m.num_transitions());
-            println!("initial: {}", m.initial_state());
+            outln!("transitions: {}", m.num_transitions());
+            outln!("initial: {}", m.initial_state());
             let labels: Vec<&str> = m.labeling().labels().collect();
-            println!("labels:  {}", labels.join(", "));
+            outln!("labels:  {}", labels.join(", "));
             let rewards: Vec<&str> = m.reward_structures().map(|r| r.name()).collect();
-            println!("rewards: {}", rewards.join(", "));
+            outln!("rewards: {}", rewards.join(", "));
         }
         ModelFile::Mdp(m) => {
-            println!("choices: {}", m.total_choices());
-            println!("actions: {}", m.action_names().join(", "));
-            println!("initial: {}", m.initial_state());
+            outln!("choices: {}", m.total_choices());
+            outln!("actions: {}", m.action_names().join(", "));
+            outln!("initial: {}", m.initial_state());
             let labels: Vec<&str> = m.labeling().labels().collect();
-            println!("labels:  {}", labels.join(", "));
+            outln!("labels:  {}", labels.join(", "));
             let rewards: Vec<&str> = m.reward_structures().map(|r| r.name()).collect();
-            println!("rewards: {}", rewards.join(", "));
+            outln!("rewards: {}", rewards.join(", "));
         }
         ModelFile::IntervalDtmc(m) => {
-            println!("transitions: {}", m.num_transitions());
-            println!("initial: {}", m.initial_state());
+            outln!("transitions: {}", m.num_transitions());
+            outln!("initial: {}", m.initial_state());
             let labels: Vec<&str> = m.labeling().labels().collect();
-            println!("labels:  {}", labels.join(", "));
+            outln!("labels:  {}", labels.join(", "));
             let rewards: Vec<&str> = m.reward_structures().map(|r| r.name()).collect();
-            println!("rewards: {}", rewards.join(", "));
+            outln!("rewards: {}", rewards.join(", "));
         }
         ModelFile::IntervalMdp(m) => {
-            println!("actions: {}", m.action_names().join(", "));
-            println!("initial: {}", m.initial_state());
+            outln!("actions: {}", m.action_names().join(", "));
+            outln!("initial: {}", m.initial_state());
             let labels: Vec<&str> = m.labeling().labels().collect();
-            println!("labels:  {}", labels.join(", "));
+            outln!("labels:  {}", labels.join(", "));
             let rewards: Vec<&str> = m.reward_structures().map(|r| r.name()).collect();
-            println!("rewards: {}", rewards.join(", "));
+            outln!("rewards: {}", rewards.join(", "));
         }
     }
     Ok(())
@@ -552,7 +592,7 @@ fn check(path: &str, property: &str, opts: &CliOptions) -> Result<u8, UsageError
             let (confidence, samples) = opts.robust.spec()?;
             let ball = tml_models::IntervalDtmc::wilson_around(m, confidence, samples)
                 .map_err(|e| UsageError(e.to_string()))?;
-            println!("robust: Wilson ball at {confidence} confidence, sample size {samples}");
+            outln!("robust: Wilson ball at {confidence} confidence, sample size {samples}");
             Some(checker.check_interval_dtmc(&ball, &phi))
         }
         ModelFile::Mdp(_) if opts.robust.enabled => {
@@ -566,14 +606,14 @@ fn check(path: &str, property: &str, opts: &CliOptions) -> Result<u8, UsageError
     };
     if let Some(result) = robust {
         let result = result.map_err(|e| UsageError(e.to_string()))?;
-        println!("property:   {phi}");
-        println!("robustly holds at initial state: {}", result.holds());
+        outln!("property:   {phi}");
+        outln!("robustly holds at initial state: {}", result.holds());
         let count = result.sat_mask().iter().filter(|&&b| b).count();
-        println!("robustly satisfying states ({count})");
+        outln!("robustly satisfying states ({count})");
         if let Some((lo, hi)) = result.bracket_at_initial() {
-            println!("value bracket at initial state: [{lo}, {hi}]");
+            outln!("value bracket at initial state: [{lo}, {hi}]");
         }
-        print!("{}", result.diagnostics().render_degradation());
+        out!("{}", result.diagnostics().render_degradation());
         if let Some(trajectories) = opts.simulate {
             simulate_cross_check(&model, &phi, trajectories)?;
         }
@@ -586,13 +626,13 @@ fn check(path: &str, property: &str, opts: &CliOptions) -> Result<u8, UsageError
         ModelFile::IntervalDtmc(_) | ModelFile::IntervalMdp(_) => unreachable!(),
     }
     .map_err(|e| UsageError(e.to_string()))?;
-    println!("property:   {phi}");
-    println!("holds at initial state: {}", result.holds());
-    println!("satisfying states ({}): {:?}", result.count(), result.sat_states());
+    outln!("property:   {phi}");
+    outln!("holds at initial state: {}", result.holds());
+    outln!("satisfying states ({}): {:?}", result.count(), result.sat_states());
     if let Some(v) = result.value_at_initial() {
-        println!("value at initial state: {v}");
+        outln!("value at initial state: {v}");
     }
-    print!("{}", result.diagnostics().render_degradation());
+    out!("{}", result.diagnostics().render_degradation());
     if let Some(trajectories) = opts.simulate {
         simulate_cross_check(&model, &phi, trajectories)?;
     }
@@ -609,21 +649,23 @@ fn simulate_cross_check(
     trajectories: u64,
 ) -> Result<(), UsageError> {
     let ModelFile::Dtmc(m) = model else {
-        println!("simulation cross-check: skipped (simulation is defined for point dtmc models)");
+        outln!("simulation cross-check: skipped (simulation is defined for point dtmc models)");
         return Ok(());
     };
     let sim = Simulator::new(SimOptions { trajectories, ..SimOptions::default() });
     match sim.check_formula(m, phi) {
         Ok(check) => {
             let iv = check.interval();
-            println!(
+            outln!(
                 "simulation cross-check ({trajectories} trajectories): estimate {} in [{}, {}]",
-                iv.estimate, iv.low, iv.high
+                iv.estimate,
+                iv.low,
+                iv.high
             );
-            println!("simulation verdict: {:?}", check.verdict());
+            outln!("simulation verdict: {:?}", check.verdict());
         }
         Err(e) => {
-            println!("simulation cross-check: unavailable ({e})");
+            outln!("simulation cross-check: unavailable ({e})");
         }
     }
     Ok(())
@@ -649,14 +691,14 @@ fn query(path: &str, q: &str, budget: &Budget) -> Result<(), UsageError> {
         _ => None,
     };
     if let Some(((bracket, diag), initial)) = robust {
-        println!("query: {parsed}");
+        outln!("query: {parsed}");
         for s in 0..model.num_states() {
             let (lo, hi) = bracket.at(s);
-            println!("  state {s}: [{lo}, {hi}]");
+            outln!("  state {s}: [{lo}, {hi}]");
         }
         let (lo, hi) = bracket.at(initial);
-        println!("bracket at initial state {initial}: [{lo}, {hi}]");
-        print!("{}", diag.render_degradation());
+        outln!("bracket at initial state {initial}: [{lo}, {hi}]");
+        out!("{}", diag.render_degradation());
         return Ok(());
     }
     let (values, diag) = match &model {
@@ -665,17 +707,17 @@ fn query(path: &str, q: &str, budget: &Budget) -> Result<(), UsageError> {
         ModelFile::IntervalDtmc(_) | ModelFile::IntervalMdp(_) => unreachable!(),
     }
     .map_err(|e| UsageError(e.to_string()))?;
-    println!("query: {parsed}");
+    outln!("query: {parsed}");
     for (s, v) in values.iter().enumerate() {
-        println!("  state {s}: {v}");
+        outln!("  state {s}: {v}");
     }
     let initial = match &model {
         ModelFile::Dtmc(m) => m.initial_state(),
         ModelFile::Mdp(m) => m.initial_state(),
         ModelFile::IntervalDtmc(_) | ModelFile::IntervalMdp(_) => unreachable!(),
     };
-    println!("value at initial state {initial}: {}", values[initial]);
-    print!("{}", diag.render_degradation());
+    outln!("value at initial state {initial}: {}", values[initial]);
+    out!("{}", diag.render_degradation());
     Ok(())
 }
 
@@ -764,31 +806,35 @@ fn repair(path: &str, property: &str, opts: &CliOptions) -> Result<u8, UsageErro
         .repair_dtmc(m, &phi, &template)
         .map_err(|e| UsageError(e.to_string()))?;
 
-    println!("property: {phi}");
+    outln!("property: {phi}");
     if let Some(rs) = &robust {
-        println!(
+        outln!(
             "robust:   every member of the Wilson ball at {} confidence (sample size {}) \
              must satisfy the property",
-            rs.confidence, rs.sample_size
+            rs.confidence,
+            rs.sample_size
         );
     }
-    println!("status:   {:?}", outcome.status);
+    outln!("status:   {:?}", outcome.status);
     for (name, value) in &outcome.parameters {
-        println!("  {name} = {value}");
+        outln!("  {name} = {value}");
     }
-    println!("cost (Frobenius): {}", outcome.cost);
-    println!("verified: {}", outcome.verified);
-    println!("solver evaluations: {}", outcome.evaluations);
+    outln!("cost (Frobenius): {}", outcome.cost);
+    outln!("verified: {}", outcome.verified);
+    outln!("solver evaluations: {}", outcome.evaluations);
     if let Some(cert) = &outcome.certificate {
-        println!(
+        outln!(
             "certificate: cost in [{}, {}] (epsilon {}, certified: {})",
-            cert.lower_bound, cert.upper_bound, cert.epsilon, cert.certified
+            cert.lower_bound,
+            cert.upper_bound,
+            cert.epsilon,
+            cert.certified
         );
     }
     for fallback in &outcome.diagnostics.fallbacks {
-        println!("fallback: {fallback}");
+        outln!("fallback: {fallback}");
     }
-    print!("{}", outcome.diagnostics.render_degradation());
+    out!("{}", outcome.diagnostics.render_degradation());
     // Calibration price: report the non-robust repair's cost next to the
     // robust one, so the user sees what the confidence margin costs.
     if robust.is_some() {
@@ -800,10 +846,10 @@ fn repair(path: &str, property: &str, opts: &CliOptions) -> Result<u8, UsageErro
             Ok(n)
                 if matches!(n.status, RepairStatus::Repaired | RepairStatus::AlreadySatisfied) =>
             {
-                println!("non-robust cost (for comparison): {}", n.cost);
+                outln!("non-robust cost (for comparison): {}", n.cost);
             }
-            Ok(n) => println!("non-robust repair: {:?}", n.status),
-            Err(e) => println!("non-robust repair: error ({e})"),
+            Ok(n) => outln!("non-robust repair: {:?}", n.status),
+            Err(e) => outln!("non-robust repair: error ({e})"),
         }
     }
     // Mirror `check`: feasibility failures exit 1, usage errors exit 2.
@@ -827,22 +873,22 @@ fn simulate(path: &str, steps: Option<&str>, seed: Option<&str>) -> Result<(), U
     match &model {
         ModelFile::Dtmc(m) => {
             let path = m.sample_path(&mut rng, steps, |_| false);
-            println!("trajectory: {path:?}");
+            outln!("trajectory: {path:?}");
         }
         ModelFile::Mdp(m) => {
             let uniform = StochasticPolicy::uniform(m);
             let path = m.sample_path(&mut rng, steps, |r, s| uniform.sample(r, s), |_| false);
-            println!("states:  {:?}", path.states);
+            outln!("states:  {:?}", path.states);
             let actions: Vec<&str> = path.actions.iter().map(|&a| m.action_name(a)).collect();
-            println!("actions: {actions:?}");
+            outln!("actions: {actions:?}");
         }
         ModelFile::IntervalDtmc(m) => {
             // An interval chain is a *set* of chains; sample its nominal
             // (midpoint, renormalized) member and say so.
             let nominal = m.nominal_dtmc().map_err(|e| UsageError(e.to_string()))?;
-            println!("interval model: simulating the nominal (midpoint) member");
+            outln!("interval model: simulating the nominal (midpoint) member");
             let path = nominal.sample_path(&mut rng, steps, |_| false);
-            println!("trajectory: {path:?}");
+            outln!("trajectory: {path:?}");
         }
         ModelFile::IntervalMdp(_) => {
             return Err(UsageError(
@@ -865,12 +911,12 @@ fn witness(path: &str, label: &str) -> Result<(), UsageError> {
     }
     match tml_checker::dtmc::most_probable_path(m, m.initial_state(), &target) {
         Some((states, prob)) => {
-            println!("most probable path to {label:?}: {states:?}");
-            println!("path probability: {prob}");
+            outln!("most probable path to {label:?}: {states:?}");
+            outln!("path probability: {prob}");
             Ok(())
         }
         None => {
-            println!("no {label:?} state is reachable from the initial state");
+            outln!("no {label:?} state is reachable from the initial state");
             Ok(())
         }
     }
@@ -970,7 +1016,7 @@ fn batch(count: Option<&str>, flags: &BatchFlags) -> Result<u8, UsageError> {
     match &flags.report {
         Some(path) => std::fs::write(path, &report)
             .map_err(|e| UsageError(format!("cannot write report {path:?}: {e}")))?,
-        None => print!("{report}"),
+        None => out!("{report}"),
     }
 
     let failed = outcomes.iter().filter(|o| o.status == tml_runtime::JobStatus::Failed).count();
@@ -1001,9 +1047,9 @@ fn trace_analyze(files: &[String], folded: bool) -> Result<(), UsageError> {
         files.iter().map(String::as_str).zip(contents.iter().map(Vec::as_slice)).collect();
     let analysis = tml_telemetry::analysis::parse_trace_bytes(&inputs).map_err(UsageError)?;
     if folded {
-        print!("{}", analysis.folded());
+        out!("{}", analysis.folded());
     } else {
-        print!("{}", analysis.render_summary());
+        out!("{}", analysis.render_summary());
     }
     Ok(())
 }
@@ -1042,7 +1088,7 @@ fn serve(batch: &BatchFlags, flags: &ServeFlags) -> Result<u8, UsageError> {
         Server::bind(opts).map_err(|e| UsageError(format!("cannot start service: {e}")))?;
     let addr = server.addr().map_err(|e| UsageError(format!("cannot resolve address: {e}")))?;
     // Scripts (and the CI smoke) scrape the port from this line.
-    println!("serve: listening on {addr}");
+    outln!("serve: listening on {addr}");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 

@@ -35,10 +35,10 @@
 //! `idtmc`/`imdp` force an interval model even when every entry is a point.
 
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::interval::{IntervalDtmc, IntervalDtmcBuilder, IntervalMdp, IntervalMdpBuilder};
-use crate::{Dtmc, DtmcBuilder, Mdp, MdpBuilder, ModelError};
+use crate::{Dtmc, DtmcBuilder, Labeling, Mdp, MdpBuilder, ModelError, RewardStructure};
 
 /// A parsed model file: any kind of model.
 #[derive(Debug, Clone, PartialEq)]
@@ -312,65 +312,47 @@ pub fn parse_model(source: &str) -> Result<ModelFile, DslError> {
     }
 }
 
+// The writers append to one `String` through `fmt::Write`, which cannot
+// fail on a `String`; the `Ok(())` they return is dropped.
+
 /// Serializes a DTMC back into the textual format (round-trips through
 /// [`parse_model`]).
 pub fn dtmc_to_dsl(model: &Dtmc) -> String {
-    let mut out = String::from("dtmc\n");
-    out.push_str(&format!("states {}\n", model.num_states()));
-    out.push_str(&format!("initial {}\n", model.initial_state()));
-    for label in model.labeling().labels() {
-        let states: Vec<String> =
-            model.labeling().states_with(label).map(|s| s.to_string()).collect();
-        out.push_str(&format!("label \"{label}\" = {}\n", states.join(", ")));
-    }
-    for rs in model.reward_structures() {
-        for s in 0..model.num_states() {
-            let r = rs.state_reward(s);
-            if r != 0.0 {
-                out.push_str(&format!("reward \"{}\" {s} = {r}\n", rs.name()));
-            }
-        }
-    }
-    for s in 0..model.num_states() {
-        let row: Vec<String> = model.successors(s).map(|(t, p)| format!("{t}: {p}")).collect();
-        out.push_str(&format!("{s} -> {}\n", row.join(", ")));
+    let mut out = String::new();
+    let n = model.num_states();
+    write_prelude(
+        &mut out,
+        "dtmc",
+        n,
+        model.initial_state(),
+        model.labeling(),
+        model.reward_structures(),
+        |_| 0,
+    );
+    for s in 0..n {
+        let _ = write!(out, "{s} -> ");
+        write_row(&mut out, model.successors(s), |out, (t, p)| write!(out, "{t}: {p}"));
     }
     out
 }
 
 /// Serializes an MDP back into the textual format.
 pub fn mdp_to_dsl(model: &Mdp) -> String {
-    let mut out = String::from("mdp\n");
-    out.push_str(&format!("states {}\n", model.num_states()));
-    out.push_str(&format!("initial {}\n", model.initial_state()));
-    for label in model.labeling().labels() {
-        let states: Vec<String> =
-            model.labeling().states_with(label).map(|s| s.to_string()).collect();
-        out.push_str(&format!("label \"{label}\" = {}\n", states.join(", ")));
-    }
-    for rs in model.reward_structures() {
-        for s in 0..model.num_states() {
-            let r = rs.state_reward(s);
-            if r != 0.0 {
-                out.push_str(&format!("reward \"{}\" {s} = {r}\n", rs.name()));
-            }
-            for c in 0..model.num_choices(s) {
-                let cr = rs.choice_reward(s, c);
-                if cr != 0.0 {
-                    out.push_str(&format!("reward \"{}\" {s} [{c}] = {cr}\n", rs.name()));
-                }
-            }
-        }
-    }
-    for s in 0..model.num_states() {
+    let mut out = String::new();
+    let n = model.num_states();
+    write_prelude(
+        &mut out,
+        "mdp",
+        n,
+        model.initial_state(),
+        model.labeling(),
+        model.reward_structures(),
+        |s| model.num_choices(s),
+    );
+    for s in 0..n {
         for choice in model.choices(s) {
-            let row: Vec<String> =
-                choice.transitions.iter().map(|&(t, p)| format!("{t}: {p}")).collect();
-            out.push_str(&format!(
-                "{s} [{}] -> {}\n",
-                model.action_name(choice.action),
-                row.join(", ")
-            ));
+            let _ = write!(out, "{s} [{}] -> ", model.action_name(choice.action));
+            write_row(&mut out, &choice.transitions, |out, &(t, p)| write!(out, "{t}: {p}"));
         }
     }
     out
@@ -380,66 +362,96 @@ pub fn mdp_to_dsl(model: &Mdp) -> String {
 /// through [`parse_model`] — the explicit `idtmc` directive preserves the
 /// kind even when every interval is degenerate).
 pub fn interval_dtmc_to_dsl(model: &IntervalDtmc) -> String {
-    let mut out = String::from("idtmc\n");
-    out.push_str(&format!("states {}\n", model.num_states()));
-    out.push_str(&format!("initial {}\n", model.initial_state()));
-    for label in model.labeling().labels() {
-        let states: Vec<String> =
-            model.labeling().states_with(label).map(|s| s.to_string()).collect();
-        out.push_str(&format!("label \"{label}\" = {}\n", states.join(", ")));
-    }
-    for rs in model.reward_structures() {
-        for s in 0..model.num_states() {
-            let r = rs.state_reward(s);
-            if r != 0.0 {
-                out.push_str(&format!("reward \"{}\" {s} = {r}\n", rs.name()));
-            }
-        }
-    }
-    for s in 0..model.num_states() {
-        let row: Vec<String> =
-            model.successors(s).map(|(t, lo, hi)| format!("{t}: {lo}..{hi}")).collect();
-        out.push_str(&format!("{s} -> {}\n", row.join(", ")));
+    let mut out = String::new();
+    let n = model.num_states();
+    write_prelude(
+        &mut out,
+        "idtmc",
+        n,
+        model.initial_state(),
+        model.labeling(),
+        model.reward_structures(),
+        |_| 0,
+    );
+    for s in 0..n {
+        let _ = write!(out, "{s} -> ");
+        write_row(&mut out, model.row(s), |out, &(t, lo, hi)| write!(out, "{t}: {lo}..{hi}"));
     }
     out
 }
 
 /// Serializes an interval MDP into the textual format.
 pub fn interval_mdp_to_dsl(model: &IntervalMdp) -> String {
-    let mut out = String::from("imdp\n");
-    out.push_str(&format!("states {}\n", model.num_states()));
-    out.push_str(&format!("initial {}\n", model.initial_state()));
-    for label in model.labeling().labels() {
-        let states: Vec<String> =
-            model.labeling().states_with(label).map(|s| s.to_string()).collect();
-        out.push_str(&format!("label \"{label}\" = {}\n", states.join(", ")));
+    let mut out = String::new();
+    let n = model.num_states();
+    write_prelude(
+        &mut out,
+        "imdp",
+        n,
+        model.initial_state(),
+        model.labeling(),
+        model.reward_structures(),
+        |s| model.num_choices(s),
+    );
+    for s in 0..n {
+        for choice in model.choices(s) {
+            let _ = write!(out, "{s} [{}] -> ", model.action_name(choice.action));
+            write_row(&mut out, &choice.transitions, |out, &(t, lo, hi)| {
+                write!(out, "{t}: {lo}..{hi}")
+            });
+        }
     }
-    for rs in model.reward_structures() {
-        for s in 0..model.num_states() {
+    out
+}
+
+/// Writes the lines every model kind starts with: the kind directive, the
+/// state count, the initial state, the labels, and each reward
+/// structure's non-zero state rewards, each state's followed by the
+/// non-zero rewards of its `num_choices(s)` choices.
+fn write_prelude<'a>(
+    out: &mut String,
+    kind: &str,
+    num_states: usize,
+    initial: usize,
+    labeling: &Labeling,
+    rewards: impl Iterator<Item = &'a RewardStructure>,
+    num_choices: impl Fn(usize) -> usize,
+) {
+    let _ = write!(out, "{kind}\nstates {num_states}\ninitial {initial}\n");
+    for label in labeling.labels() {
+        let _ = write!(out, "label \"{label}\" = ");
+        write_row(out, labeling.states_with(label), |out, s| write!(out, "{s}"));
+    }
+    for rs in rewards {
+        let name = rs.name();
+        for s in 0..num_states {
             let r = rs.state_reward(s);
             if r != 0.0 {
-                out.push_str(&format!("reward \"{}\" {s} = {r}\n", rs.name()));
+                let _ = writeln!(out, "reward \"{name}\" {s} = {r}");
             }
-            for c in 0..model.num_choices(s) {
+            for c in 0..num_choices(s) {
                 let cr = rs.choice_reward(s, c);
                 if cr != 0.0 {
-                    out.push_str(&format!("reward \"{}\" {s} [{c}] = {cr}\n", rs.name()));
+                    let _ = writeln!(out, "reward \"{name}\" {s} [{c}] = {cr}");
                 }
             }
         }
     }
-    for s in 0..model.num_states() {
-        for choice in model.choices(s) {
-            let row: Vec<String> =
-                choice.transitions.iter().map(|&(t, lo, hi)| format!("{t}: {lo}..{hi}")).collect();
-            out.push_str(&format!(
-                "{s} [{}] -> {}\n",
-                model.action_name(choice.action),
-                row.join(", ")
-            ));
+}
+
+/// Writes `items` separated by `", "`, then a newline.
+fn write_row<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T) -> fmt::Result,
+) {
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
         }
+        let _ = item(out, x);
     }
-    out
+    out.push('\n');
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -673,6 +685,23 @@ reward "steps" 0 = 1.0
         assert_eq!(m.kind(), "imdp");
         let ModelFile::IntervalMdp(m) = m else { panic!("expected imdp") };
         assert_eq!(m.choices(0)[0].transitions, vec![(0, 0.9, 1.0)]);
+    }
+
+    #[test]
+    fn interval_dtmc_writer_golden() {
+        let src = "idtmc\nstates 3\ninitial 1\nlabel \"start\" = 0, 1\nlabel \"goal\" = 2\n\
+                   reward \"steps\" 0 = 1.5\nreward \"steps\" 1 = 2\nreward \"late\" 2 = 0.25\n\
+                   0 -> 2: 0.1..0.2, 0: 0.1..0.3, 1: 0.5..0.7\n1 -> 2: 1.0\n2 -> 2: 0.9..1.0\n";
+        let ModelFile::IntervalDtmc(m) = parse_model(src).unwrap() else {
+            panic!("expected idtmc")
+        };
+        assert_eq!(
+            interval_dtmc_to_dsl(&m),
+            "idtmc\nstates 3\ninitial 1\n\
+             label \"goal\" = 2\nlabel \"start\" = 0, 1\n\
+             reward \"late\" 2 = 0.25\nreward \"steps\" 0 = 1.5\nreward \"steps\" 1 = 2\n\
+             0 -> 0: 0.1..0.3, 1: 0.5..0.7, 2: 0.1..0.2\n1 -> 2: 1..1\n2 -> 2: 0.9..1\n"
+        );
     }
 
     #[test]

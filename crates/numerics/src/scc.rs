@@ -36,40 +36,47 @@ use crate::{CsrMatrix, NumericsError};
 /// the order is a reverse topological sort of the condensation — sinks
 /// first — which is exactly the order in which the fixed-point systems of
 /// this crate must be solved (a state's value depends on its successors').
+///
+/// The layout is flat: one node array listing the components back to back
+/// plus component offsets, so condensing a chain of a million singleton
+/// components allocates three arrays, not a million small vectors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Condensation {
-    /// Component index of each node, indexing into `components`.
+    /// Component index of each node.
     pub comp_of: Vec<usize>,
-    /// The components in dependency order; nodes within a component are
-    /// sorted ascending.
-    pub components: Vec<Vec<usize>>,
+    /// Every node, components contiguous in dependency order; nodes within
+    /// a component are sorted ascending.
+    order: Vec<usize>,
+    /// Component `c` is `order[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<usize>,
 }
 
 impl Condensation {
     /// Number of components.
     pub fn num_components(&self) -> usize {
-        self.components.len()
+        self.offsets.len() - 1
+    }
+
+    /// The components in dependency order.
+    pub fn components(&self) -> impl ExactSizeIterator<Item = &[usize]> + '_ {
+        self.offsets.windows(2).map(|w| &self.order[w[0]..w[1]])
     }
 
     /// Number of trivial (single-node) components.
     pub fn num_trivial(&self) -> usize {
-        self.components.iter().filter(|c| c.len() == 1).count()
+        self.offsets.windows(2).filter(|w| w[1] - w[0] == 1).count()
     }
 
     /// Size of the largest component.
     pub fn largest(&self) -> usize {
-        self.components.iter().map(Vec::len).max().unwrap_or(0)
+        self.offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
     }
 
     /// The node order that lists components contiguously in dependency
     /// order (`order[new] = old`), suitable for
     /// [`CsrMatrix::permute_symmetric`].
-    pub fn permutation(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.comp_of.len());
-        for comp in &self.components {
-            order.extend_from_slice(comp);
-        }
-        order
+    pub fn permutation(&self) -> &[usize] {
+        &self.order
     }
 }
 
@@ -88,7 +95,8 @@ where
     let mut on_stack = vec![false; n];
     let mut comp_of = vec![UNVISITED; n];
     let mut stack: Vec<usize> = Vec::new();
-    let mut components: Vec<Vec<usize>> = Vec::new();
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut offsets: Vec<usize> = vec![0];
     let mut next_index = 0usize;
     // (node, position in its successor slice)
     let mut call: Vec<(usize, usize)> = Vec::new();
@@ -127,23 +135,24 @@ where
                 }
                 if low[v] == index[v] {
                     // v roots a component: pop it off the node stack.
-                    let mut comp = Vec::new();
+                    let c = offsets.len() - 1;
+                    let start = order.len();
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack[w] = false;
-                        comp_of[w] = components.len();
-                        comp.push(w);
+                        comp_of[w] = c;
+                        order.push(w);
                         if w == v {
                             break;
                         }
                     }
-                    comp.sort_unstable();
-                    components.push(comp);
+                    order[start..].sort_unstable();
+                    offsets.push(order.len());
                 }
             }
         }
     }
-    Condensation { comp_of, components }
+    Condensation { comp_of, order, offsets }
 }
 
 /// Condenses the sparsity structure of a square [`CsrMatrix`].
@@ -224,7 +233,7 @@ pub fn solve_scc_budgeted(
     let _span = span!("numerics.scc_solve", states = n, nnz = a.nnz());
     let cond = condensation_csr(a);
     let order = cond.permutation();
-    let ap = a.permute_symmetric(&order)?;
+    let ap = a.permute_symmetric(order)?;
     let bp: Vec<f64> = order.iter().map(|&old| b[old]).collect();
 
     let mut stats = SccStats {
@@ -245,7 +254,7 @@ pub fn solve_scc_budgeted(
     let mut since_poll = 0usize;
 
     let mut start = 0usize;
-    'blocks: for comp in &cond.components {
+    'blocks: for comp in cond.components() {
         let len = comp.len();
         let end = start + len;
         since_poll += len;
@@ -480,8 +489,8 @@ mod tests {
             ADJ[v]
         });
         assert_eq!(cond.num_components(), 2);
-        assert_eq!(cond.components[0], vec![0, 1, 2]);
-        assert_eq!(cond.components[1], vec![3]);
+        let comps: Vec<&[usize]> = cond.components().collect();
+        assert_eq!(comps, [&[0, 1, 2][..], &[3]]);
         assert_eq!(cond.comp_of[3], 1);
         assert_eq!(cond.largest(), 3);
         assert_eq!(cond.num_trivial(), 1);
@@ -504,7 +513,7 @@ mod tests {
     fn permutation_is_a_permutation() {
         let a = csr(5, &[(0, 1, 0.5), (1, 0, 0.5), (2, 3, 1.0), (4, 2, 1.0)]);
         let cond = condensation_csr(&a);
-        let mut order = cond.permutation();
+        let mut order = cond.permutation().to_vec();
         order.sort_unstable();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
@@ -623,7 +632,7 @@ mod proptests {
             }
             let cond = condensation_from(n, |v| &adj[v][..]);
             let mut seen = vec![false; n];
-            for comp in &cond.components {
+            for comp in cond.components() {
                 for &v in comp {
                     prop_assert!(!seen[v]);
                     seen[v] = true;

@@ -2,11 +2,15 @@
 //! widening an uncertainty set must never *improve* the pessimistic value,
 //! degenerate (`lo == hi`) sets must reproduce the scalar checker, and the
 //! robust solve must be bitwise-deterministic — across repeated runs,
-//! across transition insertion order, and across thread counts.
+//! across transition insertion order, and across thread counts. The
+//! SCC-first solve must also ignore `hi == 0` edges, stop cleanly on a
+//! starved budget, and give the same bits for rows in any order.
 
 use proptest::prelude::*;
-use trusted_ml::checker::{CheckOptions, Checker};
+use tml_conformance::gen;
+use trusted_ml::checker::{Budget, CheckOptions, Checker, Exhaustion, RobustBracket};
 use trusted_ml::logic::{parse_query, Query};
+use trusted_ml::models::dsl::{dtmc_to_dsl, parse_model, ModelFile};
 use trusted_ml::models::{Dtmc, DtmcBuilder, IntervalDtmc, IntervalDtmcBuilder};
 
 /// A random 2-successor chain with an absorbing "goal" at the last state
@@ -145,5 +149,155 @@ proptest! {
                     "state {}: optimistic differs from {} run", s, name);
             }
         }
+    }
+}
+
+/// `model` with every 7th state (except the goal) labelled "blocked", so
+/// `!"blocked" U "goal"` has values strictly between 0 and 1.
+fn with_blocked(model: &Dtmc) -> Dtmc {
+    let n = model.num_states();
+    let blocked: Vec<String> = (3..n - 1).step_by(7).map(|s| s.to_string()).collect();
+    let text = format!("{}label \"blocked\" = {}\n", dtmc_to_dsl(model), blocked.join(", "));
+    let ModelFile::Dtmc(d) = parse_model(&text).unwrap() else { panic!("expected a dtmc") };
+    d
+}
+
+fn robust_queries() -> Vec<Query> {
+    ["P=? [ !\"blocked\" U \"goal\" ]", "R{\"cost\"}=? [ F \"goal\" ]", "P=? [ F<=12 \"goal\" ]"]
+        .iter()
+        .map(|q| parse_query(q).unwrap())
+        .collect()
+}
+
+/// Degenerate balls of the layered-SCC family (many small blocks) and of
+/// the grid (one giant block) reproduce the scalar checker on every state.
+#[test]
+fn degenerate_balls_of_block_models_reproduce_the_scalar_checker() {
+    for model in [gen::layered_scc_dtmc(3, 6, 12, 3), gen::grid_dtmc(3, 12)] {
+        let model = with_blocked(&model);
+        let ball = IntervalDtmc::degenerate(&model);
+        for q in robust_queries() {
+            let exact = tight_checker().query_dtmc(&model, &q).unwrap();
+            let bracket = tight_checker().query_interval_dtmc(&ball, &q).unwrap();
+            for (s, &point) in exact.iter().enumerate() {
+                let (lo, hi) = bracket.at(s);
+                assert!(
+                    (lo - point).abs() <= 1e-9 && (hi - point).abs() <= 1e-9,
+                    "{q}, state {s}: bracket [{lo}, {hi}] vs scalar {point}"
+                );
+            }
+        }
+    }
+}
+
+/// Two 2-state cycles, `{0, 1}` and `{2, 3}`, with goal 4 and sink 5.
+/// Block `{2, 3}` depends on `{0, 1}` through `2 → 0`; the edge `1 → 2`
+/// has `hi == 0`, so no member takes it, and it must not merge the blocks.
+fn two_blocks(zero_edge: bool) -> IntervalDtmc {
+    let mut b = IntervalDtmcBuilder::new(6);
+    b.transition(0, 1, 0.4, 0.7).unwrap();
+    b.transition(0, 4, 0.1, 0.3).unwrap();
+    b.transition(0, 5, 0.1, 0.3).unwrap();
+    b.transition(1, 0, 0.5, 0.8).unwrap();
+    b.transition(1, 4, 0.1, 0.3).unwrap();
+    b.transition(1, 5, 0.05, 0.2).unwrap();
+    if zero_edge {
+        b.transition(1, 2, 0.0, 0.0).unwrap();
+    }
+    b.transition(2, 3, 0.3, 0.6).unwrap();
+    b.transition(2, 0, 0.2, 0.5).unwrap();
+    b.transition(2, 5, 0.1, 0.3).unwrap();
+    b.transition(3, 2, 0.5, 0.8).unwrap();
+    b.transition(3, 4, 0.1, 0.4).unwrap();
+    b.transition(3, 5, 0.05, 0.2).unwrap();
+    b.transition(4, 4, 1.0, 1.0).unwrap();
+    b.transition(5, 5, 1.0, 1.0).unwrap();
+    b.label(4, "goal").unwrap();
+    b.build().unwrap()
+}
+
+#[test]
+fn zero_upper_bound_edges_stay_out_of_the_support_graph() {
+    let q = reach_query();
+    let ball = two_blocks(true);
+    let bracket = tight_checker().query_interval_dtmc(&ball, &q).unwrap();
+    // The zero edge changes nothing: the same set without it gives the
+    // same blocks and therefore the same bits.
+    let without = tight_checker().query_interval_dtmc(&two_blocks(false), &q).unwrap();
+    assert_eq!(bits(&bracket), bits(&without));
+    assert!(bracket.width() > 0.1, "a real bracket");
+    for seed in 0..64 {
+        let member = ball.sample_member(seed).unwrap();
+        let exact = Checker::new().query_dtmc(&member, &q).unwrap();
+        assert!(bracket.contains(&exact, 1e-9), "seed {seed}: {exact:?} outside {bracket:?}");
+    }
+}
+
+#[test]
+fn one_evaluation_budget_stops_a_multi_block_solve_with_bounds_from_below() {
+    let model = with_blocked(&gen::layered_scc_dtmc(5, 6, 12, 3));
+    let ball = IntervalDtmc::wilson_around(&model, 0.95, 200.0).unwrap();
+    let q = parse_query("P=? [ !\"blocked\" U \"goal\" ]").unwrap();
+    let full = Checker::new().query_interval_dtmc(&ball, &q).unwrap();
+    let starved = Checker::new().with_budget(Budget::unlimited().with_max_evaluations(1));
+    let (bracket, diag) = starved.query_interval_dtmc_diag(&ball, &q).unwrap();
+    assert_eq!(diag.exhausted, Some(Exhaustion::Evaluations));
+    for s in 0..ball.num_states() {
+        let (lo, hi) = bracket.at(s);
+        let (full_lo, full_hi) = full.at(s);
+        assert!((0.0..=1.0).contains(&lo) && (0.0..=1.0).contains(&hi), "state {s}");
+        // Gauss–Seidel runs from below, so a cut-short iterate never
+        // overshoots the converged values.
+        assert!(lo <= full_lo + 1e-12 && hi <= full_hi + 1e-12, "state {s}");
+    }
+}
+
+/// `model` with every row's transitions in reverse order. Builders always
+/// sort rows by target, so this goes through the serialized form, which
+/// keeps rows as given.
+fn with_reversed_rows(model: &IntervalDtmc) -> IntervalDtmc {
+    let json = serde_json::to_string(model).unwrap();
+    let key = "\"transitions\":";
+    let start = json.find(key).expect("serialized rows") + key.len();
+    let mut depth = 0;
+    let mut end = start;
+    for (i, byte) in json[start..].bytes().enumerate() {
+        match byte {
+            b'[' => depth += 1,
+            b']' => {
+                depth -= 1;
+                if depth == 0 {
+                    end = start + i + 1;
+                    break;
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut rows: Vec<Vec<(usize, f64, f64)>> = serde_json::from_str(&json[start..end]).unwrap();
+    for row in &mut rows {
+        row.reverse();
+    }
+    let rows = serde_json::to_string(&rows).unwrap();
+    serde_json::from_str(&format!("{}{rows}{}", &json[..start], &json[end..])).unwrap()
+}
+
+fn bits(b: &RobustBracket) -> Vec<(u64, u64)> {
+    (0..b.pessimistic.len()).map(|s| (b.at(s).0.to_bits(), b.at(s).1.to_bits())).collect()
+}
+
+#[test]
+fn reversed_rows_give_bitwise_identical_brackets() {
+    let model = with_blocked(&gen::layered_scc_dtmc(7, 6, 12, 3));
+    let ball = IntervalDtmc::wilson_around(&model, 0.95, 200.0).unwrap();
+    let reversed = with_reversed_rows(&ball);
+    // The copy really is unsorted, so the inner adversary's sorting path runs.
+    assert!((0..ball.num_states()).any(|s| ball.row(s).len() > 1
+        && reversed.row(s).first() == ball.row(s).last()
+        && reversed.row(s) != ball.row(s)));
+    for q in robust_queries() {
+        let a = Checker::new().query_interval_dtmc(&ball, &q).unwrap();
+        let b = Checker::new().query_interval_dtmc(&reversed, &q).unwrap();
+        assert_eq!(bits(&a), bits(&b), "{q}");
     }
 }

@@ -9,6 +9,8 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use trusted_ml::checker::Checker;
+use trusted_ml::models::IntervalDtmc;
 use trusted_ml::repair::ModelRepair;
 use trusted_ml::telemetry::json::{self, Value};
 use trusted_ml::telemetry::sink::JsonlSink;
@@ -45,6 +47,10 @@ fn wsn_repair_trace_phases_sum_to_the_parent_span() {
         .repair_dtmc(&chain, &attempts_property(40.0), &template)
         .expect("repair run");
     let wall_ns = start.elapsed().as_nanos() as u64;
+    // A robust check of the chain's Wilson ball, so the naming walk below
+    // also covers the robust solver's counters.
+    let ball = IntervalDtmc::wilson_around(&chain, 0.95, 500.0).expect("wilson ball");
+    Checker::new().check_interval_dtmc(&ball, &attempts_property(40.0)).expect("robust check");
     trusted_ml::telemetry::uninstall_global();
     assert!(outcome.verified, "the x=40 WSN repair verifies");
 
@@ -114,6 +120,9 @@ fn wsn_repair_trace_phases_sum_to_the_parent_span() {
     // The metrics registry saw the same activity the trace did.
     let snapshot = sub.metrics_snapshot();
     assert!(snapshot.counter("solver.penalty.evaluations") > 0, "solver evaluations counted");
+    for robust in ["checker.robust.solves", "checker.robust.sweeps", "checker.robust.blocks"] {
+        assert!(snapshot.counter(robust) > 0, "{robust} counted");
+    }
     assert!(
         snapshot.histogram("span.model_repair").is_some(),
         "root span recorded a duration histogram"
@@ -273,7 +282,9 @@ mod span_tree_reconstruction {
 #[test]
 fn disabled_telemetry_changes_no_repair_outcome() {
     // No subscriber installed: the instrumented repair must behave exactly
-    // as before telemetry existed.
+    // as before telemetry existed. The lock keeps the traced test's global
+    // subscriber from seeing this repair's spans.
+    let _lock = trusted_ml::telemetry::TEST_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
     let config = WsnConfig::default();
     let chain = build_dtmc(&config).expect("wsn chain");
     let template = repair_template(&config).expect("wsn template");
