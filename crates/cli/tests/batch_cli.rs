@@ -2,7 +2,8 @@
 //! `--kill-after` crash (exit 137), journal recovery with `--resume`, and
 //! the byte-identity contract between a resumed report and an
 //! uninterrupted control. Also pins the exit-code contract of usage
-//! errors (exit 2) — including `check --simulate 0`.
+//! errors (exit 2) — including `check --simulate 0` and a model whose
+//! state count far exceeds its rows.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -130,5 +131,18 @@ fn check_simulate_zero_exits_2() {
     // Sanity: the same invocation with a real count succeeds.
     let out = tml(&["check", model.to_str().unwrap(), "P>=0.5 [ F \"done\" ]", "--simulate", "50"]);
     assert_code(&out, 0, "check --simulate 50");
+    let _ = std::fs::remove_file(model);
+}
+
+#[test]
+fn info_rejects_a_state_count_beyond_the_rows() {
+    // The count alone must not size anything: the model is refused with
+    // the `states` line, not an allocation failure.
+    let model = tmp("huge.tml");
+    std::fs::write(&model, "dtmc\nstates 100000000000\n0 -> 0: 1.0\n").unwrap();
+    let out = tml(&["info", model.to_str().unwrap()]);
+    assert_code(&out, 2, "info on a huge state count");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 2: state 1 has no outgoing distribution"), "{stderr}");
     let _ = std::fs::remove_file(model);
 }

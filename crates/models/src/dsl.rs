@@ -33,11 +33,25 @@
 //! values (`0 -> 0: 0.1..0.3, 1: 0.7..0.9`). A `dtmc`/`mdp` file containing
 //! any interval entry is promoted to an interval model; the directives
 //! `idtmc`/`imdp` force an interval model even when every entry is a point.
+//!
+//! A target repeated within one `dtmc`/`mdp` row adds its probabilities
+//! (`0 -> 1: 0.25, 1: 0.75` is `1: 1.0`); within one `idtmc`/`imdp` row it
+//! is an error naming the line and the target. Errors found when the model
+//! is assembled name the state's first row, or the `states` line if it
+//! has none.
+//!
+//! [`parse_model`] reads the text once, over borrowed slices, with
+//! `str::parse` on each trimmed number, so values are bit-exact. No number
+//! in the text sizes an allocation: `states N` beyond the row count fails
+//! (every state needs a row) before any per-state storage exists, and a
+//! choice reward's index may not exceed the length of the text.
 
 use std::error::Error;
 use std::fmt::{self, Write as _};
 
-use crate::interval::{IntervalDtmc, IntervalDtmcBuilder, IntervalMdp, IntervalMdpBuilder};
+use crate::interval::{
+    IntervalDtmc, IntervalDtmcBuilder, IntervalMdp, IntervalMdpBuilder, IntervalTransition,
+};
 use crate::{Dtmc, DtmcBuilder, Labeling, Mdp, MdpBuilder, ModelError, RewardStructure};
 
 /// A parsed model file: any kind of model.
@@ -98,13 +112,56 @@ impl fmt::Display for DslError {
 
 impl Error for DslError {}
 
-/// `(line, from, [(to, lo, hi)])` — one parsed DTMC transition row. Point
-/// probabilities are stored as degenerate intervals `lo == hi`.
-type DtmcRow = (usize, usize, Vec<(usize, f64, f64)>);
-/// `(line, from, action, [(to, lo, hi)])` — one parsed MDP choice row.
-type MdpRow = (usize, usize, String, Vec<(usize, f64, f64)>);
+/// One transition row as scanned: `FROM -> ...` or `FROM [ACTION] -> ...`.
+struct Row<'a> {
+    line: usize,
+    from: usize,
+    /// The action name of an MDP row, borrowed from the source.
+    action: Option<&'a str>,
+    /// This row's span of [`Scan::entries`].
+    start: usize,
+    end: usize,
+}
 
-/// Parses a model description.
+/// Everything one pass over the source collects. Names are borrowed from
+/// the source; the builders own one copy of each distinct name.
+struct Scan<'a> {
+    kind: &'static str,
+    /// `(line, N)` of the last `states N` directive.
+    states: (usize, usize),
+    initial: usize,
+    /// `(line, label, state)`.
+    labels: Vec<(usize, &'a str, usize)>,
+    /// `(line, structure, state, value)`.
+    state_rewards: Vec<(usize, &'a str, usize, f64)>,
+    /// `(line, structure, state, choice, value)`.
+    choice_rewards: Vec<(usize, &'a str, usize, usize, f64)>,
+    rows: Vec<Row<'a>>,
+    /// The `(to, lo, hi)` entries of every row back to back; a point
+    /// probability is the degenerate interval `lo == hi`.
+    entries: Vec<IntervalTransition>,
+}
+
+impl Scan<'_> {
+    fn entries(&self, row: &Row) -> &[IntervalTransition] {
+        &self.entries[row.start..row.end]
+    }
+
+    /// Attaches a builder error to a line: a state's first row, or the
+    /// `states` line for a state without rows and for model-wide errors.
+    fn build_error(&self, e: ModelError) -> DslError {
+        let line = match e {
+            ModelError::MissingDistribution { state } | ModelError::NotStochastic { state, .. } => {
+                self.rows.iter().find(|r| r.from == state).map(|r| r.line)
+            }
+            _ => None,
+        };
+        DslError::new(line.unwrap_or(self.states.0), e.to_string())
+    }
+}
+
+/// Parses a model description (see the [module docs](self) for the
+/// format, the duplicate-target rules and the memory bound).
 ///
 /// # Errors
 ///
@@ -123,28 +180,144 @@ type MdpRow = (usize, usize, String, Vec<(usize, f64, f64)>);
 /// assert_eq!(model.num_states(), 2);
 /// ```
 pub fn parse_model(source: &str) -> Result<ModelFile, DslError> {
-    let mut kind: Option<&str> = None;
-    let mut num_states: Option<usize> = None;
-    let mut initial = 0usize;
-    let mut labels: Vec<(usize, String, usize)> = Vec::new(); // (line, name, state)
-    let mut state_rewards: Vec<(usize, String, usize, f64)> = Vec::new();
-    let mut choice_rewards: Vec<(usize, String, usize, usize, f64)> = Vec::new();
-    let mut dtmc_rows: Vec<DtmcRow> = Vec::new();
-    let mut mdp_rows: Vec<MdpRow> = Vec::new();
-    let mut saw_interval = false;
+    let scan = scan(source)?;
+    let is_mdp = matches!(scan.kind, "mdp" | "imdp");
+    if is_mdp {
+        if let Some(row) = scan.rows.iter().find(|r| r.action.is_none()) {
+            return Err(DslError::new(
+                row.line,
+                "mdp rows need an action name in brackets: STATE [action] -> ...",
+            ));
+        }
+    } else {
+        if let Some((line, action)) = scan.rows.iter().find_map(|r| Some((r.line, r.action?))) {
+            return Err(DslError::new(
+                line,
+                format!("action {action:?} in a dtmc (use 'mdp' as the first directive)"),
+            ));
+        }
+        if let Some(&(line, ..)) = scan.choice_rewards.first() {
+            return Err(DslError::new(line, "choice rewards are only valid in an mdp"));
+        }
+    }
+    let n = scan.states.1;
+    if n > scan.rows.len() {
+        // Some state in 0..=rows has no row; name the first.
+        let mut froms: Vec<usize> = scan.rows.iter().map(|r| r.from).collect();
+        froms.sort_unstable();
+        froms.dedup();
+        let state = froms.iter().enumerate().position(|(i, &s)| i != s).unwrap_or(froms.len());
+        return Err(scan.build_error(ModelError::MissingDistribution { state }));
+    }
+    // A choice index sizes its state's reward vector, so it may not exceed
+    // the length of the text it came from.
+    if let Some(&(line, .., c, _)) = scan.choice_rewards.iter().find(|r| r.3 >= source.len()) {
+        return Err(DslError::new(line, format!("choice index {c} exceeds the model text length")));
+    }
 
-    for (idx, raw) in source.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = strip_comment(raw).trim();
+    let wrap = |line: usize, e: ModelError| DslError::new(line, e.to_string());
+    // The builders share these method names but no trait.
+    macro_rules! labels_and_rewards {
+        ($b:ident) => {
+            for &(line, name, s) in &scan.labels {
+                $b.label(s, name).map_err(|e| wrap(line, e))?;
+            }
+            for &(line, name, s, v) in &scan.state_rewards {
+                $b.state_reward(name, s, v).map_err(|e| wrap(line, e))?;
+            }
+        };
+        ($b:ident, choices) => {
+            labels_and_rewards!($b);
+            for &(line, name, s, c, v) in &scan.choice_rewards {
+                $b.choice_reward(name, s, c, v).map_err(|e| wrap(line, e))?;
+            }
+        };
+    }
+    match scan.kind {
+        "dtmc" => {
+            let mut b = DtmcBuilder::new(n);
+            b.initial_state(scan.initial).map_err(|e| wrap(0, e))?;
+            for row in &scan.rows {
+                for &(to, p, _) in scan.entries(row) {
+                    b.transition(row.from, to, p).map_err(|e| wrap(row.line, e))?;
+                }
+            }
+            labels_and_rewards!(b);
+            Ok(ModelFile::Dtmc(b.build().map_err(|e| scan.build_error(e))?))
+        }
+        "idtmc" => {
+            let mut b = IntervalDtmcBuilder::new(n);
+            b.initial_state(scan.initial).map_err(|e| wrap(0, e))?;
+            let mut targets = Vec::new();
+            for row in &scan.rows {
+                check_unique_targets(row, scan.entries(row), &mut targets)?;
+                for &(to, lo, hi) in scan.entries(row) {
+                    b.transition(row.from, to, lo, hi).map_err(|e| wrap(row.line, e))?;
+                }
+            }
+            labels_and_rewards!(b);
+            Ok(ModelFile::IntervalDtmc(b.build().map_err(|e| scan.build_error(e))?))
+        }
+        "mdp" => {
+            let mut b = MdpBuilder::new(n);
+            b.initial_state(scan.initial).map_err(|e| wrap(0, e))?;
+            let mut point = Vec::new();
+            for row in &scan.rows {
+                point.clear();
+                point.extend(scan.entries(row).iter().map(|&(t, p, _)| (t, p)));
+                let action = row.action.unwrap_or_default();
+                b.choice(row.from, action, &point).map_err(|e| wrap(row.line, e))?;
+            }
+            labels_and_rewards!(b, choices);
+            Ok(ModelFile::Mdp(b.build().map_err(|e| scan.build_error(e))?))
+        }
+        _ => {
+            let mut b = IntervalMdpBuilder::new(n);
+            b.initial_state(scan.initial).map_err(|e| wrap(0, e))?;
+            let mut targets = Vec::new();
+            for row in &scan.rows {
+                let entries = scan.entries(row);
+                check_unique_targets(row, entries, &mut targets)?;
+                let action = row.action.unwrap_or_default();
+                b.choice(row.from, action, entries).map_err(|e| wrap(row.line, e))?;
+            }
+            labels_and_rewards!(b, choices);
+            Ok(ModelFile::IntervalMdp(b.build().map_err(|e| scan.build_error(e))?))
+        }
+    }
+}
+
+/// The single pass over the source: every line is classified and parsed
+/// into [`Scan`], with the number parsing of `str::parse` on trimmed
+/// slices. Reward lines report their errors only if no other line fails.
+fn scan(source: &str) -> Result<Scan<'_>, DslError> {
+    let mut kind: Option<&'static str> = None;
+    let mut states = None;
+    let mut initial = 0usize;
+    let mut labels = Vec::new();
+    let mut state_rewards = Vec::new();
+    let mut choice_rewards = Vec::new();
+    let mut rows = Vec::new();
+    let mut entries = Vec::new();
+    let mut saw_interval = false;
+    let mut reward_error = None;
+
+    let mut rest = source;
+    let mut lineno = 0;
+    while !rest.is_empty() {
+        lineno += 1;
+        let raw;
+        (raw, rest) = next_line(rest);
+        let line = trim(raw);
         if line.is_empty() {
             continue;
         }
         if kind.is_none() {
-            match line {
-                "dtmc" => kind = Some("dtmc"),
-                "mdp" => kind = Some("mdp"),
-                "idtmc" => kind = Some("idtmc"),
-                "imdp" => kind = Some("imdp"),
+            kind = Some(match line {
+                "dtmc" => "dtmc",
+                "mdp" => "mdp",
+                "idtmc" => "idtmc",
+                "imdp" => "imdp",
                 other => {
                     return Err(DslError::new(
                         lineno,
@@ -154,64 +327,52 @@ pub fn parse_model(source: &str) -> Result<ModelFile, DslError> {
                         ),
                     ))
                 }
-            }
+            });
             continue;
         }
         if let Some(rest) = line.strip_prefix("states") {
-            num_states = Some(parse_usize(rest.trim(), lineno, "state count")?);
+            states = Some((lineno, parse_usize(trim(rest), lineno, "state count")?));
         } else if let Some(rest) = line.strip_prefix("initial") {
-            initial = parse_usize(rest.trim(), lineno, "initial state")?;
+            initial = parse_usize(trim(rest), lineno, "initial state")?;
         } else if let Some(rest) = line.strip_prefix("label") {
             let (name, states) = parse_named_assignment(rest, lineno)?;
             for s in states.split(',') {
-                labels.push((lineno, name.clone(), parse_usize(s.trim(), lineno, "label state")?));
+                labels.push((lineno, name, parse_usize(trim(s), lineno, "label state")?));
             }
-        } else if line.starts_with("reward") {
-            // Parsed in a dedicated second pass (the reward grammar has its
-            // own name/state/choice/value shape); validate lazily there.
-            continue;
-        } else if line.contains("->") {
-            let (lhs, rhs) = split_once(line, '-', lineno, "transition row")?;
+        } else if let Some(rest) = line.strip_prefix("reward") {
+            if reward_error.is_none() {
+                match parse_reward(rest, lineno) {
+                    Ok((name, state, Some(c), v)) => {
+                        choice_rewards.push((lineno, name, state, c, v))
+                    }
+                    Ok((name, state, None, v)) => state_rewards.push((lineno, name, state, v)),
+                    Err(e) => reward_error = Some(e),
+                }
+            }
+        } else if find_pair(line, b"->").is_some() {
+            let (lhs, rhs) = split_once(line, b'-', lineno, "transition row")?;
             let rhs =
                 rhs.strip_prefix('>').ok_or_else(|| DslError::new(lineno, "expected '->'"))?;
-            let lhs = lhs.trim();
-            let (dist, has_interval) = parse_distribution(rhs, lineno)?;
-            saw_interval |= has_interval;
-            if let Some(open) = lhs.find('[') {
-                let close = lhs
-                    .find(']')
-                    .ok_or_else(|| DslError::new(lineno, "unclosed '[' in action name"))?;
-                let from = parse_usize(lhs[..open].trim(), lineno, "source state")?;
-                let action = lhs[open + 1..close].trim().to_owned();
-                if action.is_empty() {
-                    return Err(DslError::new(lineno, "empty action name"));
-                }
-                mdp_rows.push((lineno, from, action, dist));
-            } else {
-                let from = parse_usize(lhs, lineno, "source state")?;
-                dtmc_rows.push((lineno, from, dist));
+            let start = entries.len();
+            saw_interval |= parse_distribution(rhs, lineno, &mut entries)?;
+            let (from, action) = match split_bracket(lhs, lineno, "unclosed '[' in action name")? {
+                Some((from, action)) => (from, Some(action)),
+                None => (lhs, None),
+            };
+            let from = parse_usize(from, lineno, "source state")?;
+            if action == Some("") {
+                return Err(DslError::new(lineno, "empty action name"));
             }
+            rows.push(Row { line: lineno, from, action, start, end: entries.len() });
         } else {
             return Err(DslError::new(lineno, format!("unrecognized directive {line:?}")));
         }
     }
-    // Re-scan for rewards (kept out of the main loop for clarity of the
-    // name/assignment split).
-    for (idx, raw) in source.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = strip_comment(raw).trim();
-        if let Some(rest) = line.strip_prefix("reward") {
-            let (name, state, choice, value) = parse_reward(rest, lineno)?;
-            match choice {
-                Some(c) => choice_rewards.push((lineno, name, state, c, value)),
-                None => state_rewards.push((lineno, name, state, value)),
-            }
-        }
+    if let Some(e) = reward_error {
+        return Err(e);
     }
-
     let kind = kind.ok_or_else(|| DslError::new(0, "empty model description"))?;
-    let n = num_states.ok_or_else(|| DslError::new(0, "missing 'states N' directive"))?;
-
+    let states = states.ok_or_else(|| DslError::new(0, "missing 'states N' directive"))?;
     // A point-kind file that uses `LO..HI` entries is promoted to the
     // matching interval kind.
     let kind = match (kind, saw_interval) {
@@ -219,96 +380,25 @@ pub fn parse_model(source: &str) -> Result<ModelFile, DslError> {
         ("mdp", true) => "imdp",
         (k, _) => k,
     };
+    Ok(Scan { kind, states, initial, labels, state_rewards, choice_rewards, rows, entries })
+}
 
-    let wrap = |lineno: usize, e: ModelError| DslError::new(lineno, e.to_string());
-    let is_mdp = matches!(kind, "mdp" | "imdp");
-    if is_mdp {
-        if let Some((lineno, ..)) = dtmc_rows.first() {
-            return Err(DslError::new(
-                *lineno,
-                "mdp rows need an action name in brackets: STATE [action] -> ...",
-            ));
-        }
-    } else {
-        if let Some((lineno, _, action, _)) = mdp_rows.first() {
-            return Err(DslError::new(
-                *lineno,
-                format!("action {action:?} in a dtmc (use 'mdp' as the first directive)"),
-            ));
-        }
-        if let Some((lineno, ..)) = choice_rewards.first() {
-            return Err(DslError::new(*lineno, "choice rewards are only valid in an mdp"));
-        }
-    }
-    match kind {
-        "dtmc" => {
-            let mut b = DtmcBuilder::new(n);
-            b.initial_state(initial).map_err(|e| wrap(0, e))?;
-            for (lineno, from, dist) in dtmc_rows {
-                for (to, p, _) in dist {
-                    b.transition(from, to, p).map_err(|e| wrap(lineno, e))?;
-                }
-            }
-            for (lineno, name, s) in labels {
-                b.label(s, &name).map_err(|e| wrap(lineno, e))?;
-            }
-            for (lineno, name, s, v) in state_rewards {
-                b.state_reward(&name, s, v).map_err(|e| wrap(lineno, e))?;
-            }
-            Ok(ModelFile::Dtmc(b.build().map_err(|e| wrap(0, e))?))
-        }
-        "idtmc" => {
-            let mut b = IntervalDtmcBuilder::new(n);
-            b.initial_state(initial).map_err(|e| wrap(0, e))?;
-            for (lineno, from, dist) in dtmc_rows {
-                for (to, lo, hi) in dist {
-                    b.transition(from, to, lo, hi).map_err(|e| wrap(lineno, e))?;
-                }
-            }
-            for (lineno, name, s) in labels {
-                b.label(s, &name).map_err(|e| wrap(lineno, e))?;
-            }
-            for (lineno, name, s, v) in state_rewards {
-                b.state_reward(&name, s, v).map_err(|e| wrap(lineno, e))?;
-            }
-            Ok(ModelFile::IntervalDtmc(b.build().map_err(|e| wrap(0, e))?))
-        }
-        "mdp" => {
-            let mut b = MdpBuilder::new(n);
-            b.initial_state(initial).map_err(|e| wrap(0, e))?;
-            for (lineno, from, action, dist) in mdp_rows {
-                let point: Vec<(usize, f64)> = dist.iter().map(|&(t, p, _)| (t, p)).collect();
-                b.choice(from, &action, &point).map_err(|e| wrap(lineno, e))?;
-            }
-            for (lineno, name, s) in labels {
-                b.label(s, &name).map_err(|e| wrap(lineno, e))?;
-            }
-            for (lineno, name, s, v) in state_rewards {
-                b.state_reward(&name, s, v).map_err(|e| wrap(lineno, e))?;
-            }
-            for (lineno, name, s, c, v) in choice_rewards {
-                b.choice_reward(&name, s, c, v).map_err(|e| wrap(lineno, e))?;
-            }
-            Ok(ModelFile::Mdp(b.build().map_err(|e| wrap(0, e))?))
-        }
-        "imdp" => {
-            let mut b = IntervalMdpBuilder::new(n);
-            b.initial_state(initial).map_err(|e| wrap(0, e))?;
-            for (lineno, from, action, dist) in mdp_rows {
-                b.choice(from, &action, &dist).map_err(|e| wrap(lineno, e))?;
-            }
-            for (lineno, name, s) in labels {
-                b.label(s, &name).map_err(|e| wrap(lineno, e))?;
-            }
-            for (lineno, name, s, v) in state_rewards {
-                b.state_reward(&name, s, v).map_err(|e| wrap(lineno, e))?;
-            }
-            for (lineno, name, s, c, v) in choice_rewards {
-                b.choice_reward(&name, s, c, v).map_err(|e| wrap(lineno, e))?;
-            }
-            Ok(ModelFile::IntervalMdp(b.build().map_err(|e| wrap(0, e))?))
-        }
-        _ => unreachable!("kind is validated above"),
+/// Rejects an interval row that names a target twice. `targets` is
+/// scratch space reused across rows.
+fn check_unique_targets(
+    row: &Row,
+    entries: &[IntervalTransition],
+    targets: &mut Vec<usize>,
+) -> Result<(), DslError> {
+    targets.clear();
+    targets.extend(entries.iter().map(|&(t, ..)| t));
+    targets.sort_unstable();
+    match targets.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(DslError::new(
+            row.line,
+            format!("target {} appears more than once in one interval row", w[0]),
+        )),
+        None => Ok(()),
     }
 }
 
@@ -454,11 +544,79 @@ fn write_row<T>(
     out.push('\n');
 }
 
-fn strip_comment(line: &str) -> &str {
-    match line.find('#') {
-        Some(i) => &line[..i],
-        None => line,
+/// `str::trim`: ASCII whitespace (`\t`..=`\r` and space, as
+/// `char::is_whitespace` has it) is stripped byte-wise, and only a
+/// non-ASCII end goes to the Unicode rules.
+#[inline]
+fn trim(text: &str) -> &str {
+    // Fast paths for the common tokens: nothing to strip, or the one
+    // leading space that `", "` and `": "` leave.
+    match text.as_bytes() {
+        [a, .., z] if a.is_ascii_graphic() && z.is_ascii_graphic() => return text,
+        [b' ', a, .., z] if a.is_ascii_graphic() && z.is_ascii_graphic() => return &text[1..],
+        _ => {}
     }
+    let ws = |b: &u8| *b == b' ' || (b'\t'..=b'\r').contains(b);
+    let start = text.bytes().position(|b| !ws(&b)).unwrap_or(text.len());
+    let end = text.bytes().rposition(|b| !ws(&b)).map_or(start, |i| i + 1);
+    let text = &text[start..end];
+    match (text.bytes().next(), text.bytes().last()) {
+        (Some(a), Some(z)) if !(a.is_ascii() && z.is_ascii()) => text.trim(),
+        _ => text,
+    }
+}
+
+/// The byte offset of the first `byte` (an ASCII character) in `text`.
+fn find_byte(text: &str, byte: u8) -> Option<usize> {
+    find_either(text.as_bytes(), byte, byte)
+}
+
+/// Splits the first line off `text` as `str::lines` does (a `\r` before
+/// the `\n` is dropped), cut at its first `#`, and returns the rest.
+fn next_line(text: &str) -> (&str, &str) {
+    let bytes = text.as_bytes();
+    let Some(i) = find_either(bytes, b'\n', b'#') else {
+        return (text, "");
+    };
+    if bytes[i] == b'#' {
+        let end = find_byte(&text[i..], b'\n').map_or(text.len(), |j| i + j + 1);
+        return (&text[..i], &text[end..]);
+    }
+    let line = &text[..i];
+    (line.strip_suffix('\r').unwrap_or(line), &text[i + 1..])
+}
+
+/// The position of the first `a` or `b` in `bytes`, eight bytes at a
+/// time: the lowest byte the zero-byte test flags is always a true match.
+fn find_either(bytes: &[u8], a: u8, b: u8) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let zero = |v: u64| v.wrapping_sub(LO) & !v & HI;
+    let (a8, b8) = (LO * u64::from(a), LO * u64::from(b));
+    let mut chunks = bytes.chunks_exact(8);
+    for (k, chunk) in chunks.by_ref().enumerate() {
+        let w = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let hit = zero(w ^ a8) | zero(w ^ b8);
+        if hit != 0 {
+            return Some(k * 8 + hit.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = chunks.remainder();
+    tail.iter().position(|&c| c == a || c == b).map(|i| bytes.len() - tail.len() + i)
+}
+
+/// The byte offset of the first `pair` in `text`.
+fn find_pair(text: &str, pair: &[u8; 2]) -> Option<usize> {
+    let bytes = text.as_bytes();
+    let mut from = 0;
+    while let Some(i) = find_either(&bytes[from..], pair[0], pair[0]) {
+        let at = from + i;
+        if bytes.get(at + 1) == Some(&pair[1]) {
+            return Some(at);
+        }
+        from = at + 1;
+    }
+    None
 }
 
 fn parse_usize(text: &str, line: usize, what: &str) -> Result<usize, DslError> {
@@ -466,61 +624,76 @@ fn parse_usize(text: &str, line: usize, what: &str) -> Result<usize, DslError> {
 }
 
 fn parse_f64(text: &str, line: usize, what: &str) -> Result<f64, DslError> {
-    text.trim().parse().map_err(|_| DslError::new(line, format!("invalid {what}: {text:?}")))
+    trim(text).parse().map_err(|_| DslError::new(line, format!("invalid {what}: {text:?}")))
+}
+
+/// Splits `"name" rest` into the name and the trimmed rest.
+fn parse_quoted<'a>(
+    text: &'a str,
+    line: usize,
+    expected: &str,
+) -> Result<(&'a str, &'a str), DslError> {
+    let inner = trim(text).strip_prefix('"').ok_or_else(|| DslError::new(line, expected))?;
+    let close =
+        find_byte(inner, b'"').ok_or_else(|| DslError::new(line, "unterminated quoted name"))?;
+    Ok((&inner[..close], trim(&inner[close + 1..])))
 }
 
 /// Parses `"name" = rest` returning `(name, rest)`.
-fn parse_named_assignment(rest: &str, line: usize) -> Result<(String, String), DslError> {
-    let rest = rest.trim();
-    let inner =
-        rest.strip_prefix('"').ok_or_else(|| DslError::new(line, "expected a quoted name"))?;
-    let close = inner.find('"').ok_or_else(|| DslError::new(line, "unterminated quoted name"))?;
-    let name = inner[..close].to_owned();
-    let after = inner[close + 1..].trim();
+fn parse_named_assignment(rest: &str, line: usize) -> Result<(&str, &str), DslError> {
+    let (name, after) = parse_quoted(rest, line, "expected a quoted name")?;
     let value = after
         .strip_prefix('=')
-        .ok_or_else(|| DslError::new(line, "expected '=' after the name"))?
-        .trim()
-        .to_owned();
-    Ok((name, value))
+        .ok_or_else(|| DslError::new(line, "expected '=' after the name"))?;
+    Ok((name, trim(value)))
 }
 
 /// Parses `"name" STATE = V` or `"name" STATE [CHOICE] = V`.
-fn parse_reward(rest: &str, line: usize) -> Result<(String, usize, Option<usize>, f64), DslError> {
-    let rest = rest.trim();
-    let inner = rest
-        .strip_prefix('"')
-        .ok_or_else(|| DslError::new(line, "expected a quoted reward structure name"))?;
-    let close = inner.find('"').ok_or_else(|| DslError::new(line, "unterminated quoted name"))?;
-    let name = inner[..close].to_owned();
-    let after = inner[close + 1..].trim();
-    let (lhs, value) = split_once(after, '=', line, "reward assignment")?;
-    let value = parse_f64(&value, line, "reward value")?;
-    let lhs = lhs.trim();
-    if let Some(open) = lhs.find('[') {
-        let close = lhs.find(']').ok_or_else(|| DslError::new(line, "unclosed '['"))?;
-        let state = parse_usize(lhs[..open].trim(), line, "reward state")?;
-        let choice = parse_usize(lhs[open + 1..close].trim(), line, "choice index")?;
-        Ok((name, state, Some(choice), value))
-    } else {
-        let state = parse_usize(lhs, line, "reward state")?;
-        Ok((name, state, None, value))
+fn parse_reward(rest: &str, line: usize) -> Result<(&str, usize, Option<usize>, f64), DslError> {
+    let (name, after) = parse_quoted(rest, line, "expected a quoted reward structure name")?;
+    let (lhs, value) = split_once(after, b'=', line, "reward assignment")?;
+    let value = parse_f64(value, line, "reward value")?;
+    match split_bracket(lhs, line, "unclosed '['")? {
+        Some((state, choice)) => {
+            let state = parse_usize(state, line, "reward state")?;
+            let choice = parse_usize(choice, line, "choice index")?;
+            Ok((name, state, Some(choice), value))
+        }
+        None => Ok((name, parse_usize(lhs, line, "reward state")?, None, value)),
     }
 }
 
-/// `(target, lo, hi)` triples plus whether any entry used interval syntax.
-type ParsedDistribution = (Vec<(usize, f64, f64)>, bool);
+/// Splits `HEAD [INNER] ...` into the trimmed head and inner text, or
+/// `None` when there is no `[`.
+fn split_bracket<'a>(
+    text: &'a str,
+    line: usize,
+    unclosed: &str,
+) -> Result<Option<(&'a str, &'a str)>, DslError> {
+    let Some(open) = find_byte(text, b'[') else { return Ok(None) };
+    let inner = &text[open + 1..];
+    let close = find_byte(inner, b']').ok_or_else(|| DslError::new(line, unclosed))?;
+    Ok(Some((trim(&text[..open]), trim(&inner[..close]))))
+}
 
-/// Parses `TO: PROB` / `TO: LO..HI` entries. Returns the triples (point
-/// probabilities as degenerate intervals) and whether any entry used the
-/// interval syntax.
-fn parse_distribution(text: &str, line: usize) -> Result<ParsedDistribution, DslError> {
-    let mut dist = Vec::new();
+/// Parses `TO: PROB` / `TO: LO..HI` entries onto `entries`, point
+/// probabilities as degenerate intervals. Returns whether any entry used
+/// the interval syntax.
+fn parse_distribution(
+    text: &str,
+    line: usize,
+    entries: &mut Vec<IntervalTransition>,
+) -> Result<bool, DslError> {
     let mut has_interval = false;
-    for part in text.split(',') {
-        let (state, prob) = split_once(part, ':', line, "distribution entry")?;
-        let target = parse_usize(state.trim(), line, "target state")?;
-        let (lo, hi) = match prob.split_once("..") {
+    let mut rest = text;
+    loop {
+        let (part, next) = match find_byte(rest, b',') {
+            Some(i) => (&rest[..i], Some(&rest[i + 1..])),
+            None => (rest, None),
+        };
+        let (state, prob) = split_once(part, b':', line, "distribution entry")?;
+        let target = parse_usize(state, line, "target state")?;
+        let (lo, hi) = match find_pair(prob, b"..").map(|i| (&prob[..i], &prob[i + 2..])) {
             Some((lo, hi)) => {
                 has_interval = true;
                 (
@@ -529,26 +702,27 @@ fn parse_distribution(text: &str, line: usize) -> Result<ParsedDistribution, Dsl
                 )
             }
             None => {
-                let p = parse_f64(&prob, line, "probability")?;
+                let p = parse_f64(prob, line, "probability")?;
                 (p, p)
             }
         };
-        dist.push((target, lo, hi));
+        entries.push((target, lo, hi));
+        match next {
+            Some(next) => rest = next,
+            None => return Ok(has_interval),
+        }
     }
-    if dist.is_empty() {
-        return Err(DslError::new(line, "empty distribution"));
-    }
-    Ok((dist, has_interval))
 }
 
-fn split_once(
-    text: &str,
-    sep: char,
+/// Splits at the first `sep`, trimming both sides.
+fn split_once<'a>(
+    text: &'a str,
+    sep: u8,
     line: usize,
     what: &str,
-) -> Result<(String, String), DslError> {
-    match text.split_once(sep) {
-        Some((a, b)) => Ok((a.trim().to_owned(), b.trim().to_owned())),
+) -> Result<(&'a str, &'a str), DslError> {
+    match find_byte(text, sep) {
+        Some(i) => Ok((trim(&text[..i]), trim(&text[i + 1..]))),
         None => Err(DslError::new(line, format!("malformed {what}: {text:?}"))),
     }
 }
@@ -621,8 +795,21 @@ reward "cost" 0 [1] = 0.5
 
     #[test]
     fn error_reporting_includes_lines() {
+        // Errors found when the model is assembled name the state's first
+        // row, or the `states` line when the state has none.
         let err = parse_model("dtmc\nstates 1\n0 -> 0: 0.5\n").unwrap_err();
         assert!(err.to_string().contains("sum"), "{err}");
+        assert_eq!(err.line, 3);
+        let err =
+            parse_model("dtmc\nstates 2\n\n1 -> 1: 1.0\n0 -> 0: 0.0\n0 -> 1: 0.0\n").unwrap_err();
+        assert!(err.to_string().contains("state 0 has no outgoing"), "{err}");
+        assert_eq!(err.line, 5);
+        let err = parse_model("dtmc\nstates 3\n0 -> 0: 1.0\n2 -> 2: 1.0\n").unwrap_err();
+        assert!(err.to_string().contains("state 1 has no outgoing"), "{err}");
+        assert_eq!(err.line, 2);
+        let err = parse_model("mdp\nstates 2\n0 [a] -> 1: 1.0\n1 [a] -> 0: 0.0\n").unwrap_err();
+        assert!(err.to_string().contains("sum"), "{err}");
+        assert_eq!(err.line, 4);
 
         let err = parse_model("dtmc\nstates 1\nbogus line\n").unwrap_err();
         assert_eq!(err.line, 3);
@@ -635,6 +822,38 @@ reward "cost" 0 [1] = 0.5
 
         let err = parse_model("dtmc\n0 -> 0: 1.0\n").unwrap_err();
         assert!(err.to_string().contains("states"), "{err}");
+        assert_eq!(err.line, 0);
+    }
+
+    #[test]
+    fn repeated_targets_add_up_in_point_rows_and_fail_in_interval_rows() {
+        let ModelFile::Dtmc(d) =
+            parse_model("dtmc\nstates 2\n0 -> 1: 0.25, 0: 0.5, 1: 0.25\n1 -> 1: 1\n").unwrap()
+        else {
+            panic!("expected dtmc")
+        };
+        assert_eq!(d.successors(0).collect::<Vec<_>>(), vec![(0, 0.5), (1, 0.5)]);
+        let ModelFile::Mdp(m) = parse_model("mdp\nstates 1\n0 [a] -> 0: 0.5, 0: 0.5\n").unwrap()
+        else {
+            panic!("expected mdp")
+        };
+        assert_eq!(m.choices(0)[0].transitions, vec![(0, 1.0)]);
+        for src in [
+            "idtmc\nstates 2\n1 -> 1: 1\n0 -> 1: 0.5..0.5, 0: 0.2..0.4, 1: 0.5..0.5\n",
+            "dtmc\nstates 2\n1 -> 1: 1\n0 -> 1: 0.5, 0: 0.2..0.4, 1: 0.5\n",
+            "imdp\nstates 2\n1 [a] -> 1: 1\n0 [a] -> 1: 0.5..0.5, 0: 0.2..0.4, 1: 0.5..0.5\n",
+        ] {
+            let err = parse_model(src).unwrap_err();
+            assert_eq!(err.line, 4, "{src}: {err}");
+            assert!(err.message.contains("target 1 appears more than once"), "{src}: {err}");
+        }
+        // Across rows of one state, interval bounds keep the last given.
+        let ModelFile::IntervalDtmc(m) =
+            parse_model("idtmc\nstates 1\n0 -> 0: 0.1..0.2\n0 -> 0: 0.9..1\n").unwrap()
+        else {
+            panic!("expected idtmc")
+        };
+        assert_eq!(m.row(0), &[(0, 0.9, 1.0)]);
     }
 
     #[test]
@@ -725,9 +944,10 @@ reward "steps" 0 = 1.0
         let err = parse_model("idtmc\nstates 1\n0 -> 0: 0.9..0.1\n").unwrap_err();
         assert!(err.to_string().contains("interval"), "{err}");
         assert_eq!(err.line, 3);
-        // Empty polytope (Σ hi < 1).
-        let err = parse_model("idtmc\nstates 1\n0 -> 0: 0.1..0.4\n").unwrap_err();
-        assert!(err.to_string().contains("sum"), "{err}");
+        // Empty polytope (Σ hi < 1), found when the model is assembled.
+        let err = parse_model("idtmc\nstates 1\n\n0 -> 0: 0.1..0.4\n").unwrap_err();
+        assert!(err.to_string().contains("sum to 0.4"), "{err}");
+        assert_eq!(err.line, 4);
         // Malformed endpoints.
         assert!(parse_model("idtmc\nstates 1\n0 -> 0: 0.1..x\n").is_err());
         assert!(parse_model("idtmc\nstates 1\n0 -> 0: ..0.5\n").is_err());

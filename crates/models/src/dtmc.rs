@@ -3,6 +3,7 @@ use std::collections::BTreeMap;
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
 
+use crate::reward::structure_mut;
 use crate::{Labeling, ModelError, RewardStructure, STOCHASTIC_TOLERANCE};
 
 /// A discrete-time Markov chain with labels and named reward structures.
@@ -196,7 +197,9 @@ impl Dtmc {
 #[derive(Debug, Clone)]
 pub struct DtmcBuilder {
     num_states: usize,
-    transitions: Vec<BTreeMap<usize, f64>>,
+    /// `(from, to, p)` in insertion order, duplicates included;
+    /// [`build`](DtmcBuilder::build) groups, sorts and merges them.
+    transitions: Vec<(usize, usize, f64)>,
     initial: usize,
     labeling: Labeling,
     rewards: BTreeMap<String, RewardStructure>,
@@ -207,7 +210,8 @@ impl DtmcBuilder {
     pub fn new(num_states: usize) -> Self {
         DtmcBuilder {
             num_states,
-            transitions: vec![BTreeMap::new(); num_states],
+            // Every state needs at least one transition.
+            transitions: Vec::with_capacity(num_states),
             initial: 0,
             labeling: Labeling::new(num_states),
             rewards: BTreeMap::new(),
@@ -242,7 +246,7 @@ impl DtmcBuilder {
             });
         }
         if p > 0.0 {
-            *self.transitions[from].entry(to).or_insert(0.0) += p;
+            self.transitions.push((from, to, p));
         }
         Ok(self)
     }
@@ -269,10 +273,7 @@ impl DtmcBuilder {
         state: usize,
         value: f64,
     ) -> Result<&mut Self, ModelError> {
-        let n = self.num_states;
-        self.rewards
-            .entry(structure.to_owned())
-            .or_insert_with(|| RewardStructure::new(structure, n))
+        structure_mut(&mut self.rewards, structure, self.num_states)
             .set_state_reward(state, value)?;
         Ok(self)
     }
@@ -286,16 +287,26 @@ impl DtmcBuilder {
     /// * [`ModelError::NotStochastic`] if a state's outgoing probabilities
     ///   do not sum to one (within [`STOCHASTIC_TOLERANCE`]).
     pub fn build(&self) -> Result<Dtmc, ModelError> {
-        let mut transitions = Vec::with_capacity(self.num_states);
-        for (state, row) in self.transitions.iter().enumerate() {
+        let mut transitions =
+            rows_by_source(self.num_states, &self.transitions, |&(from, to, p)| (from, (to, p)));
+        for (state, row) in transitions.iter_mut().enumerate() {
             if row.is_empty() {
                 return Err(ModelError::MissingDistribution { state });
             }
-            let sum: f64 = row.values().sum();
+            // A stable sort keeps repeated targets in insertion order, so
+            // each merged probability is summed in the order it was added.
+            row.sort_by_key(|&(t, _)| t);
+            row.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
+            let sum: f64 = row.iter().map(|&(_, p)| p).sum();
             if (sum - 1.0).abs() > STOCHASTIC_TOLERANCE {
                 return Err(ModelError::NotStochastic { state, sum });
             }
-            transitions.push(row.iter().map(|(&t, &p)| (t, p)).collect());
         }
         Ok(Dtmc {
             transitions,
@@ -311,6 +322,25 @@ impl DtmcBuilder {
         }
         Ok(())
     }
+}
+
+/// Groups builder entries into one row per source state, each row in
+/// insertion order and allocated once at its final length.
+pub(crate) fn rows_by_source<E, T>(
+    num_states: usize,
+    entries: &[E],
+    split: impl Fn(&E) -> (usize, T),
+) -> Vec<Vec<T>> {
+    let mut lens = vec![0usize; num_states];
+    for e in entries {
+        lens[split(e).0] += 1;
+    }
+    let mut rows: Vec<Vec<T>> = lens.into_iter().map(Vec::with_capacity).collect();
+    for e in entries {
+        let (from, entry) = split(e);
+        rows[from].push(entry);
+    }
+    rows
 }
 
 #[cfg(test)]

@@ -24,6 +24,8 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::dtmc::rows_by_source;
+use crate::reward::structure_mut;
 use crate::{Dtmc, DtmcBuilder, Labeling, ModelError, RewardStructure, STOCHASTIC_TOLERANCE};
 
 /// One uncertain transition: `(target, lo, hi)`.
@@ -355,7 +357,9 @@ impl IntervalDtmc {
 #[derive(Debug, Clone)]
 pub struct IntervalDtmcBuilder {
     num_states: usize,
-    rows: Vec<BTreeMap<usize, (f64, f64)>>,
+    /// `(from, (to, lo, hi))` in insertion order, repeats included;
+    /// [`build`](IntervalDtmcBuilder::build) keeps the last per target.
+    rows: Vec<(usize, IntervalTransition)>,
     initial: usize,
     labeling: Labeling,
     rewards: BTreeMap<String, RewardStructure>,
@@ -367,7 +371,8 @@ impl IntervalDtmcBuilder {
     pub fn new(num_states: usize) -> Self {
         IntervalDtmcBuilder {
             num_states,
-            rows: vec![BTreeMap::new(); num_states],
+            // Every state needs at least one transition.
+            rows: Vec::with_capacity(num_states),
             initial: 0,
             labeling: Labeling::new(num_states),
             rewards: BTreeMap::new(),
@@ -427,7 +432,7 @@ impl IntervalDtmcBuilder {
                 });
             }
         }
-        self.rows[from].insert(to, (lo, hi));
+        self.rows.push((from, (to, lo, hi)));
         Ok(self)
     }
 
@@ -452,10 +457,7 @@ impl IntervalDtmcBuilder {
         state: usize,
         value: f64,
     ) -> Result<&mut Self, ModelError> {
-        let n = self.num_states;
-        self.rewards
-            .entry(structure.to_owned())
-            .or_insert_with(|| RewardStructure::new(structure, n))
+        structure_mut(&mut self.rewards, structure, self.num_states)
             .set_state_reward(state, value)?;
         Ok(self)
     }
@@ -468,14 +470,24 @@ impl IntervalDtmcBuilder {
     /// state without transitions and [`ModelError::NotStochastic`] for an
     /// empty row polytope (`Σ lo > 1` or `Σ hi < 1`).
     pub fn build(&self) -> Result<IntervalDtmc, ModelError> {
-        let mut transitions = Vec::with_capacity(self.num_states);
-        for (state, row) in self.rows.iter().enumerate() {
+        let mut transitions = rows_by_source(self.num_states, &self.rows, |&(from, t)| (from, t));
+        for (state, row) in transitions.iter_mut().enumerate() {
+            // A stable sort keeps repeated targets in insertion order, so
+            // the last bounds given for a target win.
+            row.sort_by_key(|&(t, ..)| t);
+            row.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    *kept = *next;
+                }
+                same
+            });
             if self.validate {
                 if row.is_empty() {
                     return Err(ModelError::MissingDistribution { state });
                 }
-                let lo_sum: f64 = row.values().map(|&(lo, _)| lo).sum();
-                let hi_sum: f64 = row.values().map(|&(_, hi)| hi).sum();
+                let lo_sum: f64 = row.iter().map(|&(_, lo, _)| lo).sum();
+                let hi_sum: f64 = row.iter().map(|&(.., hi)| hi).sum();
                 if lo_sum > 1.0 + STOCHASTIC_TOLERANCE {
                     return Err(ModelError::NotStochastic { state, sum: lo_sum });
                 }
@@ -483,7 +495,6 @@ impl IntervalDtmcBuilder {
                     return Err(ModelError::NotStochastic { state, sum: hi_sum });
                 }
             }
-            transitions.push(row.iter().map(|(&t, &(lo, hi))| (t, lo, hi)).collect());
         }
         Ok(IntervalDtmc {
             transitions,

@@ -1,3 +1,5 @@
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::ModelError;
@@ -115,6 +117,19 @@ impl RewardStructure {
     pub fn state_rewards(&self) -> &[f64] {
         &self.state_rewards
     }
+}
+
+/// The structure named `name` in a builder's map, created over
+/// `num_states` states on first use; the key is allocated only then.
+pub(crate) fn structure_mut<'m>(
+    rewards: &'m mut BTreeMap<String, RewardStructure>,
+    name: &str,
+    num_states: usize,
+) -> &'m mut RewardStructure {
+    if !rewards.contains_key(name) {
+        rewards.insert(name.to_owned(), RewardStructure::new(name, num_states));
+    }
+    rewards.get_mut(name).expect("inserted above")
 }
 
 fn validate_reward(value: f64, context: &str) -> Result<(), ModelError> {

@@ -261,6 +261,28 @@ fn malformed_submissions_fail_closed() {
 }
 
 #[test]
+fn huge_state_count_is_rejected_and_the_daemon_stays_up() {
+    let mut opts = ServeOptions::new(temp_journal("hugestates"));
+    opts.workers = 0;
+    let running = start(opts);
+    let addr = running.addr;
+
+    // A 37-byte model claiming 10^11 states: sizing anything by the count
+    // would abort the process, which no request isolation can catch.
+    for n in ["100000000000", "18446744073709551615"] {
+        let model = format!("dtmc\nstates {n}\n0 -> 0: 1.0\n");
+        let (status, value) = submit(&addr, &verify_payload(&model, "P>=0.5 [ F \"goal\" ]"));
+        assert_eq!(status, 400, "states {n} is rejected at admission");
+        let error = value.get("error").and_then(Value::as_str).unwrap_or_default();
+        assert!(error.contains("line 2") && error.contains("no outgoing distribution"), "{error}");
+    }
+    let (status, _, body) = http(&addr, "GET", "/healthz", &[], "");
+    assert_eq!(status, 200, "the daemon still answers: {body}");
+    assert_eq!(metric(&addr, "tml_serve_jobs_accepted_total"), 0);
+    assert_eq!(running.drain(), RunOutcome::Drained);
+}
+
+#[test]
 fn overload_sheds_explicitly_with_retry_after() {
     let mut opts = ServeOptions::new(temp_journal("overload"));
     opts.workers = 0; // nothing drains the queue: deterministic overload
