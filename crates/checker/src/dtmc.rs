@@ -13,41 +13,33 @@ use tml_numerics::solve::solve_dense;
 use tml_numerics::{Budget, CsrMatrix, DenseMatrix, Diagnostics, NumericsError, Triplet};
 
 use crate::run::CheckRun;
-use crate::{CheckError, CheckOptions, CheckResult, LinearSolver};
+use crate::{lookup_rewards, CheckError, CheckOptions, CheckResult, LinearSolver};
 
-/// Checks a state formula, returning the satisfying set (plus numeric values
-/// when the top-level operator is `P` or `R`).
-///
-/// # Errors
-///
-/// Returns a [`CheckError`] for unknown reward structures or numeric
-/// failures.
-pub fn check(
-    model: &Dtmc,
-    formula: &StateFormula,
-    opts: &CheckOptions,
-) -> Result<CheckResult, CheckError> {
-    let budget = Budget::unlimited();
-    let run = CheckRun::new(opts, &budget);
-    let result = check_run(model, formula, &run)?;
-    Ok(result.with_diagnostics(run.finish()))
-}
-
+/// Checks a state formula: a top-level `P`/`R` operator is solved once, and
+/// its verdict mask comes from the values the result reports.
 pub(crate) fn check_run(
     model: &Dtmc,
     formula: &StateFormula,
     run: &CheckRun<'_>,
 ) -> Result<CheckResult, CheckError> {
-    let values = top_level_values(model, formula, run)?;
-    let sat = evaluate_run(model, formula, run)?;
+    let values = operator_values(model, formula, run)?;
+    let sat = match &values {
+        Some(values) => crate::operator_mask(formula, values, run.opts),
+        None => evaluate_run(model, formula, run)?,
+    };
     Ok(CheckResult::new(sat, values, model.initial_state()))
 }
 
-fn top_level_values(
+/// The per-state values of a `P`/`R` operator, `None` for any other
+/// formula. This is the only place an operator is solved: a check takes its
+/// verdict from these values, and nested operators map their bound over
+/// them.
+pub(crate) fn operator_values(
     model: &Dtmc,
     formula: &StateFormula,
     run: &CheckRun<'_>,
 ) -> Result<Option<Vec<f64>>, CheckError> {
+    // A DTMC has no schedulers: min/max annotations are vacuous.
     match formula {
         StateFormula::Prob { path, .. } => Ok(Some(path_probabilities_run(model, path, run)?)),
         StateFormula::Reward { structure, kind, .. } => {
@@ -57,29 +49,12 @@ fn top_level_values(
     }
 }
 
-/// Evaluates a state formula to a per-state satisfaction mask.
-///
-/// # Errors
-///
-/// Returns a [`CheckError`] for unknown reward structures or numeric
-/// failures.
-pub fn evaluate(
-    model: &Dtmc,
-    formula: &StateFormula,
-    opts: &CheckOptions,
-) -> Result<Vec<bool>, CheckError> {
-    let budget = Budget::unlimited();
-    let run = CheckRun::new(opts, &budget);
-    evaluate_run(model, formula, &run)
-}
-
 pub(crate) fn evaluate_run(
     model: &Dtmc,
     formula: &StateFormula,
     run: &CheckRun<'_>,
 ) -> Result<Vec<bool>, CheckError> {
     let n = model.num_states();
-    let opts = run.opts;
     Ok(match formula {
         StateFormula::True => vec![true; n],
         StateFormula::False => vec![false; n],
@@ -94,14 +69,9 @@ pub(crate) fn evaluate_run(
         StateFormula::Implies(a, b) => {
             zip_masks(evaluate_run(model, a, run)?, evaluate_run(model, b, run)?, |x, y| !x || y)
         }
-        StateFormula::Prob { op, bound, path, .. } => {
-            // A DTMC has no schedulers: min/max annotations are vacuous.
-            let probs = path_probabilities_run(model, path, run)?;
-            probs.iter().map(|&p| opts.test_bound(*op, p, *bound)).collect()
-        }
-        StateFormula::Reward { structure, op, bound, kind, .. } => {
-            let values = reward_values(model, structure.as_deref(), kind, run)?;
-            values.iter().map(|&v| opts.test_bound(*op, v, *bound)).collect()
+        StateFormula::Prob { .. } | StateFormula::Reward { .. } => {
+            let values = operator_values(model, formula, run)?.unwrap_or_default();
+            crate::operator_mask(formula, &values, run.opts)
         }
     })
 }
@@ -137,28 +107,17 @@ fn reward_values(
     kind: &RewardKind,
     run: &CheckRun<'_>,
 ) -> Result<Vec<f64>, CheckError> {
-    let rewards = lookup_rewards(model, structure)?;
+    let rewards = lookup_rewards(
+        structure,
+        |n| model.reward_structure(n).ok(),
+        model.default_reward_structure(),
+    )?;
     match kind {
         RewardKind::Reach(target) => {
             let target_mask = evaluate_run(model, target, run)?;
             reach_rewards_run(model, rewards, &target_mask, run)
         }
         RewardKind::Cumulative(k) => Ok(cumulative_rewards(model, rewards, *k)),
-    }
-}
-
-fn lookup_rewards<'a>(
-    model: &'a Dtmc,
-    structure: Option<&str>,
-) -> Result<&'a RewardStructure, CheckError> {
-    match structure {
-        Some(name) => Ok(model.reward_structure(name)?),
-        None => model.default_reward_structure().ok_or_else(|| {
-            CheckError::Model(tml_models::ModelError::NotFound {
-                kind: "reward structure",
-                name: "<default>".into(),
-            })
-        }),
     }
 }
 
@@ -719,6 +678,14 @@ mod tests {
     use super::*;
     use tml_logic::parse_formula;
     use tml_models::DtmcBuilder;
+
+    fn check(d: &Dtmc, f: &StateFormula, opts: &CheckOptions) -> Result<CheckResult, CheckError> {
+        crate::Checker::with_options(*opts).check_dtmc(d, f)
+    }
+
+    fn evaluate(d: &Dtmc, f: &StateFormula, opts: &CheckOptions) -> Result<Vec<bool>, CheckError> {
+        Ok(check(d, f, opts)?.sat_mask().to_vec())
+    }
 
     /// Symmetric gambler's ruin on {0..4}: absorbing at 0 (broke) and 4
     /// (rich); from 1..3 move ±1 with probability 1/2.

@@ -58,7 +58,7 @@ pub use tml_numerics::{Budget, CancelToken, Diagnostics, Exhaustion};
 
 use run::CheckRun;
 use tml_logic::{Opt, Query, StateFormula};
-use tml_models::{Dtmc, IntervalDtmc, IntervalMdp, Mdp};
+use tml_models::{Dtmc, IntervalDtmc, IntervalMdp, Mdp, RewardStructure};
 use tml_telemetry::span;
 
 /// The model-checking façade: construct once (optionally with custom
@@ -305,17 +305,63 @@ impl Checker {
     }
 }
 
-pub(crate) fn resolve_opt(explicit: Option<Opt>, op: tml_logic::CmpOp, for_reward: bool) -> Opt {
+/// The `checker.backend.<backend>.ok` and `.fail` counter names of a solver
+/// backend, static so that recording an attempt allocates no name (`None`
+/// for a name that is not a backend).
+pub fn backend_counters(backend: &str) -> Option<(&'static str, &'static str)> {
+    const COUNTERS: [(&str, &str, &str); 6] = [
+        ("scc", "checker.backend.scc.ok", "checker.backend.scc.fail"),
+        ("gauss-seidel", "checker.backend.gauss-seidel.ok", "checker.backend.gauss-seidel.fail"),
+        ("jacobi", "checker.backend.jacobi.ok", "checker.backend.jacobi.fail"),
+        ("direct", "checker.backend.direct.ok", "checker.backend.direct.fail"),
+        ("interval", "checker.backend.interval.ok", "checker.backend.interval.fail"),
+        ("robust", "checker.backend.robust.ok", "checker.backend.robust.fail"),
+    ];
+    COUNTERS.iter().find(|(b, ..)| *b == backend).map(|&(_, ok, fail)| (ok, fail))
+}
+
+/// The verdict of a `P`/`R` operator in every state: its solved values
+/// tested against its bound (empty for any other formula).
+pub(crate) fn operator_mask(
+    formula: &StateFormula,
+    values: &[f64],
+    opts: &CheckOptions,
+) -> Vec<bool> {
+    let (StateFormula::Prob { op, bound, .. } | StateFormula::Reward { op, bound, .. }) = formula
+    else {
+        return Vec::new();
+    };
+    values.iter().map(|&v| opts.test_bound(*op, v, *bound)).collect()
+}
+
+pub(crate) fn resolve_opt(explicit: Option<Opt>, op: tml_logic::CmpOp) -> Opt {
     if let Some(o) = explicit {
         return o;
     }
     // PRISM convention: a lower bound must hold under every scheduler, so we
     // check the minimum; an upper bound must hold even for the maximizing
     // scheduler. The same reading applies to reward bounds.
-    let _ = for_reward;
     if op.is_lower_bound() {
         Opt::Min
     } else {
         Opt::Max
     }
+}
+
+/// The named reward structure, or the model's default one for `None`.
+pub(crate) fn lookup_rewards<'a>(
+    name: Option<&str>,
+    by_name: impl Fn(&str) -> Option<&'a RewardStructure>,
+    default: Option<&'a RewardStructure>,
+) -> Result<&'a RewardStructure, CheckError> {
+    let found = match name {
+        Some(n) => by_name(n),
+        None => default,
+    };
+    found.ok_or_else(|| {
+        CheckError::Model(tml_models::ModelError::NotFound {
+            kind: "reward structure",
+            name: name.unwrap_or("<default>").into(),
+        })
+    })
 }

@@ -18,61 +18,40 @@ use tml_models::{graph, Mdp, RewardStructure};
 use tml_numerics::{Budget, Diagnostics, NumericsError};
 
 use crate::run::CheckRun;
-use crate::{resolve_opt, CheckError, CheckOptions, CheckResult};
+use crate::{lookup_rewards, resolve_opt, CheckError, CheckOptions, CheckResult};
 
-/// Checks a state formula on an MDP.
-///
-/// # Errors
-///
-/// Returns a [`CheckError`] for unknown reward structures or numeric
-/// failures.
-pub fn check(
-    model: &Mdp,
-    formula: &StateFormula,
-    opts: &CheckOptions,
-) -> Result<CheckResult, CheckError> {
-    let budget = Budget::unlimited();
-    let run = CheckRun::new(opts, &budget);
-    let result = check_run(model, formula, &run)?;
-    Ok(result.with_diagnostics(run.finish()))
-}
-
+/// Checks a state formula: a top-level `P`/`R` operator is solved once, and
+/// its verdict mask comes from the values the result reports.
 pub(crate) fn check_run(
     model: &Mdp,
     formula: &StateFormula,
     run: &CheckRun<'_>,
 ) -> Result<CheckResult, CheckError> {
-    let values = match formula {
-        StateFormula::Prob { opt, op, path, .. } => {
-            Some(path_probabilities_run(model, path, resolve_opt(*opt, *op, false), run)?)
-        }
-        StateFormula::Reward { structure, opt, op, kind, .. } => Some(reward_values(
-            model,
-            structure.as_deref(),
-            kind,
-            resolve_opt(*opt, *op, true),
-            run,
-        )?),
-        _ => None,
+    let values = operator_values(model, formula, run)?;
+    let sat = match &values {
+        Some(values) => crate::operator_mask(formula, values, run.opts),
+        None => evaluate_run(model, formula, run)?,
     };
-    let sat = evaluate_run(model, formula, run)?;
     Ok(CheckResult::new(sat, values, model.initial_state()))
 }
 
-/// Evaluates a state formula to a per-state satisfaction mask.
-///
-/// # Errors
-///
-/// Returns a [`CheckError`] for unknown reward structures or numeric
-/// failures.
-pub fn evaluate(
+/// The per-state values of a `P`/`R` operator under the scheduler
+/// quantification its bound implies, `None` for any other formula. This is
+/// the only place an operator is solved (see [`crate::dtmc`]).
+pub(crate) fn operator_values(
     model: &Mdp,
     formula: &StateFormula,
-    opts: &CheckOptions,
-) -> Result<Vec<bool>, CheckError> {
-    let budget = Budget::unlimited();
-    let run = CheckRun::new(opts, &budget);
-    evaluate_run(model, formula, &run)
+    run: &CheckRun<'_>,
+) -> Result<Option<Vec<f64>>, CheckError> {
+    match formula {
+        StateFormula::Prob { opt, op, path, .. } => {
+            Ok(Some(path_probabilities_run(model, path, resolve_opt(*opt, *op), run)?))
+        }
+        StateFormula::Reward { structure, opt, op, kind, .. } => {
+            Ok(Some(reward_values(model, structure.as_deref(), kind, resolve_opt(*opt, *op), run)?))
+        }
+        _ => Ok(None),
+    }
 }
 
 pub(crate) fn evaluate_run(
@@ -81,7 +60,6 @@ pub(crate) fn evaluate_run(
     run: &CheckRun<'_>,
 ) -> Result<Vec<bool>, CheckError> {
     let n = model.num_states();
-    let opts = run.opts;
     Ok(match formula {
         StateFormula::True => vec![true; n],
         StateFormula::False => vec![false; n],
@@ -96,19 +74,9 @@ pub(crate) fn evaluate_run(
         StateFormula::Implies(a, b) => {
             zip(evaluate_run(model, a, run)?, evaluate_run(model, b, run)?, |x, y| !x || y)
         }
-        StateFormula::Prob { opt, op, bound, path } => {
-            let probs = path_probabilities_run(model, path, resolve_opt(*opt, *op, false), run)?;
-            probs.iter().map(|&p| opts.test_bound(*op, p, *bound)).collect()
-        }
-        StateFormula::Reward { structure, opt, op, bound, kind } => {
-            let values = reward_values(
-                model,
-                structure.as_deref(),
-                kind,
-                resolve_opt(*opt, *op, true),
-                run,
-            )?;
-            values.iter().map(|&v| opts.test_bound(*op, v, *bound)).collect()
+        StateFormula::Prob { .. } | StateFormula::Reward { .. } => {
+            let values = operator_values(model, formula, run)?.unwrap_or_default();
+            crate::operator_mask(formula, &values, run.opts)
         }
     })
 }
@@ -149,15 +117,11 @@ fn reward_values(
     opt: Opt,
     run: &CheckRun<'_>,
 ) -> Result<Vec<f64>, CheckError> {
-    let rewards = match structure {
-        Some(name) => model.reward_structure(name)?,
-        None => model.default_reward_structure().ok_or_else(|| {
-            CheckError::Model(tml_models::ModelError::NotFound {
-                kind: "reward structure",
-                name: "<default>".into(),
-            })
-        })?,
-    };
+    let rewards = lookup_rewards(
+        structure,
+        |n| model.reward_structure(n).ok(),
+        model.default_reward_structure(),
+    )?;
     match kind {
         RewardKind::Reach(target) => {
             let target_mask = evaluate_run(model, target, run)?;
@@ -488,6 +452,10 @@ mod tests {
     use super::*;
     use tml_logic::{parse_formula, parse_query};
     use tml_models::MdpBuilder;
+
+    fn check(m: &Mdp, f: &StateFormula, opts: &CheckOptions) -> Result<CheckResult, CheckError> {
+        crate::Checker::with_options(*opts).check_mdp(m, f)
+    }
 
     /// State 0 offers a safe route (0 → 1 → goal, deterministic) and a
     /// risky shortcut (0 → goal w.p. 0.6, 0 → trap w.p. 0.4).

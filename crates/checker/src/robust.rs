@@ -58,7 +58,7 @@ use tml_numerics::scc::{condensation_from, Condensation};
 use tml_numerics::{Budget, Diagnostics};
 
 use crate::run::CheckRun;
-use crate::{CheckError, CheckOptions, LinearSolver};
+use crate::{lookup_rewards, CheckError, CheckOptions, LinearSolver};
 
 /// Reach probabilities this close to one count as "almost surely" when
 /// classifying which states have finite robust reach rewards. Documented in
@@ -366,7 +366,7 @@ impl RobustModel for IntervalDtmc {
         inner_expectation(self.row(state), values, maximize_inner) + extra(state, 0)
     }
     fn reward_structure(&self, name: Option<&str>) -> Result<&RewardStructure, CheckError> {
-        lookup(name, |n| self.reward_structure(n).ok(), self.default_reward_structure())
+        lookup_rewards(name, |n| self.reward_structure(n).ok(), self.default_reward_structure())
     }
     fn support(&self, state: usize, out: &mut Vec<usize>) {
         row_support(self.row(state), out);
@@ -403,30 +403,13 @@ impl RobustModel for IntervalMdp {
         best
     }
     fn reward_structure(&self, name: Option<&str>) -> Result<&RewardStructure, CheckError> {
-        lookup(name, |n| self.reward_structure(n).ok(), self.default_reward_structure())
+        lookup_rewards(name, |n| self.reward_structure(n).ok(), self.default_reward_structure())
     }
     fn support(&self, state: usize, out: &mut Vec<usize>) {
         for choice in self.choices(state) {
             row_support(&choice.transitions, out);
         }
     }
-}
-
-fn lookup<'a>(
-    name: Option<&str>,
-    by_name: impl Fn(&str) -> Option<&'a RewardStructure>,
-    default: Option<&'a RewardStructure>,
-) -> Result<&'a RewardStructure, CheckError> {
-    let found = match name {
-        Some(n) => by_name(n),
-        None => default,
-    };
-    found.ok_or_else(|| {
-        CheckError::Model(tml_models::ModelError::NotFound {
-            kind: "reward structure",
-            name: name.unwrap_or("<default>").into(),
-        })
-    })
 }
 
 /// Evaluates a propositional formula against the labeling. Probabilistic or

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use tml_numerics::{Budget, Diagnostics, Exhaustion};
 
-use crate::CheckOptions;
+use crate::{backend_counters, CheckOptions};
 
 /// Context for one checking invocation.
 pub(crate) struct CheckRun<'a> {
@@ -64,9 +64,11 @@ impl<'a> CheckRun<'a> {
     /// to the live subscriber and into this run's diagnostics snapshot —
     /// callers feeding circuit breakers read the latter off `Diagnostics`.
     pub(crate) fn record_backend(&self, backend: &str, ok: bool) {
-        let name = format!("checker.backend.{backend}.{}", if ok { "ok" } else { "fail" });
-        tml_telemetry::counter!(name.as_str(), 1);
-        self.diag.borrow_mut().telemetry.incr(&name, 1);
+        let (ok_name, fail_name) =
+            backend_counters(backend).expect("every recorded backend has static counter names");
+        let name = if ok { ok_name } else { fail_name };
+        tml_telemetry::counter!(name, 1);
+        self.diag.borrow_mut().telemetry.incr(name, 1);
     }
 
     pub(crate) fn record_residual(&self, residual: f64) {
@@ -106,6 +108,16 @@ mod tests {
         assert_eq!(run.remaining_budget().max_evaluations(), Some(0));
         let diag = run.finish();
         assert_eq!(diag.evaluations, 10);
+    }
+
+    #[test]
+    fn backend_counter_names_are_the_formatted_ones() {
+        for backend in ["scc", "gauss-seidel", "jacobi", "direct", "interval", "robust"] {
+            let ok = format!("checker.backend.{backend}.ok");
+            let fail = format!("checker.backend.{backend}.fail");
+            assert_eq!(backend_counters(backend), Some((ok.as_str(), fail.as_str())));
+        }
+        assert_eq!(backend_counters("gauss_seidel"), None);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use std::time::{Duration, Instant};
 
-use tml_checker::{CheckOptions, LinearSolver};
+use tml_checker::{backend_counters, CheckOptions, LinearSolver};
 use tml_numerics::Diagnostics;
 
 use crate::clock::SharedClock;
@@ -275,8 +275,9 @@ impl SolverBreakers {
             ("interval", &mut self.interval),
             ("robust", &mut self.robust),
         ] {
-            let ok = diag.telemetry.counter(&format!("checker.backend.{name}.ok"));
-            let fail = diag.telemetry.counter(&format!("checker.backend.{name}.fail"));
+            let (ok_name, fail_name) =
+                backend_counters(name).expect("every breaker guards a checker backend");
+            let (ok, fail) = (diag.telemetry.counter(ok_name), diag.telemetry.counter(fail_name));
             if fail > 0 {
                 breaker.record(false);
             } else if ok > 0 {

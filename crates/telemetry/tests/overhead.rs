@@ -7,22 +7,30 @@
 //! This lives in its own integration-test binary because (a) it needs a
 //! process-global counting allocator, which the `#![forbid(unsafe_code)]`
 //! library itself must not contain, and (b) no other test in this binary
-//! may install a subscriber.
+//! may install a subscriber. The allocator counts per thread, so the tests
+//! of this binary may run concurrently without charging each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use tml_telemetry::{counter, span};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so that allocations made by tests running concurrently
+    // on other threads are not charged to the measured closure. A const
+    // initializer and a `Drop`-free `Cell` mean that touching the slot
+    // never allocates (and never re-enters the allocator) itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 // SAFETY: delegates directly to the system allocator; the counter update
-// is a relaxed atomic add with no other side effects.
+// is a plain thread-local increment with no other side effects.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with` fails only while the thread is being torn down.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -34,10 +42,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made by the calling thread while `f` runs.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
+    (ALLOCATIONS.with(Cell::get) - before, result)
 }
 
 #[test]
