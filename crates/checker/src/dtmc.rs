@@ -7,7 +7,7 @@
 use tml_logic::{PathFormula, Query, RewardKind, StateFormula};
 use tml_models::{graph, Dtmc, RewardStructure};
 use tml_numerics::interval::{certified_upper_bound, interval_iteration_budgeted};
-use tml_numerics::iterative::{gauss_seidel_budgeted, jacobi_budgeted, IterOptions, IterRun};
+use tml_numerics::iterative::{gauss_seidel_budgeted, IterOptions};
 use tml_numerics::scc::solve_scc_budgeted;
 use tml_numerics::solve::solve_dense;
 use tml_numerics::{Budget, CsrMatrix, DenseMatrix, Diagnostics, NumericsError, Triplet};
@@ -437,9 +437,8 @@ pub fn cumulative_rewards(model: &Dtmc, rewards: &RewardStructure, k: u64) -> Ve
     x
 }
 
-/// Under [`LinearSolver::Auto`], systems up to this many states may fall
-/// back to the dense direct solver as a last resort even when they exceed
-/// the configured `direct_solver_limit`.
+/// Under [`LinearSolver::Auto`], a system whose SCC solve stalls is solved
+/// by dense elimination if it has at most this many states.
 const LAST_RESORT_DIRECT_LIMIT: usize = 2048;
 
 /// Which kind of fixed-point system is being solved; interval iteration
@@ -454,19 +453,18 @@ enum SystemKind {
 }
 
 /// Solves `x = A·x + b` on the maybe-state fragment, picking the solver per
-/// the options.
+/// the options. This is the one place that decides what happens when a
+/// linear solve fails.
 ///
-/// Under [`LinearSolver::Auto`] large systems first take the SCC-decomposed
-/// path (unless `scc_enabled` is off — the runtime's circuit breaker clears
-/// it when that backend misbehaves); a stalled SCC solve degrades to
-/// monolithic Gauss–Seidel warm-started from the SCC iterate, then Jacobi
-/// (at 100× relaxed tolerance), then — for systems up to
-/// [`LAST_RESORT_DIRECT_LIMIT`] states — dense Gaussian elimination, and
-/// finally the best iterate seen, with its residual recorded in the run's
-/// diagnostics. Explicitly requested solvers ([`LinearSolver::GaussSeidel`],
-/// [`LinearSolver::Scc`], [`LinearSolver::Interval`]) keep the strict
-/// `NoConvergence` error contract. Budget exhaustion always yields the best
-/// iterate (never an error), marked in the diagnostics.
+/// Under [`LinearSolver::Auto`], systems up to `direct_solver_limit` states
+/// are solved densely and larger ones SCC-first. If the SCC solve stalls,
+/// systems up to [`LAST_RESORT_DIRECT_LIMIT`] states are solved by dense
+/// Gaussian elimination; larger ones return the best iterate, with its
+/// residual and the fallback recorded in the run's diagnostics. Explicitly
+/// requested solvers ([`LinearSolver::GaussSeidel`], [`LinearSolver::Scc`],
+/// [`LinearSolver::Interval`]) keep the strict `NoConvergence` error
+/// contract. Budget exhaustion always yields the iterate (never an error),
+/// marked in the diagnostics.
 fn solve_restricted(
     triplets: &[Triplet],
     b: &[f64],
@@ -478,122 +476,54 @@ fn solve_restricted(
     let _span = tml_telemetry::span!("checker.linear_solve", states = m);
     if opts.use_direct(m) {
         tml_telemetry::counter!("checker.solve.direct_solves", 1);
-        let sol = solve_direct_dense(triplets, b, m);
-        run.record_backend("direct", sol.is_ok());
-        return sol;
+        return solve_direct_dense(triplets, b, m, run);
     }
     let a = CsrMatrix::from_triplets(m, m, triplets)?;
     let iter_opts = IterOptions { tolerance: opts.tolerance, max_iterations: opts.max_iterations };
-    match opts.solver {
-        LinearSolver::Scc => return solve_scc_strict(&a, b, run, iter_opts),
+    let (it, backend) = match opts.solver {
         LinearSolver::Interval => return solve_interval_strict(&a, b, run, iter_opts, kind),
-        _ => {}
-    }
-    // Auto: SCC-decomposed solve first — on layered state spaces it
-    // replaces O(depth) monolithic sweeps with one back-substitution pass.
-    let mut warm = vec![0.0; m];
-    if opts.solver == LinearSolver::Auto && opts.scc_enabled {
-        let scc = solve_scc_budgeted(&a, b, iter_opts, &run.remaining_budget())?;
-        run.spend(scc.run.iterations as u64);
-        if scc.run.converged {
-            run.record_backend("scc", true);
-            return Ok(scc.run.x);
+        LinearSolver::GaussSeidel => {
+            let zero = vec![0.0; m];
+            (
+                gauss_seidel_budgeted(&a, b, &zero, iter_opts, &run.remaining_budget())?,
+                "gauss-seidel",
+            )
         }
-        if let Some(cause) = scc.run.stopped {
-            run.mark_exhausted(cause);
-            run.record_residual(scc.run.delta);
-            return Ok(scc.run.x);
-        }
-        run.record_backend("scc", false);
-        run.record_fallback(format!(
-            "scc solve stalled across {} components (residual {:.3e}); \
-             retrying monolithic gauss-seidel",
-            scc.stats.components, scc.run.delta
-        ));
-        warm = scc.run.x;
+        // `Scc` and `Auto` (`Direct` never gets here): on layered state
+        // spaces the SCC solve replaces O(depth) monolithic sweeps with one
+        // back-substitution pass.
+        _ => (solve_scc_budgeted(&a, b, iter_opts, &run.remaining_budget())?.run, "scc"),
+    };
+    run.spend(it.iterations as u64);
+    if it.converged {
+        run.record_backend(backend, true);
+        return Ok(it.x);
     }
-    let gs = gauss_seidel_budgeted(&a, b, &warm, iter_opts, &run.remaining_budget())?;
-    run.spend(gs.iterations as u64);
-    if gs.converged {
-        run.record_backend("gauss-seidel", true);
-        return Ok(gs.x);
-    }
-    if let Some(cause) = gs.stopped {
-        // Budget exhaustion is the caller's cap, not a backend fault — it
-        // must not count against the backend's circuit-breaker health.
+    if let Some(cause) = it.stopped {
+        // Budget exhaustion is the caller's cap, not a backend fault.
         run.mark_exhausted(cause);
-        run.record_residual(gs.delta);
-        return Ok(gs.x);
+        run.record_residual(it.delta);
+        return Ok(it.x);
     }
-    run.record_backend("gauss-seidel", false);
-    if opts.solver == LinearSolver::GaussSeidel {
-        // Explicitly requested solver: keep the strict error contract.
+    run.record_backend(backend, false);
+    if opts.solver != LinearSolver::Auto {
         return Err(
-            NumericsError::NoConvergence { iterations: gs.iterations, residual: gs.delta }.into()
+            NumericsError::NoConvergence { iterations: it.iterations, residual: it.delta }.into()
         );
     }
-    // Auto: retry with Jacobi, warm-started from the Gauss–Seidel iterate
-    // at a relaxed tolerance.
+    if m <= LAST_RESORT_DIRECT_LIMIT {
+        run.record_fallback(format!(
+            "scc solve stalled (residual {:.3e}); solving directly (dense gaussian elimination)",
+            it.delta
+        ));
+        return solve_direct_dense(triplets, b, m, run);
+    }
     run.record_fallback(format!(
-        "gauss-seidel stalled (residual {:.3e}); retrying with jacobi at relaxed tolerance",
-        gs.delta
+        "scc solve stalled on {m}-state system; accepting best iterate (residual {:.3e})",
+        it.delta
     ));
-    let relaxed =
-        IterOptions { tolerance: opts.tolerance * 100.0, max_iterations: opts.max_iterations };
-    let jac = jacobi_budgeted(&a, b, &gs.x, relaxed, &run.remaining_budget())?;
-    run.spend(jac.iterations as u64);
-    if jac.converged {
-        run.record_backend("jacobi", true);
-        run.record_residual(jac.delta);
-        return Ok(jac.x);
-    }
-    if let Some(cause) = jac.stopped {
-        run.mark_exhausted(cause);
-        let best = best_iterate(gs, jac);
-        run.record_residual(best.delta);
-        return Ok(best.x);
-    }
-    run.record_backend("jacobi", false);
-    // Jacobi stalled too: last resort is a dense direct solve for systems
-    // of manageable size, otherwise the best iterate seen.
-    if m <= opts.direct_solver_limit.max(LAST_RESORT_DIRECT_LIMIT) {
-        run.record_fallback("jacobi stalled; solving directly (dense gaussian elimination)");
-        let sol = solve_direct_dense(triplets, b, m);
-        run.record_backend("direct", sol.is_ok());
-        return sol;
-    }
-    let best = best_iterate(gs, jac);
-    run.record_fallback(format!(
-        "all iterative solvers stalled on {m}-state system; accepting best iterate (residual {:.3e})",
-        best.delta
-    ));
-    run.record_residual(best.delta);
-    Ok(best.x)
-}
-
-/// Explicit [`LinearSolver::Scc`]: converged or budget-stopped runs return
-/// the iterate; a stall is a strict `NoConvergence` error (and a breaker
-/// strike against the `scc` backend).
-fn solve_scc_strict(
-    a: &CsrMatrix,
-    b: &[f64],
-    run: &CheckRun<'_>,
-    iter_opts: IterOptions,
-) -> Result<Vec<f64>, CheckError> {
-    let scc = solve_scc_budgeted(a, b, iter_opts, &run.remaining_budget())?;
-    run.spend(scc.run.iterations as u64);
-    if scc.run.converged {
-        run.record_backend("scc", true);
-        return Ok(scc.run.x);
-    }
-    if let Some(cause) = scc.run.stopped {
-        run.mark_exhausted(cause);
-        run.record_residual(scc.run.delta);
-        return Ok(scc.run.x);
-    }
-    run.record_backend("scc", false);
-    Err(NumericsError::NoConvergence { iterations: scc.run.iterations, residual: scc.run.delta }
-        .into())
+    run.record_residual(it.delta);
+    Ok(it.x)
 }
 
 /// Explicit [`LinearSolver::Interval`]: two-sided iteration whose midpoint
@@ -648,25 +578,21 @@ fn solve_interval_strict(
     Err(NumericsError::NoConvergence { iterations: iv.iterations, residual: iv.width }.into())
 }
 
-/// The iterate with the smaller residual (NaN counts as worst).
-fn best_iterate(a: IterRun, b: IterRun) -> IterRun {
-    let ra = if a.delta.is_nan() { f64::INFINITY } else { a.delta };
-    let rb = if b.delta.is_nan() { f64::INFINITY } else { b.delta };
-    if rb <= ra {
-        b
-    } else {
-        a
-    }
-}
-
-/// Solves `(I − A) x = b` densely.
-fn solve_direct_dense(triplets: &[Triplet], b: &[f64], m: usize) -> Result<Vec<f64>, CheckError> {
+/// Solves `(I − A) x = b` densely and records the `direct` attempt.
+fn solve_direct_dense(
+    triplets: &[Triplet],
+    b: &[f64],
+    m: usize,
+    run: &CheckRun<'_>,
+) -> Result<Vec<f64>, CheckError> {
     let mut a = DenseMatrix::<f64>::identity(m);
     for t in triplets {
         let cur = *a.get(t.row, t.col);
         a.set(t.row, t.col, cur - t.value);
     }
-    Ok(solve_dense(&a, b)?)
+    let sol = solve_dense(&a, b);
+    run.record_backend("direct", sol.is_ok());
+    Ok(sol?)
 }
 
 fn zip_masks(a: Vec<bool>, b: Vec<bool>, f: impl Fn(bool, bool) -> bool) -> Vec<bool> {
@@ -882,18 +808,32 @@ mod tests {
         assert!(check(&d, &f, &CheckOptions::default()).is_err());
     }
 
+    /// A gambler's ruin on `n` states, each bet won with probability 0.6:
+    /// its `n − 2` transient states form one SCC, too large for the SCC
+    /// solver's dense blocks, so that block is solved by Gauss–Seidel.
+    fn biased_gambler(n: usize) -> Dtmc {
+        let mut b = DtmcBuilder::new(n);
+        b.transition(0, 0, 1.0).unwrap();
+        b.transition(n - 1, n - 1, 1.0).unwrap();
+        for s in 1..n - 1 {
+            b.transition(s, s + 1, 0.6).unwrap();
+            b.transition(s, s - 1, 0.4).unwrap();
+        }
+        b.label(n - 1, "rich").unwrap();
+        b.build().unwrap()
+    }
+
     #[test]
     fn fallback_chain_recovers_stalled_gauss_seidel() {
-        // Starve Gauss–Seidel of iterations so it stalls; under Auto the
-        // chain (jacobi -> dense direct) must still produce the exact
-        // answer, with the fallbacks recorded.
-        let d = gambler();
-        let phi = vec![true; 5];
+        // Starve the SCC solve's Gauss–Seidel block of iterations so it
+        // stalls; under Auto the dense direct solve must still produce the
+        // exact answer, with the one fallback recorded.
+        let d = biased_gambler(200);
+        let phi = vec![true; 200];
         let target = d.labeling().mask("rich");
         let starved = CheckOptions {
             solver: crate::LinearSolver::Auto,
             direct_solver_limit: 0, // force the iterative path
-            scc_enabled: false,     // exercise the legacy monolithic chain
             max_iterations: 2,
             tolerance: 1e-12,
             ..Default::default()
@@ -907,14 +847,17 @@ mod tests {
             &CheckOptions { solver: crate::LinearSolver::Direct, ..Default::default() },
         )
         .unwrap();
-        for (a, b) in p.iter().zip(&exact) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-        assert_eq!(diag.fallbacks.len(), 2, "both fallback stages fire: {:?}", diag.fallbacks);
-        assert!(diag.fallbacks[0].contains("jacobi"));
-        assert!(diag.fallbacks[1].contains("direct"));
+        assert_eq!(p, exact, "the fallback is the direct solve");
+        assert_eq!(diag.fallbacks.len(), 1, "one fallback: {:?}", diag.fallbacks);
+        assert!(diag.fallbacks[0].contains("direct"));
+        assert_eq!(diag.telemetry.counter("checker.backend.scc.fail"), 1);
+        assert_eq!(diag.telemetry.counter("checker.backend.direct.ok"), 1);
         assert!(diag.degraded());
         assert!(diag.exhausted.is_none(), "no budget was exhausted");
+
+        // An explicit SCC solve keeps the strict error contract.
+        let strict = CheckOptions { solver: crate::LinearSolver::Scc, ..starved };
+        assert!(until_probabilities(&d, &phi, &target, &strict).is_err());
     }
 
     #[test]

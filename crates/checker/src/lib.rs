@@ -308,11 +308,10 @@ impl Checker {
 /// The `checker.backend.<backend>.ok` and `.fail` counter names of a solver
 /// backend, static so that recording an attempt allocates no name (`None`
 /// for a name that is not a backend).
-pub fn backend_counters(backend: &str) -> Option<(&'static str, &'static str)> {
-    const COUNTERS: [(&str, &str, &str); 6] = [
+pub(crate) fn backend_counters(backend: &str) -> Option<(&'static str, &'static str)> {
+    const COUNTERS: [(&str, &str, &str); 5] = [
         ("scc", "checker.backend.scc.ok", "checker.backend.scc.fail"),
         ("gauss-seidel", "checker.backend.gauss-seidel.ok", "checker.backend.gauss-seidel.fail"),
-        ("jacobi", "checker.backend.jacobi.ok", "checker.backend.jacobi.fail"),
         ("direct", "checker.backend.direct.ok", "checker.backend.direct.fail"),
         ("interval", "checker.backend.interval.ok", "checker.backend.interval.fail"),
         ("robust", "checker.backend.robust.ok", "checker.backend.robust.fail"),

@@ -3,7 +3,8 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinearSolver {
     /// Pick automatically: direct Gaussian elimination for small systems,
-    /// Gauss–Seidel for large ones.
+    /// the SCC-decomposed solve for large ones, and dense elimination again
+    /// when that stalls on a system of at most 2,048 states.
     #[default]
     Auto,
     /// Always use dense Gaussian elimination (exact up to rounding).
@@ -38,17 +39,6 @@ pub struct CheckOptions {
     /// as equal, so `P>=0.5` holds at a computed `0.4999999999`. Set to zero
     /// for strict comparisons.
     pub bound_tolerance: f64,
-    /// Whether [`LinearSolver::Auto`] may route large systems through the
-    /// SCC-decomposed solver before falling back to monolithic iteration.
-    /// The runtime's circuit breaker clears this when the SCC backend has
-    /// been failing.
-    pub scc_enabled: bool,
-    /// Whether robust (min-max) value iteration on interval models may run.
-    /// The runtime's circuit breaker clears this under [`LinearSolver::Auto`]
-    /// when the `robust` backend has been failing; the robust checker then
-    /// degrades to a scalar solve on the nominal (midpoint) model and reports
-    /// the fallback in its diagnostics.
-    pub robust_vi_enabled: bool,
 }
 
 impl Default for CheckOptions {
@@ -59,8 +49,6 @@ impl Default for CheckOptions {
             solver: LinearSolver::Auto,
             direct_solver_limit: 512,
             bound_tolerance: 1e-8,
-            scc_enabled: true,
-            robust_vi_enabled: true,
         }
     }
 }
@@ -111,6 +99,5 @@ mod tests {
         assert!(!o.use_direct(1));
         o.solver = LinearSolver::Interval;
         assert!(!o.use_direct(1));
-        assert!(CheckOptions::default().scc_enabled);
     }
 }

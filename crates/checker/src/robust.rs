@@ -45,11 +45,9 @@
 //! Every solve is budget-aware (it charges the shared [`Budget`] in
 //! sweep-equivalents: backups divided by the state count, rounded up) and
 //! telemetry-instrumented: `checker.robust.solves` / `.sweeps` / `.blocks`
-//! / `.degraded` counters plus the `checker.backend.robust.{ok,fail}` pair
-//! that feeds the runtime's `robust` circuit breaker. When that breaker has
-//! cleared [`CheckOptions::robust_vi_enabled`] under [`LinearSolver::Auto`],
-//! robust calls degrade to a scalar solve on the nominal (midpoint) model
-//! with a collapsed bracket and a recorded fallback.
+//! counters plus the `checker.backend.robust.{ok,fail}` pair.
+//! An interval model is always checked over its whole uncertainty set:
+//! there is no fallback to the nominal (midpoint) chain.
 
 use tml_logic::{PathFormula, Query, RewardKind, StateFormula};
 use tml_models::interval::{IntervalChoice, IntervalDtmc, IntervalMdp, IntervalTransition};
@@ -58,7 +56,7 @@ use tml_numerics::scc::{condensation_from, Condensation};
 use tml_numerics::{Budget, Diagnostics};
 
 use crate::run::CheckRun;
-use crate::{lookup_rewards, CheckError, CheckOptions, LinearSolver};
+use crate::{lookup_rewards, CheckError, CheckOptions};
 
 /// Reach probabilities this close to one count as "almost surely" when
 /// classifying which states have finite robust reach rewards. Documented in
@@ -98,10 +96,6 @@ impl RobustBracket {
     /// The widest per-state gap `optimistic − pessimistic`.
     pub fn width(&self) -> f64 {
         self.pessimistic.iter().zip(&self.optimistic).map(|(&lo, &hi)| hi - lo).fold(0.0, f64::max)
-    }
-
-    fn collapsed(values: Vec<f64>) -> Self {
-        RobustBracket { pessimistic: values.clone(), optimistic: values }
     }
 }
 
@@ -868,12 +862,6 @@ impl AnyInterval<'_> {
     }
 }
 
-/// Whether the robust backend is disabled for this run (breaker open under
-/// `Auto`).
-fn degraded(opts: &CheckOptions) -> bool {
-    opts.solver == LinearSolver::Auto && !opts.robust_vi_enabled
-}
-
 fn check_any(
     model: &AnyInterval<'_>,
     formula: &StateFormula,
@@ -881,9 +869,6 @@ fn check_any(
 ) -> Result<RobustCheckResult, CheckError> {
     model.validate().inspect_err(|_| run.record_backend("robust", false))?;
     let n = model.num_states();
-    if degraded(run.opts) {
-        return degrade_check(model, formula, run);
-    }
     let (sat, values) = match formula {
         StateFormula::Prob { op, bound, path, .. } => {
             let bracket = model.path_bracket(path, run)?;
@@ -912,50 +897,12 @@ fn robust_sat(
     side.iter().map(|&v| opts.test_bound(op, v, bound)).collect()
 }
 
-/// Breaker-open degradation: scalar-check the nominal (midpoint) model and
-/// report a collapsed bracket plus an explicit fallback event. Only interval
-/// DTMCs have a nominal scalar model; MDPs keep the structured error.
-fn degrade_check(
-    model: &AnyInterval<'_>,
-    formula: &StateFormula,
-    run: &CheckRun<'_>,
-) -> Result<RobustCheckResult, CheckError> {
-    let AnyInterval::Dtmc(m) = model else {
-        return Err(CheckError::Unsupported {
-            detail: "robust backend disabled (breaker open) and interval MDPs \
-                     have no nominal scalar fallback"
-                .into(),
-        });
-    };
-    tml_telemetry::counter!("checker.robust.degraded", 1);
-    run.record_fallback("robust -> nominal (breaker open)");
-    let nominal = m.nominal_dtmc()?;
-    let result = crate::dtmc::check_run(&nominal, formula, run)?;
-    let sat = (0..nominal.num_states()).map(|s| result.holds_in(s)).collect();
-    let values = result.values().map(|v| RobustBracket::collapsed(v.to_vec()));
-    Ok(RobustCheckResult::new(sat, values, nominal.initial_state()))
-}
-
 fn query_any(
     model: &AnyInterval<'_>,
     query: &Query,
     run: &CheckRun<'_>,
 ) -> Result<RobustBracket, CheckError> {
     model.validate().inspect_err(|_| run.record_backend("robust", false))?;
-    if degraded(run.opts) {
-        let AnyInterval::Dtmc(m) = model else {
-            return Err(CheckError::Unsupported {
-                detail: "robust backend disabled (breaker open) and interval MDPs \
-                         have no nominal scalar fallback"
-                    .into(),
-            });
-        };
-        tml_telemetry::counter!("checker.robust.degraded", 1);
-        run.record_fallback("robust -> nominal (breaker open)");
-        let nominal = m.nominal_dtmc()?;
-        let values = crate::dtmc::query_run(&nominal, query, run)?;
-        return Ok(RobustBracket::collapsed(values));
-    }
     match query {
         Query::Prob { path, .. } => model.path_bracket(path, run),
         Query::Reward { structure, kind, .. } => {
@@ -1065,6 +1012,7 @@ pub fn query_interval_mdp(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LinearSolver;
     use tml_logic::parse_formula;
     use tml_models::interval::IntervalDtmcBuilder;
     use tml_models::{Dtmc, DtmcBuilder};
@@ -1166,26 +1114,17 @@ mod tests {
     }
 
     #[test]
-    fn breaker_open_degrades_to_nominal_under_auto() {
+    fn every_solver_checks_the_whole_uncertainty_set() {
         let d = gambler();
         let m = IntervalDtmc::from_dtmc(&d, 0.1);
         let phi = parse_formula("P>=0.25 [ F \"rich\" ]").unwrap();
-        let opts = CheckOptions { robust_vi_enabled: false, ..CheckOptions::default() };
-        let r = check_interval_dtmc(&m, &phi, &opts).unwrap();
-        // Collapsed bracket at the nominal value; the fallback is recorded.
-        let (lo, hi) = r.bracket_at_initial().unwrap();
-        assert!((lo - hi).abs() < 1e-12);
-        assert!((lo - 0.3).abs() < 1e-9);
-        assert!(r.diagnostics().fallbacks.iter().any(|f| f.contains("breaker")));
-        // A pinned (non-Auto) solver ignores the breaker flag.
-        let pinned = CheckOptions {
-            robust_vi_enabled: false,
-            solver: LinearSolver::GaussSeidel,
-            ..CheckOptions::default()
-        };
-        let r = check_interval_dtmc(&m, &phi, &pinned).unwrap();
-        let (lo, hi) = r.bracket_at_initial().unwrap();
-        assert!(hi - lo > 0.01, "real bracket, not collapsed");
+        for solver in [LinearSolver::Auto, LinearSolver::GaussSeidel] {
+            let r = check_interval_dtmc(&m, &phi, &CheckOptions { solver, ..Default::default() })
+                .unwrap();
+            let (lo, hi) = r.bracket_at_initial().unwrap();
+            assert!(hi - lo > 0.01, "{solver:?}: real bracket, not the nominal point");
+            assert!(r.diagnostics().fallbacks.is_empty());
+        }
     }
 
     #[test]

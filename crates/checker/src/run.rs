@@ -4,7 +4,7 @@
 //! through the recursive evaluation internals so that all numeric work in
 //! one check shares a single [`Budget`] and accumulates into a single
 //! [`Diagnostics`] record. The evaluation unit is *solver sweeps* (one
-//! Gauss–Seidel/Jacobi sweep or one value-iteration sweep each count 1).
+//! Gauss–Seidel sweep or one value-iteration sweep each count 1).
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -61,8 +61,7 @@ impl<'a> CheckRun<'a> {
     }
 
     /// Records one backend attempt (`checker.backend.<name>.<ok|fail>`), both
-    /// to the live subscriber and into this run's diagnostics snapshot —
-    /// callers feeding circuit breakers read the latter off `Diagnostics`.
+    /// to the live subscriber and into this run's diagnostics snapshot.
     pub(crate) fn record_backend(&self, backend: &str, ok: bool) {
         let (ok_name, fail_name) =
             backend_counters(backend).expect("every recorded backend has static counter names");
@@ -112,7 +111,7 @@ mod tests {
 
     #[test]
     fn backend_counter_names_are_the_formatted_ones() {
-        for backend in ["scc", "gauss-seidel", "jacobi", "direct", "interval", "robust"] {
+        for backend in ["scc", "gauss-seidel", "direct", "interval", "robust"] {
             let ok = format!("checker.backend.{backend}.ok");
             let fail = format!("checker.backend.{backend}.fail");
             assert_eq!(backend_counters(backend), Some((ok.as_str(), fail.as_str())));
@@ -125,11 +124,11 @@ mod tests {
         let opts = CheckOptions::default();
         let budget = Budget::unlimited();
         let run = CheckRun::new(&opts, &budget);
-        run.record_fallback("gauss-seidel -> jacobi");
+        run.record_fallback("scc -> direct");
         run.record_residual(1e-4);
         run.mark_exhausted(Exhaustion::Deadline);
         let diag = run.finish();
-        assert_eq!(diag.fallbacks, vec!["gauss-seidel -> jacobi".to_string()]);
+        assert_eq!(diag.fallbacks, vec!["scc -> direct".to_string()]);
         assert_eq!(diag.worst_residual, 1e-4);
         assert_eq!(diag.exhausted, Some(Exhaustion::Deadline));
         assert!(diag.degraded());

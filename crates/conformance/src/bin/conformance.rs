@@ -23,7 +23,8 @@ use tml_telemetry::{summary, Subscriber};
 const USAGE: &str = "usage: conformance [options]
 
 differentially tests the trusted-ml engines over seeded random models:
-dense vs Gauss-Seidel vs Jacobi solves, compiled tapes vs interpreted
+dense vs Gauss-Seidel, SCC and interval solves, robust brackets vs the
+nominal chain and sampled members, compiled tapes vs interpreted
 rational functions vs instantiate-and-check, checker values vs Monte Carlo
 confidence intervals, and repaired models re-verified by simulation.
 Disagreeing models are shrunk to a minimal reproducer.

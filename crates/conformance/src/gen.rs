@@ -296,9 +296,10 @@ pub fn dense_dtmc(seed: u64, n: usize) -> Dtmc {
 
 /// A nearly singular chain: every transient state retries itself with
 /// probability `1 − δ` (`δ ∈ [1e-4, 1e-3]`) and leaks the rest forward.
-/// `I − P` has eigenvalues within `δ` of zero, so Gauss–Seidel needs on the
-/// order of `1/δ` sweeps — the intended trigger for the checker's
-/// GS → Jacobi → direct degradation chain under starved iteration budgets.
+/// `I − P` has eigenvalues within `δ` of zero, so monolithic Gauss–Seidel
+/// needs on the order of `1/δ` sweeps. Every state is its own SCC, so the
+/// checker's SCC-first solve resolves the chain by back-substitution
+/// without iterating.
 ///
 /// # Panics
 ///

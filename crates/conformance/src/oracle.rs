@@ -7,7 +7,6 @@
 //! | pair | left engine | right engine |
 //! |------|-------------|--------------|
 //! | `dense-vs-gs` | dense LU solve | Gauss–Seidel iteration |
-//! | `jacobi-vs-dense` | Jacobi on the reachability system | dense LU solve |
 //! | `tape-vs-interp` | compiled rational-function tapes | interpreted evaluation |
 //! | `tape-vs-instantiate` | compiled tapes | instantiate + concrete checker |
 //! | `checker-vs-sim` | bounded-until checker | Monte Carlo confidence interval |
@@ -31,9 +30,7 @@
 use tml_checker::dtmc as checker_dtmc;
 use tml_checker::{Budget, CheckOptions, Checker, LinearSolver};
 use tml_logic::{CmpOp, PathFormula, Query, StateFormula};
-use tml_models::{graph, Dtmc, DtmcBuilder, IntervalDtmc};
-use tml_numerics::iterative::{jacobi_budgeted, IterOptions};
-use tml_numerics::{CsrMatrix, Triplet};
+use tml_models::{Dtmc, DtmcBuilder, IntervalDtmc};
 use tml_parametric::CompiledRatFn;
 use tml_telemetry::{counter, span};
 
@@ -91,8 +88,6 @@ impl Default for OracleOptions {
 pub enum EnginePair {
     /// Dense LU vs Gauss–Seidel on unbounded reachability.
     DenseVsGaussSeidel,
-    /// Jacobi on the reachability fixed-point system vs dense LU.
-    JacobiVsDense,
     /// Compiled tapes vs interpreted rational functions, all states.
     TapeVsInterpreted,
     /// Compiled tapes vs instantiate-then-check at the initial state.
@@ -129,7 +124,6 @@ impl EnginePair {
     pub fn all() -> &'static [EnginePair] {
         &[
             EnginePair::DenseVsGaussSeidel,
-            EnginePair::JacobiVsDense,
             EnginePair::TapeVsInterpreted,
             EnginePair::TapeVsInstantiated,
             EnginePair::CheckerVsSimulation,
@@ -147,7 +141,6 @@ impl EnginePair {
     pub fn name(self) -> &'static str {
         match self {
             EnginePair::DenseVsGaussSeidel => "dense-vs-gs",
-            EnginePair::JacobiVsDense => "jacobi-vs-dense",
             EnginePair::TapeVsInterpreted => "tape-vs-interp",
             EnginePair::TapeVsInstantiated => "tape-vs-instantiate",
             EnginePair::CheckerVsSimulation => "checker-vs-sim",
@@ -255,7 +248,6 @@ impl Oracle {
         for &family in families {
             let model = family.generate(seed);
             self.run_pair_on_model(EnginePair::DenseVsGaussSeidel, family, seed, &model, &mut out);
-            self.run_pair_on_model(EnginePair::JacobiVsDense, family, seed, &model, &mut out);
             self.run_pair_on_model(EnginePair::CheckerVsSimulation, family, seed, &model, &mut out);
             self.run_pair_on_model(EnginePair::RepairRecheck, family, seed, &model, &mut out);
             self.run_pair_on_model(EnginePair::SccVsDense, family, seed, &model, &mut out);
@@ -294,7 +286,6 @@ impl Oracle {
         let eval = |d: &Dtmc| -> PairEval {
             match pair {
                 EnginePair::DenseVsGaussSeidel => self.eval_dense_vs_gs(d),
-                EnginePair::JacobiVsDense => self.eval_jacobi_vs_dense(d),
                 EnginePair::CheckerVsSimulation => self.eval_checker_vs_sim(d, seed),
                 EnginePair::RepairRecheck => self.eval_repair_recheck(d, seed),
                 EnginePair::SccVsDense => self.eval_scc_vs_dense(d),
@@ -371,53 +362,6 @@ impl Oracle {
             }
         }
         disagreement(lhs, rhs, self.opts.tolerance)
-    }
-
-    /// Jacobi on the reachability fixed-point system vs dense LU. Gated to
-    /// models where the goal is reachable from every state (all generator
-    /// families guarantee this), because the plain Jacobi splitting only
-    /// contracts there.
-    fn eval_jacobi_vs_dense(&self, d: &Dtmc) -> PairEval {
-        let n = d.num_states();
-        let target = d.labeling().mask(GOAL_LABEL);
-        let phi = vec![true; n];
-        let dead = graph::prob0(d, &phi, &target);
-        if dead.iter().any(|&b| b) {
-            return None; // outside the pair's contract; skip silently
-        }
-        let rhs = self.direct_value(d, &phi, &target)?;
-        // The numerics Jacobi iterates the fixed point `x = A·x + b`; for
-        // reachability, A is the transition matrix restricted to non-goal
-        // columns and b(s) = Σ_{t ∈ goal} P(s,t) (goal rows: empty, b = 1).
-        // The iteration contracts because goal is reachable from everywhere.
-        let mut triplets = Vec::new();
-        let mut b = vec![0.0; n];
-        for s in 0..n {
-            if target[s] {
-                b[s] = 1.0;
-                continue;
-            }
-            for (t, p) in d.successors(s) {
-                if target[t] {
-                    b[s] += p;
-                } else {
-                    triplets.push(Triplet { row: s, col: t, value: p });
-                }
-            }
-        }
-        let a = CsrMatrix::from_triplets(n, n, &triplets).ok()?;
-        let x0 = vec![0.0; n];
-        let run = jacobi_budgeted(
-            &a,
-            &b,
-            &x0,
-            IterOptions { tolerance: 1e-13, max_iterations: 4_000_000 },
-            &Budget::unlimited(),
-        )
-        .ok()?;
-        // A non-converged iterate that nevertheless matches the dense value
-        // is agreement; only the values decide.
-        disagreement(run.x[d.initial_state()], rhs, self.opts.tolerance)
     }
 
     /// SCC-decomposed block solve vs dense LU on `P(F goal)` from the
@@ -1004,9 +948,9 @@ mod tests {
         let oracle = Oracle::new(OracleOptions { trajectories: 4_000, ..Default::default() });
         let out = oracle.run_seed(7, ModelFamily::all());
         assert!(out.disagreements.is_empty(), "unexpected disagreements: {:?}", out.disagreements);
-        // Every family ran the nine model pairs, plus the three parametric
+        // Every family ran the eight model pairs, plus the three parametric
         // pairs.
-        assert!(out.checks.len() >= ModelFamily::all().len() * 9);
+        assert!(out.checks.len() >= ModelFamily::all().len() * 8);
     }
 
     #[test]

@@ -44,7 +44,9 @@
 //! `str::parse` on each trimmed number, so values are bit-exact. No number
 //! in the text sizes an allocation: `states N` beyond the row count fails
 //! (every state needs a row) before any per-state storage exists, and a
-//! choice reward's index may not exceed the length of the text.
+//! choice reward's index may not exceed the length of the text. Each
+//! reward structure is dense over the states, so a model may name at most
+//! [`MAX_REWARD_STRUCTURES`] of them.
 
 use std::error::Error;
 use std::fmt::{self, Write as _};
@@ -53,6 +55,9 @@ use crate::interval::{
     IntervalDtmc, IntervalDtmcBuilder, IntervalMdp, IntervalMdpBuilder, IntervalTransition,
 };
 use crate::{Dtmc, DtmcBuilder, Labeling, Mdp, MdpBuilder, ModelError, RewardStructure};
+
+/// The most distinct reward structures one model text may name.
+pub const MAX_REWARD_STRUCTURES: usize = 64;
 
 /// A parsed model file: any kind of model.
 #[derive(Debug, Clone, PartialEq)]
@@ -301,6 +306,7 @@ fn scan(source: &str) -> Result<Scan<'_>, DslError> {
     let mut entries = Vec::new();
     let mut saw_interval = false;
     let mut reward_error = None;
+    let mut reward_names: Vec<&str> = Vec::new();
 
     let mut rest = source;
     let mut lineno = 0;
@@ -342,10 +348,24 @@ fn scan(source: &str) -> Result<Scan<'_>, DslError> {
         } else if let Some(rest) = line.strip_prefix("reward") {
             if reward_error.is_none() {
                 match parse_reward(rest, lineno) {
-                    Ok((name, state, Some(c), v)) => {
-                        choice_rewards.push((lineno, name, state, c, v))
+                    Ok((name, ..))
+                        if reward_names.len() == MAX_REWARD_STRUCTURES
+                            && !reward_names.contains(&name) =>
+                    {
+                        reward_error = Some(DslError::new(
+                            lineno,
+                            format!("more than {MAX_REWARD_STRUCTURES} reward structures"),
+                        ));
                     }
-                    Ok((name, state, None, v)) => state_rewards.push((lineno, name, state, v)),
+                    Ok((name, state, choice, v)) => {
+                        if !reward_names.contains(&name) {
+                            reward_names.push(name);
+                        }
+                        match choice {
+                            Some(c) => choice_rewards.push((lineno, name, state, c, v)),
+                            None => state_rewards.push((lineno, name, state, v)),
+                        }
+                    }
                     Err(e) => reward_error = Some(e),
                 }
             }

@@ -433,7 +433,7 @@ mod tests {
     fn diagnostics_merge() {
         let mut a = Diagnostics::new();
         a.evaluations = 5;
-        a.record_fallback("gauss-seidel -> jacobi");
+        a.record_fallback("scc -> direct");
         a.record_residual(1e-3);
         let mut b = Diagnostics::new();
         b.evaluations = 7;
@@ -500,12 +500,12 @@ mod tests {
     fn degradation_rendering_matches_diagnostics() {
         let mut d = Diagnostics::new();
         assert_eq!(d.render_degradation(), "");
-        d.record_fallback("jacobi stalled; solving directly");
+        d.record_fallback("scc solve stalled; solving directly");
         d.record_residual(2e-6);
         d.mark_exhausted(Exhaustion::Deadline);
         let text = d.render_degradation();
         assert!(text.starts_with("degraded:"));
-        assert!(text.contains("jacobi stalled; solving directly"));
+        assert!(text.contains("scc solve stalled; solving directly"));
         assert!(text.contains("deadline exceeded"));
     }
 

@@ -56,89 +56,7 @@ pub struct IterRun {
     pub stopped: Option<Exhaustion>,
 }
 
-/// Jacobi iteration for `x = A·x + b`, starting from `x0`.
-///
-/// Converges whenever the spectral radius of `A` is below one — which holds
-/// for the sub-stochastic "maybe-state" fragments that arise in
-/// unbounded-until and expected-reward computations.
-///
-/// # Errors
-///
-/// * [`NumericsError::ShapeMismatch`] on dimension mismatch.
-/// * [`NumericsError::NoConvergence`] if the tolerance is not reached within
-///   the iteration budget.
-///
-/// # Example
-///
-/// ```
-/// use tml_numerics::{CsrMatrix, Triplet};
-/// use tml_numerics::iterative::{jacobi, IterOptions};
-///
-/// # fn main() -> Result<(), tml_numerics::NumericsError> {
-/// // x = 0.5 x + 1 has solution x = 2.
-/// let a = CsrMatrix::from_triplets(1, 1, &[Triplet::new(0, 0, 0.5)])?;
-/// let sol = jacobi(&a, &[1.0], &[0.0], IterOptions::default())?;
-/// assert!((sol.x[0] - 2.0).abs() < 1e-8);
-/// # Ok(())
-/// # }
-/// ```
-pub fn jacobi(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    opts: IterOptions,
-) -> Result<IterSolution, NumericsError> {
-    let run = jacobi_budgeted(a, b, x0, opts, &Budget::unlimited())?;
-    finish_unbudgeted(run)
-}
-
-/// Budget-aware [`jacobi`]: polls `budget` once per sweep and returns the
-/// best-effort iterate instead of erroring on non-convergence.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::ShapeMismatch`] on dimension mismatch — never
-/// `NoConvergence`.
-pub fn jacobi_budgeted(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    opts: IterOptions,
-    budget: &Budget,
-) -> Result<IterRun, NumericsError> {
-    check_shapes(a, b, x0)?;
-    let _span = span!("numerics.jacobi", states = a.rows(), nnz = a.nnz());
-    // Double buffer: `x` is the current iterate, `next` the reusable
-    // scratch target. Swapping pointers each sweep means the inner loop
-    // never allocates, no matter how many sweeps run.
-    let mut x = x0.to_vec();
-    let mut next = vec![0.0; x.len()];
-    let mut delta = f64::INFINITY;
-    let run = 'solve: {
-        for it in 1..=opts.max_iterations {
-            if let Some(cause) = budget.check(it as u64 - 1) {
-                break 'solve IterRun {
-                    x,
-                    iterations: it - 1,
-                    delta,
-                    converged: false,
-                    stopped: Some(cause),
-                };
-            }
-            affine_apply_into(a, b, &x, &mut next);
-            delta = max_abs_diff(&next, &x);
-            std::mem::swap(&mut x, &mut next);
-            if delta <= opts.tolerance {
-                break 'solve IterRun { x, iterations: it, delta, converged: true, stopped: None };
-            }
-        }
-        IterRun { x, iterations: opts.max_iterations, delta, converged: false, stopped: None }
-    };
-    counter!("numerics.solve.sweeps", run.iterations);
-    Ok(run)
-}
-
-/// One Jacobi sweep `out = A·x + b` into a caller-provided buffer.
+/// One synchronous step `out = A·x + b` into a caller-provided buffer.
 ///
 /// The matvec streams rows in contiguous tiles (threaded for large
 /// matrices, see [`CsrMatrix::mat_vec_into`]); each element folds its row
@@ -155,12 +73,31 @@ fn affine_apply_into(a: &CsrMatrix, b: &[f64], x: &[f64], out: &mut [f64]) {
 
 /// Gauss–Seidel iteration for `x = A·x + b`, starting from `x0`.
 ///
-/// Like [`jacobi`] but updates components in place within each sweep, which
-/// typically roughly halves the iteration count on transition systems.
+/// Each sweep updates the components in place, in row order. It converges
+/// whenever the spectral radius of `A` is below one — which holds for the
+/// sub-stochastic "maybe-state" fragments that arise in unbounded-until and
+/// expected-reward computations.
 ///
 /// # Errors
 ///
-/// Same conditions as [`jacobi`].
+/// * [`NumericsError::ShapeMismatch`] on dimension mismatch.
+/// * [`NumericsError::NoConvergence`] if the tolerance is not reached within
+///   the iteration budget.
+///
+/// # Example
+///
+/// ```
+/// use tml_numerics::{CsrMatrix, Triplet};
+/// use tml_numerics::iterative::{gauss_seidel, IterOptions};
+///
+/// # fn main() -> Result<(), tml_numerics::NumericsError> {
+/// // x = 0.5 x + 1 has solution x = 2.
+/// let a = CsrMatrix::from_triplets(1, 1, &[Triplet::new(0, 0, 0.5)])?;
+/// let sol = gauss_seidel(&a, &[1.0], &[0.0], IterOptions::default())?;
+/// assert!((sol.x[0] - 2.0).abs() < 1e-8);
+/// # Ok(())
+/// # }
+/// ```
 pub fn gauss_seidel(
     a: &CsrMatrix,
     b: &[f64],
@@ -303,43 +240,10 @@ fn check_shapes(a: &CsrMatrix, b: &[f64], x0: &[f64]) -> Result<(), NumericsErro
     Ok(())
 }
 
-fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Triplet;
-
-    fn chain() -> (CsrMatrix, Vec<f64>) {
-        // Random walk on {0,1,2}: from 1 go to 0 or 2 with prob 1/2 each;
-        // probability of hitting state 2 from 1 is 1/2, from 0 is 0.
-        // maybe-states = {1}; x1 = 0.5*x0(absorbed 0) + 0.5 (to target).
-        let a = CsrMatrix::from_triplets(1, 1, &[Triplet::new(0, 0, 0.0)]).unwrap();
-        (a, vec![0.5])
-    }
-
-    #[test]
-    fn jacobi_simple() {
-        let (a, b) = chain();
-        let sol = jacobi(&a, &b, &[0.0], IterOptions::default()).unwrap();
-        assert!((sol.x[0] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gauss_seidel_matches_jacobi() {
-        let a =
-            CsrMatrix::from_triplets(2, 2, &[Triplet::new(0, 1, 0.5), Triplet::new(1, 0, 0.25)])
-                .unwrap();
-        let b = vec![1.0, 2.0];
-        let j = jacobi(&a, &b, &[0.0, 0.0], IterOptions::default()).unwrap();
-        let g = gauss_seidel(&a, &b, &[0.0, 0.0], IterOptions::default()).unwrap();
-        for (x, y) in j.x.iter().zip(&g.x) {
-            assert!((x - y).abs() < 1e-8, "jacobi {x} vs gauss-seidel {y}");
-        }
-        assert!(g.iterations <= j.iterations);
-    }
 
     #[test]
     fn affine_power_counts_steps() {
@@ -351,21 +255,26 @@ mod tests {
         assert_eq!(x0, vec![0.0]);
     }
 
+    /// `x0 = 2·x1 + 1, x1 = 2·x0 + 1`: spectral radius 2, so Gauss–Seidel
+    /// diverges (a self-loop alone would be solved in closed form).
+    fn divergent() -> CsrMatrix {
+        CsrMatrix::from_triplets(2, 2, &[Triplet::new(0, 1, 2.0), Triplet::new(1, 0, 2.0)]).unwrap()
+    }
+
     #[test]
     fn non_convergent_reports_error() {
-        // x = 2x + 1 diverges.
-        let a = CsrMatrix::from_triplets(1, 1, &[Triplet::new(0, 0, 2.0)]).unwrap();
-        let err = jacobi(&a, &[1.0], &[1.0], IterOptions { tolerance: 1e-12, max_iterations: 50 })
-            .unwrap_err();
+        let opts = IterOptions { tolerance: 1e-12, max_iterations: 50 };
+        let err = gauss_seidel(&divergent(), &[1.0; 2], &[1.0; 2], opts).unwrap_err();
         assert!(matches!(err, NumericsError::NoConvergence { .. }));
     }
 
     #[test]
     fn budgeted_solvers_return_best_effort() {
-        // x = 2x + 1 diverges; the budgeted API must not error.
-        let a = CsrMatrix::from_triplets(1, 1, &[Triplet::new(0, 0, 2.0)]).unwrap();
+        // The system diverges; the budgeted API must not error.
         let opts = IterOptions { tolerance: 1e-12, max_iterations: 50 };
-        let run = jacobi_budgeted(&a, &[1.0], &[1.0], opts, &Budget::unlimited()).unwrap();
+        let run =
+            gauss_seidel_budgeted(&divergent(), &[1.0; 2], &[1.0; 2], opts, &Budget::unlimited())
+                .unwrap();
         assert!(!run.converged);
         assert!(run.stopped.is_none());
         assert_eq!(run.iterations, 50);
@@ -393,7 +302,8 @@ mod tests {
         token.cancel();
         let budget = Budget::unlimited().with_cancel_token(token);
         let a = CsrMatrix::from_triplets(1, 1, &[Triplet::new(0, 0, 0.5)]).unwrap();
-        let run = jacobi_budgeted(&a, &[1.0], &[0.0], IterOptions::default(), &budget).unwrap();
+        let run =
+            gauss_seidel_budgeted(&a, &[1.0], &[0.0], IterOptions::default(), &budget).unwrap();
         assert_eq!(run.stopped, Some(crate::Exhaustion::Cancelled));
         assert_eq!(run.iterations, 0);
         assert_eq!(run.x, vec![0.0]); // untouched start vector
@@ -402,7 +312,7 @@ mod tests {
     #[test]
     fn shape_errors() {
         let a = CsrMatrix::from_triplets(2, 1, &[]).unwrap();
-        assert!(jacobi(&a, &[0.0], &[0.0], IterOptions::default()).is_err());
+        assert!(gauss_seidel(&a, &[0.0], &[0.0], IterOptions::default()).is_err());
         let sq = CsrMatrix::from_triplets(2, 2, &[]).unwrap();
         assert!(gauss_seidel(&sq, &[0.0], &[0.0, 0.0], IterOptions::default()).is_err());
     }
@@ -415,8 +325,8 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// For random strictly sub-stochastic matrices both solvers converge
-        /// and agree with each other.
+        /// For random strictly sub-stochastic matrices Gauss–Seidel converges
+        /// to the dense solution of `(I − A) x = b`.
         #[test]
         fn substochastic_systems_converge(
             raw in proptest::collection::vec(0.0_f64..1.0, 9),
@@ -437,10 +347,14 @@ mod proptests {
             }
             let a = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
             let opts = IterOptions { tolerance: 1e-12, max_iterations: 200_000 };
-            let j = jacobi(&a, &b, &vec![0.0; n], opts).unwrap();
             let g = gauss_seidel(&a, &b, &vec![0.0; n], opts).unwrap();
-            for (x, y) in j.x.iter().zip(&g.x) {
-                prop_assert!((x - y).abs() < 1e-8);
+            let mut dense = crate::DenseMatrix::<f64>::identity(n);
+            for t in &triplets {
+                dense.set(t.row, t.col, *dense.get(t.row, t.col) - t.value);
+            }
+            let exact = crate::solve::solve_dense(&dense, &b).unwrap();
+            for (x, y) in exact.iter().zip(&g.x) {
+                prop_assert!((x - y).abs() < 1e-8, "dense {} vs gauss-seidel {}", x, y);
             }
         }
     }

@@ -13,9 +13,8 @@
 //!   transition systems.
 //! * [`solve`] — direct solvers (Gaussian elimination with partial
 //!   pivoting) over any [`Field`].
-//! * [`iterative`] — Jacobi, Gauss–Seidel and power-iteration style solvers
-//!   for fixed-point equations `x = A x + b`, the workhorse of value
-//!   iteration.
+//! * [`iterative`] — Gauss–Seidel and power-iteration style solvers for
+//!   fixed-point equations `x = A x + b`, the workhorse of value iteration.
 //! * [`scc`] — Tarjan condensation of the transition graph and
 //!   block-decomposed solves: components are processed in dependency
 //!   order, trivial components by closed-form back-substitution.

@@ -1,7 +1,7 @@
 //! Injectable monotonic clocks.
 //!
-//! Time-based recovery (circuit-breaker half-open probes, token-bucket
-//! refill) must be testable without sleeping. Everything in the runtime
+//! Time-based behaviour (token-bucket refill) must be testable without
+//! sleeping. Everything in the runtime
 //! and serve layers that consults wall-clock time does so through a
 //! [`Clock`], so tests swap in a [`ManualClock`] and advance it
 //! explicitly while production uses [`SystemClock`].

@@ -17,9 +17,7 @@
 //! constraint fallback, exercising that path under chaos too.
 //!
 //! Models are kept small (≤ 12 requested states) so every linear solve
-//! stays on the dense direct backend; batch results are then independent
-//! of circuit-breaker adaptation, which is scheduling-dependent (see
-//! DESIGN.md §11).
+//! stays on the dense direct backend.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -1,5 +1,5 @@
 //! The batch executor: worker pool, isolation boundary, retry loop,
-//! breaker adaptation, journaling and the kill/resume machinery.
+//! journaling and the kill/resume machinery.
 //!
 //! One call to [`run_batch`] drives `jobs` independent pipeline problems
 //! (derived from the corpus seed) to terminal [`JobOutcome`]s. Each
@@ -22,10 +22,9 @@ use std::time::{Duration, Instant};
 use tml_core::pipeline::{
     CheckpointHook, PipelineCheckpoint, PipelineStage, TmlOutcome, TmlPipeline,
 };
-use tml_core::{Budget, RepairOptions};
+use tml_core::Budget;
 use tml_models::Path;
 
-use crate::breaker::SolverBreakers;
 use crate::chaos::{ChaosSpec, Fault};
 use crate::corpus::{build_job, job_spec, JobInput};
 use crate::job::{fingerprint_dtmc, AttemptFailure, FailureKind, JobOutcome, JobStatus};
@@ -173,7 +172,6 @@ struct AttemptSuccess {
     detail: String,
     fingerprint: Option<u64>,
     evaluations: u64,
-    diagnostics: tml_numerics::Diagnostics,
 }
 
 /// Runs one isolated attempt: inject the fault (if any), run the
@@ -183,7 +181,6 @@ fn run_attempt(
     input: &JobInput,
     warm: &[(PipelineStage, Vec<f64>)],
     fault: Option<Fault>,
-    opts: RepairOptions,
     budget: Option<&Budget>,
 ) -> (Vec<PipelineCheckpoint>, Result<AttemptSuccess, (FailureKind, String)>) {
     let reached: Arc<Mutex<Vec<PipelineCheckpoint>>> = Arc::new(Mutex::new(Vec::new()));
@@ -213,7 +210,6 @@ fn run_attempt(
     });
 
     let mut pipeline = TmlPipeline::new(input.spec.clone(), input.formula.clone())
-        .with_options(opts)
         .with_data_repair()
         .with_checkpoint_hook(hook);
     if let Some(b) = budget {
@@ -231,7 +227,6 @@ fn run_attempt(
         Ok(Err(e)) => Err((FailureKind::Error, e.to_string())),
         Ok(Ok(out)) => {
             let fingerprint = out.model().map(fingerprint_dtmc);
-            let diagnostics = out.diagnostics().clone();
             let (status, detail, evaluations) = match &out {
                 TmlOutcome::Satisfied { .. } => {
                     (JobStatus::Satisfied, "learned model satisfies the property".into(), 0)
@@ -252,7 +247,7 @@ fn run_attempt(
                     0,
                 ),
             };
-            Ok(AttemptSuccess { status, detail, fingerprint, evaluations, diagnostics })
+            Ok(AttemptSuccess { status, detail, fingerprint, evaluations })
         }
     };
     (checkpoints, verdict)
@@ -267,8 +262,7 @@ struct Shared {
 
 /// Everything one job's attempt loop needs besides the job itself — the
 /// executor's library surface. [`run_batch`] builds one per batch; the
-/// serve layer builds one per submission (with a per-request [`Budget`]
-/// and a shared long-lived breaker set).
+/// serve layer builds one per submission (with a per-request [`Budget`]).
 pub struct JobContext<'a> {
     /// Corpus seed: derives job specs and seeds chaos/backoff draws.
     pub corpus_seed: u64,
@@ -284,8 +278,6 @@ pub struct JobContext<'a> {
     pub started: Instant,
     /// Wall-clock deadline for the enclosing run, when one is set.
     pub deadline: Option<Duration>,
-    /// Shared per-backend breaker set, adapted as jobs conclude.
-    pub breakers: &'a Mutex<SolverBreakers>,
 }
 
 impl JobContext<'_> {
@@ -368,23 +360,13 @@ pub fn run_corpus_job<W: Write + Send>(
         journal.attempt(job, attempt)?;
 
         let fault = ctx.chaos.and_then(|c| c.fault(job, attempt));
-        let repair_opts = {
-            let mut b = ctx.breakers.lock().unwrap_or_else(|e| e.into_inner());
-            let mut r = RepairOptions::default();
-            b.adjust(&mut r.check);
-            r
-        };
-
-        let (checkpoints, verdict) =
-            run_attempt(&input, &warm, fault, repair_opts, ctx.budget.as_ref());
+        let (checkpoints, verdict) = run_attempt(&input, &warm, fault, ctx.budget.as_ref());
         for cp in &checkpoints {
             journal.checkpoint(job, attempt, cp.stage, cp.solver_point.as_deref())?;
         }
 
         match verdict {
             Ok(success) => {
-                let mut b = ctx.breakers.lock().unwrap_or_else(|e| e.into_inner());
-                b.observe(&success.diagnostics);
                 return Ok(JobOutcome {
                     job,
                     attempts: attempt,
@@ -440,7 +422,6 @@ pub fn run_batch<W: Write + Send>(
     let started = Instant::now();
     let next_job = AtomicU64::new(0);
     let concluded = AtomicU64::new(0);
-    let breakers = Mutex::new(SolverBreakers::default());
     let shared = Mutex::new(Shared {
         outcomes: resume.map(|s| s.outcomes.clone()).unwrap_or_default(),
         io_error: None,
@@ -450,7 +431,7 @@ pub fn run_batch<W: Write + Send>(
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                worker(opts, journal, resume, &next_job, &concluded, &shared, &breakers, started);
+                worker(opts, journal, resume, &next_job, &concluded, &shared, started);
             });
         }
     });
@@ -467,7 +448,6 @@ pub fn run_batch<W: Write + Send>(
     Ok(BatchResult { outcomes: inner.outcomes, killed })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker<W: Write + Send>(
     opts: &BatchOptions,
     journal: &Journal<W>,
@@ -475,7 +455,6 @@ fn worker<W: Write + Send>(
     next_job: &AtomicU64,
     concluded: &AtomicU64,
     shared: &Mutex<Shared>,
-    breakers: &Mutex<SolverBreakers>,
     started: Instant,
 ) {
     let ctx = JobContext {
@@ -485,7 +464,6 @@ fn worker<W: Write + Send>(
         budget: None,
         started,
         deadline: opts.deadline,
-        breakers,
     };
     loop {
         if opts.kill.armed() {
@@ -630,7 +608,6 @@ mod tests {
     #[test]
     fn expired_deadline_yields_zero_attempts() {
         let opts = batch(3, 1);
-        let breakers = Mutex::new(SolverBreakers::default());
         let ctx = JobContext {
             corpus_seed: opts.corpus_seed,
             retry: opts.retry,
@@ -638,7 +615,6 @@ mod tests {
             budget: None,
             started: Instant::now(),
             deadline: Some(Duration::ZERO),
-            breakers: &breakers,
         };
         let journal = Journal::create(Vec::new(), &opts.config()).unwrap();
         let out = run_corpus_job(&journal, &ctx, 0, 0, 1, Vec::new(), None).unwrap();
@@ -660,7 +636,6 @@ mod tests {
             .iter()
             .find(|o| o.status == JobStatus::DataRepaired || o.status == JobStatus::ModelRepaired)
             .expect("corpus has a repairable job");
-        let breakers = Mutex::new(SolverBreakers::default());
         let ctx = JobContext {
             corpus_seed: opts.corpus_seed,
             retry: opts.retry,
@@ -668,7 +643,6 @@ mod tests {
             budget: Some(Budget::unlimited().with_max_evaluations(0)),
             started: Instant::now(),
             deadline: None,
-            breakers: &breakers,
         };
         let journal = Journal::create(Vec::new(), &opts.config()).unwrap();
         let out = run_corpus_job(&journal, &ctx, repaired.job, repaired.job, 1, Vec::new(), None)

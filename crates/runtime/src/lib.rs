@@ -3,7 +3,7 @@
 //! The single-pipeline API ([`tml_core::pipeline::TmlPipeline`]) answers
 //! one repair question; production workloads ask thousands at once — one
 //! per learned model shipped that day. This crate is the executor for that
-//! shape of work, built around four robustness mechanisms:
+//! shape of work, built around three robustness mechanisms:
 //!
 //! * **Per-job panic isolation** — every attempt runs under
 //!   `catch_unwind`, so one poisoned job becomes a structured
@@ -12,10 +12,6 @@
 //!   per-job cap with full-jitter exponential backoff ([`retry`]), seeded
 //!   from `(batch_seed, job, attempt)` so two runs of the same batch take
 //!   the same delays, clamped to whatever remains of the batch deadline.
-//! * **Per-backend circuit breakers** — the checker's per-backend
-//!   `checker.backend.<name>.{ok,fail}` counters feed [`breaker`]; a
-//!   backend that keeps failing is skipped (under `LinearSolver::Auto`)
-//!   until its cooldown expires.
 //! * **Crash consistency** — every state transition (attempt started,
 //!   checkpoint reached, attempt failed, job concluded) is appended to a
 //!   `tml-journal/v1` write-ahead journal ([`journal`]) *before* the next
@@ -32,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod breaker;
 pub mod chaos;
 pub mod clock;
 pub mod corpus;
@@ -41,9 +36,6 @@ pub mod job;
 pub mod journal;
 pub mod retry;
 
-pub use breaker::{
-    BreakerSnapshot, BreakerState, BreakersSnapshot, CircuitBreaker, SolverBreakers,
-};
 pub use chaos::{ChaosSpec, Fault};
 pub use clock::{system_clock, Clock, ManualClock, SharedClock, SystemClock};
 pub use executor::{run_batch, BatchOptions, BatchResult, JobContext, KillSwitch};

@@ -9,12 +9,9 @@
 //! 2. validate the request body — malformed JSON, unknown kinds,
 //!    unparseable models/properties and oversized models never reach a
 //!    worker (`400`/`422`);
-//! 3. consult the breaker set — with the direct (last-resort) backend
-//!    open there is nothing healthy to run on, so new work is refused
-//!    (`503`) rather than queued;
-//! 4. charge the client's token bucket (`429 Retry-After` on empty);
-//! 5. shed if the queue is full (`429 Retry-After` derived from depth);
-//! 6. journal the `submit` record — only after the flush does the client
+//! 3. charge the client's token bucket (`429 Retry-After` on empty);
+//! 4. shed if the queue is full (`429 Retry-After` derived from depth);
+//! 5. journal the `submit` record — only after the flush does the client
 //!    see `202`, so every accepted job survives a `kill -9`.
 //!
 //! Workers run corpus jobs through the batch executor's
@@ -41,7 +38,7 @@ use tml_runtime::job::fingerprint_dtmc;
 use tml_runtime::journal::render_report;
 use tml_runtime::{
     parse_journal_bytes, AttemptFailure, BatchConfig, ChaosSpec, FailureKind, JobOutcome,
-    JobStatus, Journal, RetryPolicy, SharedClock, SolverBreakers, Submission, SubmitKind,
+    JobStatus, Journal, RetryPolicy, SharedClock, Submission, SubmitKind,
 };
 use tml_telemetry::json::{self, Value};
 use tml_telemetry::jsonl::{schema, JsonlWriter, LineBuilder};
@@ -100,9 +97,7 @@ pub struct ServeOptions {
     /// Token-bucket scheduler: `(capacity, refill per second)`. `None`
     /// disables per-client throttling.
     pub bucket: Option<(u32, f64)>,
-    /// Circuit-breaker time-based recovery window, milliseconds.
-    pub breaker_recovery_ms: u64,
-    /// Clock for buckets and breaker recovery (tests inject a
+    /// Clock for the token buckets (tests inject a
     /// [`ManualClock`](tml_runtime::ManualClock)).
     pub clock: SharedClock,
 }
@@ -125,7 +120,6 @@ impl ServeOptions {
             kill_after: None,
             hard_kill: false,
             bucket: None,
-            breaker_recovery_ms: 30_000,
             clock: tml_runtime::system_clock(),
         }
     }
@@ -223,7 +217,6 @@ struct ServeState {
     journal: Journal<std::fs::File>,
     jobs: Mutex<JobTable>,
     queue: JobQueue,
-    breakers: Mutex<SolverBreakers>,
     buckets: Option<TokenBuckets>,
     sub: Arc<Subscriber>,
     reqlog: Option<ReqLog>,
@@ -380,10 +373,6 @@ impl Server {
 
         let buckets =
             opts.bucket.map(|(cap, refill)| TokenBuckets::new(cap, refill, opts.clock.clone()));
-        let breakers = Mutex::new(SolverBreakers::with_recovery(
-            Duration::from_millis(opts.breaker_recovery_ms),
-            opts.clock.clone(),
-        ));
         // Reuse the process-global subscriber when one is installed (the
         // CLI's --trace-json path), so server metrics and worker spans land
         // in one registry and one trace stream; otherwise run a private one.
@@ -394,7 +383,6 @@ impl Server {
             journal,
             jobs: Mutex::new(table),
             queue,
-            breakers,
             buckets,
             sub,
             reqlog,
@@ -544,7 +532,6 @@ fn run_job(state: &ServeState, qjob: &QueuedJob) -> JobOutcome {
                 budget: qjob.budget.map(BudgetSpec::to_budget),
                 started: Instant::now(),
                 deadline: None,
-                breakers: &state.breakers,
             };
             run_corpus_job(
                 &state.journal,
@@ -786,19 +773,7 @@ fn submit(state: &ServeState, req: &Request) -> Response {
         }
     };
 
-    // 2. Graceful degradation: with the last-resort backend open there is
-    // nothing healthy to run on — refuse instead of queueing work that
-    // can only fail.
-    {
-        let breakers = state.breakers.lock().unwrap_or_else(|e| e.into_inner());
-        if breakers.direct_open() {
-            state.sub.record_counter("serve.jobs.degraded_refusals", 1);
-            return Response::json(503, error_body("no healthy solver backend of last resort"))
-                .with_retry_after(state.opts.breaker_recovery_ms.div_ceil(1000).max(1));
-        }
-    }
-
-    // 3. Per-client token bucket.
+    // 2. Per-client token bucket.
     let client =
         body_client.or_else(|| req.client.clone()).unwrap_or_else(|| "anonymous".to_string());
     if let Some(buckets) = &state.buckets {
@@ -809,7 +784,7 @@ fn submit(state: &ServeState, req: &Request) -> Response {
         }
     }
 
-    // 4-6. Shed check, dedup, journal and enqueue — serialized on the
+    // 3-5. Shed check, dedup, journal and enqueue — serialized on the
     // table lock so the depth check cannot race another submitter.
     let mut table = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
 
@@ -948,28 +923,16 @@ fn healthz(state: &ServeState) -> Response {
 }
 
 fn readyz(state: &ServeState) -> Response {
-    let snapshot = state.breakers.lock().unwrap_or_else(|e| e.into_inner()).snapshot();
     let draining = state.draining.load(Ordering::SeqCst) || signal::drain_requested();
     let depth = state.queue.depth();
     let full = depth >= state.queue.capacity();
-    let ready = !draining && !full && !snapshot.any_open();
+    let ready = !draining && !full;
     let mut out = String::new();
     obj_start(&mut out);
     obj_field_bool(&mut out, "ready", ready);
     obj_field_bool(&mut out, "draining", draining);
     obj_field_u64(&mut out, "queue_depth", depth as u64);
     obj_field_u64(&mut out, "queue_capacity", state.queue.capacity() as u64);
-    obj_key(&mut out, "breakers");
-    out.push('{');
-    for (i, (name, b)) in snapshot.named().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_string(&mut out, name);
-        out.push(':');
-        json::write_string(&mut out, b.state.name());
-    }
-    out.push('}');
     Response::json(if ready { 200 } else { 503 }, obj_end(out))
 }
 

@@ -19,7 +19,7 @@
 //! | [`optimizer`] | non-linear constrained optimization |
 //! | [`irl`] | maximum-entropy inverse reinforcement learning |
 //! | [`repair`] | the paper's contribution: Model / Data / Reward repair + TML pipeline |
-//! | [`runtime`] | crash-consistent batch repair: isolation, retries, breakers, journaled resume (see DESIGN.md §11) |
+//! | [`runtime`] | crash-consistent batch repair: isolation, retries, journaled resume (see DESIGN.md §11) |
 //! | [`telemetry`] | structured tracing, metrics and profiling hooks (see DESIGN.md §9) |
 //! | `conformance` | seeded simulation, model generators, differential oracle (feature `test-support`; see DESIGN.md §10) |
 //! | [`wsn`] | wireless-sensor-network query-routing case study |

@@ -8,7 +8,7 @@
 //! - The values of a check are bitwise those of the query, on the
 //!   generator families and on every point model in `assets/`.
 
-use tml_conformance::gen::{grid_dtmc, layered_scc_dtmc, near_singular_dtmc, random_mdp};
+use tml_conformance::gen::{grid_dtmc, layered_scc_dtmc, random_mdp};
 use trusted_ml::checker::{Budget, CheckOptions, Checker, Diagnostics, LinearSolver};
 use trusted_ml::logic::{parse_formula, parse_query, CmpOp, StateFormula};
 use trusted_ml::models::dsl::{parse_model, ModelFile};
@@ -158,33 +158,31 @@ fn a_check_records_one_solve_of_its_operator() {
 
 #[test]
 fn a_starved_check_records_each_fallback_once() {
-    // Gauss–Seidel and the relaxed Jacobi retry both stall on this
-    // near-singular chain, and the dense direct solve concludes.
+    // The SCC solve's Gauss–Seidel block stalls on this chain's one large
+    // component, and the dense direct solve concludes.
     let starved = CheckOptions {
         solver: LinearSolver::Auto,
         direct_solver_limit: 0,
         max_iterations: 10,
         tolerance: 1e-14,
-        scc_enabled: false,
         ..CheckOptions::default()
     };
-    let d = near_singular_dtmc(17, 24);
-    let phi = parse_formula("R{\"cost\"}<=1000 [ F \"goal\" ]").unwrap();
-    let q = parse_query("R{\"cost\"}=? [ F \"goal\" ]").unwrap();
+    let d = gambler_dtmc();
+    let phi = parse_formula(RICH_AT_LEAST).unwrap();
+    let q = parse_query("P=? [ F \"rich\" ]").unwrap();
     let checked = Checker::with_options(starved).check_dtmc(&d, &phi).unwrap();
     let (values, queried) = Checker::with_options(starved).query_dtmc_diag(&d, &q).unwrap();
 
     let fallbacks = &checked.diagnostics().fallbacks;
-    assert_eq!(fallbacks.len(), 2, "gs→jacobi and jacobi→direct: {fallbacks:?}");
-    for (i, f) in fallbacks.iter().enumerate() {
-        assert!(!fallbacks[i + 1..].contains(f), "fallback recorded twice: {f:?}");
-    }
+    assert_eq!(fallbacks.len(), 1, "scc→direct: {fallbacks:?}");
     assert_eq!(solve_record(checked.diagnostics()), solve_record(&queried));
-    for backend in ["gauss-seidel.fail", "jacobi.fail", "direct.ok"] {
+    for backend in ["scc.fail", "direct.ok"] {
         let name = format!("checker.backend.{backend}");
         assert_eq!(checked.diagnostics().telemetry.counter(&name), 1, "{name}");
     }
     assert_eq!(bits(checked.values().unwrap()), bits(&values));
+    let direct = CheckOptions { solver: LinearSolver::Direct, ..CheckOptions::default() };
+    assert_eq!(bits(&values), bits(&Checker::with_options(direct).query_dtmc(&d, &q).unwrap()));
 }
 
 fn bits(values: &[f64]) -> Vec<u64> {

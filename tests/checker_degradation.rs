@@ -1,41 +1,52 @@
-//! The checker's solver degradation chain, driven end to end on a
-//! near-singular chain from the shared generator library: Gauss–Seidel is
-//! starved of iterations so it stalls, the relaxed Jacobi retry stalls
-//! too, and the dense direct solve concludes — with every step recorded in
-//! the diagnostics and the final values matching an unconstrained direct
-//! solve.
+//! The checker's one fallback ladder, driven end to end. Under `Auto` a
+//! large system is solved SCC-first. When the SCC solve stalls, a system of
+//! at most 2,048 states is solved by dense elimination, and a larger one
+//! returns its best iterate with the residual on record. Explicitly
+//! requested solvers keep their strict error contract.
 
 use tml_conformance::test_support::near_singular_dtmc;
-use trusted_ml::checker::{CheckOptions, Checker, LinearSolver};
+use trusted_ml::checker::{CheckOptions, Checker, Diagnostics, LinearSolver};
 use trusted_ml::logic::parse_query;
+use trusted_ml::models::{Dtmc, DtmcBuilder};
 
-/// Options that force the full chain: Auto solver, a zero direct-solver
-/// limit (so the first attempt is iterative), an iteration budget far too
-/// small for a near-singular system, and a tolerance it cannot reach. The
-/// SCC stage is disabled because it would short-circuit the experiment:
-/// every state of the near-singular chain is a trivial component, so the
-/// decomposition solves it in closed form without ever iterating (see
-/// `scc_stage_solves_the_near_singular_chain_without_degrading`).
+/// Options that starve every iterative solve: Auto solver, a zero
+/// direct-solver limit (so the first attempt is iterative), an iteration
+/// budget far too small and a tolerance it cannot reach.
 fn starved() -> CheckOptions {
     CheckOptions {
         solver: LinearSolver::Auto,
         direct_solver_limit: 0,
         max_iterations: 10,
         tolerance: 1e-14,
-        scc_enabled: false,
         ..CheckOptions::default()
     }
 }
 
+/// A gambler's ruin on `n` states biased towards winning (each bet won
+/// with probability 0.6). Its `n − 2` transient states form one SCC,
+/// larger than the SCC solver's 64-state dense blocks, so that block is
+/// solved by Gauss–Seidel, which ten sweeps cannot converge.
+fn biased_gambler(n: usize) -> Dtmc {
+    let mut b = DtmcBuilder::new(n);
+    b.transition(0, 0, 1.0).unwrap();
+    b.transition(n - 1, n - 1, 1.0).unwrap();
+    for s in 1..n - 1 {
+        b.transition(s, s + 1, 0.6).unwrap();
+        b.transition(s, s - 1, 0.4).unwrap();
+    }
+    b.label(n - 1, "rich").unwrap();
+    b.initial_state(n / 2).unwrap();
+    b.build().unwrap()
+}
+
+fn backend(diag: &Diagnostics, counter: &str) -> u64 {
+    diag.telemetry.counter(&format!("checker.backend.{counter}"))
+}
+
 #[test]
 fn degradation_chain_falls_back_to_direct_and_matches_it() {
-    // Self-loop probabilities of 1 − δ with δ ~ 1e-4 make I − P nearly
-    // singular: ten sweeps cannot move the iterate anywhere near 1e-14.
-    // (Reachability itself is qualitative on this family — the goal is hit
-    // almost surely — so the expected-cost query is what actually solves
-    // the near-singular linear system.)
-    let d = near_singular_dtmc(17, 24);
-    let q = parse_query("R{\"cost\"}=? [ F \"goal\" ]").unwrap();
+    let d = biased_gambler(600);
+    let q = parse_query("P=? [ F \"rich\" ]").unwrap();
 
     let (degraded, diag) =
         Checker::with_options(starved()).query_dtmc_diag(&d, &q).expect("degraded solve succeeds");
@@ -46,50 +57,46 @@ fn degradation_chain_falls_back_to_direct_and_matches_it() {
     .query_dtmc(&d, &q)
     .expect("direct solve succeeds");
 
-    // Both stalls are on record, in order.
-    assert_eq!(
-        diag.fallbacks.len(),
-        2,
-        "expected gs→jacobi and jacobi→direct fallbacks, got {:?}",
-        diag.fallbacks
-    );
-    assert!(
-        diag.fallbacks[0].contains("jacobi"),
-        "first fallback retries with jacobi: {:?}",
-        diag.fallbacks[0]
-    );
-    assert!(
-        diag.fallbacks[1].contains("directly"),
-        "second fallback is the dense direct solve: {:?}",
-        diag.fallbacks[1]
-    );
-    assert!(diag.degraded(), "a fallback chain marks the run degraded");
-
-    // The last-resort direct solve is exact, so the degraded run agrees
-    // with the explicitly-direct one to rounding (relative: the expected
-    // costs are of order 1/δ ≈ 1e4).
-    for s in 0..d.num_states() {
-        assert!(
-            (degraded[s] - exact[s]).abs() < 1e-9 * (1.0 + exact[s].abs()),
-            "state {s}: degraded {} vs direct {}",
-            degraded[s],
-            exact[s]
-        );
-    }
+    assert_eq!(diag.fallbacks.len(), 1, "one fallback: {:?}", diag.fallbacks);
+    assert!(diag.fallbacks[0].contains("directly"), "{:?}", diag.fallbacks[0]);
+    assert_eq!(backend(&diag, "scc.fail"), 1);
+    assert_eq!(backend(&diag, "direct.ok"), 1);
+    assert!(diag.degraded(), "a fallback marks the run degraded");
+    assert_eq!(diag.exhausted, None, "stalling is not budget exhaustion");
+    // The last-resort solve is the explicit direct solve.
+    assert_eq!(degraded, exact);
 }
 
-/// With the SCC stage left on (the default), the same starved options
-/// conclude without any fallback: the chain's states are all trivial
-/// components, so the decomposition back-substitutes exact values and the
-/// iteration budget is never touched.
+/// Above 2,048 states no dense solve is attempted: the stalled SCC iterate
+/// is the answer, with its residual recorded.
+#[test]
+fn a_stalled_solve_above_the_dense_limit_returns_its_best_iterate() {
+    let d = biased_gambler(2100);
+    let q = parse_query("P=? [ F \"rich\" ]").unwrap();
+
+    let (values, diag) =
+        Checker::with_options(starved()).query_dtmc_diag(&d, &q).expect("best iterate, no error");
+    assert_eq!(values.len(), 2100);
+    assert!(values.iter().all(|v| (0.0..=1.0).contains(v)), "iterates stay probabilities");
+    assert_eq!(diag.fallbacks.len(), 1, "one fallback: {:?}", diag.fallbacks);
+    assert!(diag.fallbacks[0].contains("best iterate"), "{:?}", diag.fallbacks[0]);
+    assert!(diag.degraded());
+    assert!(diag.worst_residual > 0.0, "the residual is recorded");
+    assert_eq!(diag.exhausted, None);
+    assert_eq!(backend(&diag, "scc.fail"), 1);
+    assert_eq!(backend(&diag, "direct.ok") + backend(&diag, "direct.fail"), 0);
+}
+
+/// The same starved options conclude without any fallback on the
+/// near-singular chain: its states are all trivial components, so the SCC
+/// solve back-substitutes exact values and never iterates.
 #[test]
 fn scc_stage_solves_the_near_singular_chain_without_degrading() {
     let d = near_singular_dtmc(17, 24);
     let q = parse_query("R{\"cost\"}=? [ F \"goal\" ]").unwrap();
-    let opts = CheckOptions { scc_enabled: true, ..starved() };
 
     let (values, diag) =
-        Checker::with_options(opts).query_dtmc_diag(&d, &q).expect("scc stage solves exactly");
+        Checker::with_options(starved()).query_dtmc_diag(&d, &q).expect("scc stage solves exactly");
     assert!(diag.fallbacks.is_empty(), "no degradation expected: {:?}", diag.fallbacks);
     assert!(!diag.degraded());
 
@@ -116,4 +123,8 @@ fn explicit_gauss_seidel_keeps_the_strict_error_contract() {
     let opts = CheckOptions { solver: LinearSolver::GaussSeidel, ..starved() };
     let err = Checker::with_options(opts).query_dtmc(&d, &q);
     assert!(err.is_err(), "explicitly requested GS must error instead of degrading");
+    let opts = CheckOptions { solver: LinearSolver::Scc, ..starved() };
+    let err = Checker::with_options(opts)
+        .query_dtmc(&biased_gambler(600), &parse_query("P=? [ F \"rich\" ]").unwrap());
+    assert!(err.is_err(), "explicitly requested SCC must error instead of degrading");
 }

@@ -1,5 +1,6 @@
 //! The model text parser on untrusted and generated input: state counts
-//! far beyond the rows fail without sizing anything by them, printed
+//! far beyond the rows and too many reward structures fail without sizing
+//! anything by them, printed
 //! models parse back bit for bit, the `Vec`-row chain builder agrees with
 //! a `BTreeMap` reference, and mutated texts never panic.
 
@@ -9,6 +10,7 @@ use std::panic::{self, AssertUnwindSafe};
 use tml_conformance::gen;
 use trusted_ml::models::dsl::{
     dtmc_to_dsl, interval_dtmc_to_dsl, interval_mdp_to_dsl, mdp_to_dsl, parse_model, ModelFile,
+    MAX_REWARD_STRUCTURES,
 };
 use trusted_ml::models::{
     DtmcBuilder, IntervalDtmc, IntervalDtmcBuilder, IntervalMdp, ModelError, STOCHASTIC_TOLERANCE,
@@ -72,6 +74,38 @@ fn huge_state_counts_are_errors_not_allocations() {
         assert_eq!(err.line, 3, "{err}");
         assert!(err.message.contains(&format!("choice index {c}")), "{err}");
     }
+}
+
+/// Each reward structure is dense over the states, so names times states
+/// would be quadratic in the text: the distinct names are capped.
+#[test]
+fn too_many_reward_structures_are_errors_not_allocations() {
+    let text = |names: usize, repeats: usize| {
+        let mut src = String::from("dtmc\nstates 1\n");
+        for _ in 0..repeats {
+            for i in 0..names {
+                src.push_str(&format!("reward \"r{i}\" 0 = 1\n"));
+            }
+        }
+        src + "0 -> 0: 1\n"
+    };
+    // At the cap, repeated names are fine.
+    let ModelFile::Dtmc(d) = parse_model(&text(MAX_REWARD_STRUCTURES, 2)).unwrap() else {
+        panic!("a dtmc");
+    };
+    assert_eq!(d.reward_structures().count(), MAX_REWARD_STRUCTURES);
+    // One more name fails at the line that introduces it.
+    let err = parse_model(&text(MAX_REWARD_STRUCTURES + 1, 1)).unwrap_err();
+    assert_eq!(err.line, 3 + MAX_REWARD_STRUCTURES, "{err}");
+    assert_eq!(err.message, format!("more than {MAX_REWARD_STRUCTURES} reward structures"));
+    // Tens of thousands of names over as many states are refused before
+    // any structure is built.
+    let mut src = String::from("mdp\nstates 20000\n");
+    for s in 0..20_000 {
+        src.push_str(&format!("reward \"r{s}\" {s} [0] = 1\n{s} [a] -> {s}: 1\n"));
+    }
+    let err = parse_model(&src).unwrap_err();
+    assert!(err.message.contains("reward structures"), "{err}");
 }
 
 // ------------------------------------------------------------- grammar edges

@@ -8,8 +8,8 @@
 //!   deadline must yield a best-effort `Solution` within ~2× the deadline,
 //!   with the cause recorded in diagnostics (no error, no hang);
 //! * **forced non-convergence** — starved iterative-solver options must
-//!   drive the full Gauss–Seidel → Jacobi → direct fallback chain, and the
-//!   chain's answer must match a pure direct solve.
+//!   drive the SCC → direct fallback ladder, and the ladder's answer must
+//!   match a pure direct solve.
 
 use std::time::{Duration, Instant};
 
@@ -169,19 +169,14 @@ fn starved_options() -> CheckOptions {
     CheckOptions {
         solver: LinearSolver::Auto,
         direct_solver_limit: 0, // never pick direct up front
-        max_iterations: 3,      // Gauss–Seidel and Jacobi stall immediately
+        max_iterations: 3,      // an iterated SCC block stalls immediately
         tolerance: 1e-12,
-        // The SCC stage would rescue the gambler chain before the iterative
-        // solvers ever run (its one nontrivial component fits the dense
-        // block limit and solves exactly); disable it so the chain under
-        // test is the GS → Jacobi → direct fallback ladder itself.
-        scc_enabled: false,
         ..Default::default()
     }
 }
 
-/// The gambler's-ruin chain: slow geometric convergence, so three sweeps
-/// cannot reach 1e-12 and both iterative solvers stall.
+/// The gambler's-ruin chain: its `n − 2` transient states form one SCC,
+/// and slow geometric convergence means three sweeps cannot reach 1e-12.
 fn gambler(n: usize) -> Dtmc {
     let mut b = DtmcBuilder::new(n);
     for s in 1..n - 1 {
@@ -195,13 +190,15 @@ fn gambler(n: usize) -> Dtmc {
     b.build().unwrap()
 }
 
-/// Forced non-convergence fires the full chain — Gauss–Seidel stalls,
-/// Jacobi stalls, the dense direct solver rescues — and the rescued values
-/// match a pure direct solve exactly.
+/// Forced non-convergence fires the full ladder — the SCC solve's
+/// Gauss–Seidel block (598 states, above the 64-state dense blocks)
+/// stalls, the dense direct solver rescues — and the rescued values are
+/// those of a pure direct solve.
 #[test]
 fn forced_nonconvergence_fires_full_fallback_chain() {
-    let d = gambler(24);
-    let phi = vec![true; 24];
+    let n = 600;
+    let d = gambler(n);
+    let phi = vec![true; n];
     let target = d.labeling().mask("goal");
     let exact = dtmc::until_probabilities(
         &d,
@@ -213,19 +210,13 @@ fn forced_nonconvergence_fires_full_fallback_chain() {
     let (values, diag) =
         dtmc::until_probabilities_diag(&d, &phi, &target, &starved_options(), &Budget::unlimited())
             .unwrap();
-    assert_eq!(diag.fallbacks.len(), 2, "fallbacks: {:?}", diag.fallbacks);
-    assert!(diag.fallbacks[0].contains("jacobi"), "fallbacks: {:?}", diag.fallbacks);
-    assert!(diag.fallbacks[1].contains("direct"), "fallbacks: {:?}", diag.fallbacks);
+    assert_eq!(diag.fallbacks.len(), 1, "fallbacks: {:?}", diag.fallbacks);
+    assert!(diag.fallbacks[0].contains("direct"), "fallbacks: {:?}", diag.fallbacks);
+    assert_eq!(diag.telemetry.counter("checker.backend.scc.fail"), 1);
+    assert_eq!(diag.telemetry.counter("checker.backend.direct.ok"), 1);
     assert!(diag.degraded());
     assert_eq!(diag.exhausted, None, "stalling is not budget exhaustion");
-    for s in 0..24 {
-        assert!(
-            (values[s] - exact[s]).abs() < 1e-9,
-            "state {s}: fallback {} vs direct {}",
-            values[s],
-            exact[s]
-        );
-    }
+    assert_eq!(values, exact);
 }
 
 mod fallback_chain_properties {
@@ -256,9 +247,9 @@ mod fallback_chain_properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// On random systems the starved GS → Jacobi → direct chain must
-        /// agree with a pure direct solve to tight tolerance, whatever
-        /// subset of the chain actually fires.
+        /// On random systems the starved SCC → direct ladder must agree
+        /// with a pure direct solve to tight tolerance, whatever part of
+        /// the ladder actually fires.
         #[test]
         fn starved_chain_matches_pure_direct(
             seed in proptest::collection::vec(0.0_f64..1.0, 36),
@@ -441,49 +432,6 @@ mod degenerate_intervals {
             b.transition(1, 1, 1.0, 1.0).unwrap();
         });
         assert!(matches!(err, CheckError::InvalidInterval { state: 0, .. }), "{err}");
-    }
-
-    /// An open robust breaker under `Auto` reroutes interval-DTMC checks to
-    /// the nominal scalar checker (collapsed bracket, recorded fallback)
-    /// instead of failing or looping on the robust back-end.
-    #[test]
-    fn open_robust_breaker_reroutes_to_nominal_under_auto() {
-        use trusted_ml::models::IntervalDtmc;
-        use trusted_ml::runtime::SolverBreakers;
-
-        // Trip the robust breaker with three failed observations, exactly
-        // as the runtime would after three invalid-interval jobs.
-        let mut breakers = SolverBreakers::default();
-        let mut failing = trusted_ml::checker::Diagnostics::default();
-        failing.telemetry.incr("checker.backend.robust.fail", 1);
-        for _ in 0..3 {
-            breakers.observe(&failing);
-        }
-        let mut opts = CheckOptions::default();
-        assert!(opts.robust_vi_enabled);
-        breakers.adjust(&mut opts);
-        assert!(!opts.robust_vi_enabled, "open breaker must disable robust VI under Auto");
-
-        // The rerouted check still answers, with a collapsed bracket from
-        // the nominal chain and the degradation on record.
-        let mut b = DtmcBuilder::new(2);
-        b.transition(0, 1, 0.8).unwrap();
-        b.transition(0, 0, 0.2).unwrap();
-        b.transition(1, 1, 1.0).unwrap();
-        b.label(1, "goal").unwrap();
-        let ball = IntervalDtmc::wilson_around(&b.build().unwrap(), 0.95, 100.0).unwrap();
-        let phi = parse_formula("P>=0.5 [ F \"goal\" ]").unwrap();
-        let r = trusted_ml::checker::Checker::with_options(opts)
-            .check_interval_dtmc(&ball, &phi)
-            .unwrap();
-        assert!(r.holds());
-        let (lo, hi) = r.bracket_at_initial().unwrap();
-        assert_eq!(lo, hi, "nominal fallback collapses the bracket");
-        assert!(
-            r.diagnostics().fallbacks.iter().any(|f| f.contains("robust")),
-            "{:?}",
-            r.diagnostics().fallbacks
-        );
     }
 }
 
