@@ -6,14 +6,14 @@
 
 use tml_logic::{PathFormula, Query, RewardKind, StateFormula};
 use tml_models::{graph, Dtmc, RewardStructure};
-use tml_numerics::interval::{certified_upper_bound, interval_iteration_budgeted};
-use tml_numerics::iterative::{gauss_seidel_budgeted, IterOptions};
-use tml_numerics::scc::solve_scc_budgeted;
+use tml_numerics::interval::interval_iteration_budgeted;
+use tml_numerics::iterative::IterOptions;
 use tml_numerics::solve::solve_dense;
-use tml_numerics::{Budget, CsrMatrix, DenseMatrix, Diagnostics, NumericsError, Triplet};
+use tml_numerics::{Budget, CsrMatrix, DenseMatrix, Diagnostics, NumericsError};
 
+use crate::reach::ReachSystem;
 use crate::run::CheckRun;
-use crate::{lookup_rewards, CheckError, CheckOptions, CheckResult, LinearSolver};
+use crate::{lookup_rewards, CheckError, CheckOptions, CheckResult};
 
 /// Checks a state formula: a top-level `P`/`R` operator is solved once, and
 /// its verdict mask comes from the values the result reports.
@@ -226,7 +226,7 @@ pub fn until_probabilities(
 
 /// Budget-aware [`until_probabilities`]: stops at the budget (returning the
 /// best iterate found) and reports the [`Diagnostics`] of the solve —
-/// including any solver fallbacks taken under [`LinearSolver::Auto`].
+/// including any solver fallbacks taken under [`LinearSolver::Auto`](crate::LinearSolver::Auto).
 ///
 /// # Errors
 ///
@@ -244,63 +244,13 @@ pub fn until_probabilities_diag(
     Ok((x, run.finish()))
 }
 
-/// The maybe-state linear system of an unbounded-until query: prob0/prob1
-/// resolved values in `x`, plus `x_maybe = A·x_maybe + b` on the rest.
-struct UntilSystem {
-    /// Per-state values with prob0/prob1 states already final.
-    x: Vec<f64>,
-    /// The maybe states, in ascending state order.
-    maybe: Vec<usize>,
-    /// Right-hand side: one-step probability into prob1 states.
-    b: Vec<f64>,
-    /// Restriction of the transition matrix to the maybe states.
-    triplets: Vec<Triplet>,
-}
-
-fn build_until_system(model: &Dtmc, phi: &[bool], target: &[bool]) -> UntilSystem {
-    let n = model.num_states();
-    let (zero, one) = graph::prob01(model, phi, target);
-    let maybe: Vec<usize> = (0..n).filter(|&s| !zero[s] && !one[s]).collect();
-    let x: Vec<f64> = (0..n).map(|s| if one[s] { 1.0 } else { 0.0 }).collect();
-
-    let index: Vec<Option<usize>> = {
-        let mut idx = vec![None; n];
-        for (i, &s) in maybe.iter().enumerate() {
-            idx[s] = Some(i);
-        }
-        idx
-    };
-    let m = maybe.len();
-    // b_i = sum of probabilities into prob1 states; A = restriction to maybe.
-    let mut b = vec![0.0; m];
-    let mut triplets = Vec::with_capacity(model.num_transitions().min(4 * m));
-    for (i, &s) in maybe.iter().enumerate() {
-        for (t, p) in model.successors(s) {
-            if one[t] {
-                b[i] += p;
-            } else if let Some(j) = index[t] {
-                triplets.push(Triplet::new(i, j, p));
-            }
-        }
-    }
-    UntilSystem { x, maybe, b, triplets }
-}
-
 pub(crate) fn until_probabilities_run(
     model: &Dtmc,
     phi: &[bool],
     target: &[bool],
     run: &CheckRun<'_>,
 ) -> Result<Vec<f64>, CheckError> {
-    let UntilSystem { mut x, maybe, b, triplets } = build_until_system(model, phi, target);
-    if maybe.is_empty() {
-        return Ok(x);
-    }
-    let sol = solve_restricted(&triplets, &b, maybe.len(), run, SystemKind::Probability)?;
-    for (i, &s) in maybe.iter().enumerate() {
-        x[s] = sol[i].clamp(0.0, 1.0);
-    }
-    Ok(x)
+    ReachSystem::until(model, phi, target).solve(run)
 }
 
 /// `P(φ U ψ)` per state with **sound two-sided bounds**: the true
@@ -326,7 +276,8 @@ pub fn until_probabilities_bounds(
     budget: &Budget,
 ) -> Result<(Vec<f64>, Vec<f64>, Diagnostics), CheckError> {
     let run = CheckRun::new(opts, budget);
-    let UntilSystem { x, maybe, b, triplets } = build_until_system(model, phi, target);
+    let ReachSystem { x, maybe, class, b, triplets, .. } = ReachSystem::until(model, phi, target);
+    drop(class);
     let mut lo = x.clone();
     let mut hi = x;
     if maybe.is_empty() {
@@ -386,41 +337,7 @@ pub(crate) fn reach_rewards_run(
     target: &[bool],
     run: &CheckRun<'_>,
 ) -> Result<Vec<f64>, CheckError> {
-    let n = model.num_states();
-    let phi = vec![true; n];
-    let one = graph::prob1(model, &phi, target);
-    let maybe: Vec<usize> = (0..n).filter(|&s| one[s] && !target[s]).collect();
-
-    let mut x: Vec<f64> =
-        (0..n).map(|s| if target[s] || one[s] { 0.0 } else { f64::INFINITY }).collect();
-    if maybe.is_empty() {
-        return Ok(x);
-    }
-    let index: Vec<Option<usize>> = {
-        let mut idx = vec![None; n];
-        for (i, &s) in maybe.iter().enumerate() {
-            idx[s] = Some(i);
-        }
-        idx
-    };
-    let m = maybe.len();
-    let mut b = vec![0.0; m];
-    let mut triplets = Vec::with_capacity(model.num_transitions().min(4 * m));
-    for (i, &s) in maybe.iter().enumerate() {
-        b[i] = rewards.state_reward(s);
-        for (t, p) in model.successors(s) {
-            if let Some(j) = index[t] {
-                triplets.push(Triplet::new(i, j, p));
-            }
-            // Successors in `target` contribute 0; successors outside
-            // `one` are unreachable from a prob1 state.
-        }
-    }
-    let sol = solve_restricted(&triplets, &b, m, run, SystemKind::Reward)?;
-    for (i, &s) in maybe.iter().enumerate() {
-        x[s] = sol[i].max(0.0);
-    }
-    Ok(x)
+    ReachSystem::reward(model, rewards, target).solve(run)
 }
 
 /// Expected reward accumulated over the first `k` steps (`R[C<=k]`).
@@ -435,164 +352,6 @@ pub fn cumulative_rewards(model: &Dtmc, rewards: &RewardStructure, k: u64) -> Ve
         x = next;
     }
     x
-}
-
-/// Under [`LinearSolver::Auto`], a system whose SCC solve stalls is solved
-/// by dense elimination if it has at most this many states.
-const LAST_RESORT_DIRECT_LIMIT: usize = 2048;
-
-/// Which kind of fixed-point system is being solved; interval iteration
-/// needs to know how to seed a sound upper bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SystemKind {
-    /// Reachability probabilities: values live in `[0, 1]`.
-    Probability,
-    /// Expected rewards: unbounded above, the upper bound must be grown
-    /// and certified.
-    Reward,
-}
-
-/// Solves `x = A·x + b` on the maybe-state fragment, picking the solver per
-/// the options. This is the one place that decides what happens when a
-/// linear solve fails.
-///
-/// Under [`LinearSolver::Auto`], systems up to `direct_solver_limit` states
-/// are solved densely and larger ones SCC-first. If the SCC solve stalls,
-/// systems up to [`LAST_RESORT_DIRECT_LIMIT`] states are solved by dense
-/// Gaussian elimination; larger ones return the best iterate, with its
-/// residual and the fallback recorded in the run's diagnostics. Explicitly
-/// requested solvers ([`LinearSolver::GaussSeidel`], [`LinearSolver::Scc`],
-/// [`LinearSolver::Interval`]) keep the strict `NoConvergence` error
-/// contract. Budget exhaustion always yields the iterate (never an error),
-/// marked in the diagnostics.
-fn solve_restricted(
-    triplets: &[Triplet],
-    b: &[f64],
-    m: usize,
-    run: &CheckRun<'_>,
-    kind: SystemKind,
-) -> Result<Vec<f64>, CheckError> {
-    let opts = run.opts;
-    let _span = tml_telemetry::span!("checker.linear_solve", states = m);
-    if opts.use_direct(m) {
-        tml_telemetry::counter!("checker.solve.direct_solves", 1);
-        return solve_direct_dense(triplets, b, m, run);
-    }
-    let a = CsrMatrix::from_triplets(m, m, triplets)?;
-    let iter_opts = IterOptions { tolerance: opts.tolerance, max_iterations: opts.max_iterations };
-    let (it, backend) = match opts.solver {
-        LinearSolver::Interval => return solve_interval_strict(&a, b, run, iter_opts, kind),
-        LinearSolver::GaussSeidel => {
-            let zero = vec![0.0; m];
-            (
-                gauss_seidel_budgeted(&a, b, &zero, iter_opts, &run.remaining_budget())?,
-                "gauss-seidel",
-            )
-        }
-        // `Scc` and `Auto` (`Direct` never gets here): on layered state
-        // spaces the SCC solve replaces O(depth) monolithic sweeps with one
-        // back-substitution pass.
-        _ => (solve_scc_budgeted(&a, b, iter_opts, &run.remaining_budget())?.run, "scc"),
-    };
-    run.spend(it.iterations as u64);
-    if it.converged {
-        run.record_backend(backend, true);
-        return Ok(it.x);
-    }
-    if let Some(cause) = it.stopped {
-        // Budget exhaustion is the caller's cap, not a backend fault.
-        run.mark_exhausted(cause);
-        run.record_residual(it.delta);
-        return Ok(it.x);
-    }
-    run.record_backend(backend, false);
-    if opts.solver != LinearSolver::Auto {
-        return Err(
-            NumericsError::NoConvergence { iterations: it.iterations, residual: it.delta }.into()
-        );
-    }
-    if m <= LAST_RESORT_DIRECT_LIMIT {
-        run.record_fallback(format!(
-            "scc solve stalled (residual {:.3e}); solving directly (dense gaussian elimination)",
-            it.delta
-        ));
-        return solve_direct_dense(triplets, b, m, run);
-    }
-    run.record_fallback(format!(
-        "scc solve stalled on {m}-state system; accepting best iterate (residual {:.3e})",
-        it.delta
-    ));
-    run.record_residual(it.delta);
-    Ok(it.x)
-}
-
-/// Explicit [`LinearSolver::Interval`]: two-sided iteration whose midpoint
-/// is returned once the bracket is narrower than the tolerance.
-///
-/// Probability systems start from the bracket `[0, 1]`. Reward systems have
-/// no a-priori upper bound: a budgeted Gauss–Seidel approximation seeds a
-/// guess-and-verify certificate ([`certified_upper_bound`]) — if no
-/// certificate exists the backend fails strictly rather than reporting
-/// unsound bounds. A budget stop returns the midpoint of the (still sound,
-/// just wider) bracket.
-fn solve_interval_strict(
-    a: &CsrMatrix,
-    b: &[f64],
-    run: &CheckRun<'_>,
-    iter_opts: IterOptions,
-    kind: SystemKind,
-) -> Result<Vec<f64>, CheckError> {
-    let m = a.rows();
-    let hi0 = match kind {
-        SystemKind::Probability => vec![1.0; m],
-        SystemKind::Reward => {
-            let approx =
-                gauss_seidel_budgeted(a, b, &vec![0.0; m], iter_opts, &run.remaining_budget())?;
-            run.spend(approx.iterations as u64);
-            match certified_upper_bound(a, b, &approx.x) {
-                Some(hi) => hi,
-                None => {
-                    run.record_backend("interval", false);
-                    return Err(NumericsError::NoConvergence {
-                        iterations: approx.iterations,
-                        residual: approx.delta,
-                    }
-                    .into());
-                }
-            }
-        }
-    };
-    let iv =
-        interval_iteration_budgeted(a, b, &vec![0.0; m], &hi0, iter_opts, &run.remaining_budget())?;
-    run.spend(iv.iterations as u64);
-    if iv.converged {
-        run.record_backend("interval", true);
-        return Ok(iv.midpoint());
-    }
-    if let Some(cause) = iv.stopped {
-        run.mark_exhausted(cause);
-        run.record_residual(iv.width);
-        return Ok(iv.midpoint());
-    }
-    run.record_backend("interval", false);
-    Err(NumericsError::NoConvergence { iterations: iv.iterations, residual: iv.width }.into())
-}
-
-/// Solves `(I − A) x = b` densely and records the `direct` attempt.
-fn solve_direct_dense(
-    triplets: &[Triplet],
-    b: &[f64],
-    m: usize,
-    run: &CheckRun<'_>,
-) -> Result<Vec<f64>, CheckError> {
-    let mut a = DenseMatrix::<f64>::identity(m);
-    for t in triplets {
-        let cur = *a.get(t.row, t.col);
-        a.set(t.row, t.col, cur - t.value);
-    }
-    let sol = solve_dense(&a, b);
-    run.record_backend("direct", sol.is_ok());
-    Ok(sol?)
 }
 
 fn zip_masks(a: Vec<bool>, b: Vec<bool>, f: impl Fn(bool, bool) -> bool) -> Vec<bool> {

@@ -44,6 +44,7 @@ pub mod dtmc;
 mod error;
 pub mod mdp;
 mod options;
+pub mod reach;
 pub mod region;
 mod result;
 pub mod robust;

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tml_conformance::gen::ModelFamily;
-use tml_conformance::oracle::{Injection, Oracle, OracleOptions};
+use tml_conformance::oracle::{Disagreement, Injection, Oracle, OracleOptions};
 use tml_conformance::report;
 use tml_telemetry::sink::JsonlSink;
 use tml_telemetry::{summary, Subscriber};
@@ -25,8 +25,9 @@ const USAGE: &str = "usage: conformance [options]
 differentially tests the trusted-ml engines over seeded random models:
 dense vs Gauss-Seidel, SCC and interval solves, robust brackets vs the
 nominal chain and sampled members, compiled tapes vs interpreted
-rational functions vs instantiate-and-check, checker values vs Monte Carlo
-confidence intervals, and repaired models re-verified by simulation.
+rational functions vs instantiate-and-check, the compiled repair oracle vs
+instantiate-and-check, checker values vs Monte Carlo confidence
+intervals, and repaired models re-verified by simulation.
 Disagreeing models are shrunk to a minimal reproducer.
 
 options:
@@ -191,21 +192,13 @@ fn sweep(args: &Args) -> Result<u8, UsageError> {
             let family = d.family.map(|f| f.name()).unwrap_or("parametric");
             eprintln!("DISAGREEMENT [{}] family={family} seed={}", d.pair.name(), d.seed);
             eprintln!("  {}", d.detail);
+            let reproduce = reproduce_args(d).join(" ");
             match &d.shrunk {
                 Some(s) => eprintln!(
-                    "  shrunk to {} states / {} edges (delta {}); reproduce with \
-                     --seeds {}..{} --families {family}",
-                    s.num_states,
-                    s.num_edges,
-                    s.delta,
-                    d.seed,
-                    d.seed + 1
+                    "  shrunk to {} states / {} edges (delta {}); reproduce with {reproduce}",
+                    s.num_states, s.num_edges, s.delta,
                 ),
-                None => eprintln!(
-                    "  reproduce with --seeds {}..{} --families {family}",
-                    d.seed,
-                    d.seed + 1
-                ),
+                None => eprintln!("  reproduce with {reproduce}"),
             }
         }
         if let Some(out) = report_out.as_mut() {
@@ -229,6 +222,17 @@ fn sweep(args: &Args) -> Result<u8, UsageError> {
     Ok(if disagreements == 0 { 0 } else { 1 })
 }
 
+/// The arguments that rerun exactly the seed of a disagreement. Parametric
+/// pairs have no family and run on every seed whatever `--families` says,
+/// so their line names the seed alone.
+fn reproduce_args(d: &Disagreement) -> Vec<String> {
+    let mut args = vec!["--seeds".to_owned(), format!("{}..{}", d.seed, d.seed + 1)];
+    if let Some(family) = d.family {
+        args.extend(["--families".to_owned(), family.name().to_owned()]);
+    }
+    args
+}
+
 fn install_telemetry(args: &Args) -> Result<Option<Arc<Subscriber>>, UsageError> {
     if args.trace_json.is_none() && !args.metrics {
         return Ok(None);
@@ -246,4 +250,41 @@ fn install_telemetry(args: &Args) -> Result<Option<Arc<Subscriber>>, UsageError>
         return Err(UsageError("a telemetry subscriber is already installed".into()));
     }
     Ok(Some(sub))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tml_conformance::oracle::EnginePair;
+
+    fn disagreement(pair: EnginePair, family: Option<ModelFamily>, seed: u64) -> Disagreement {
+        Disagreement {
+            pair,
+            family,
+            seed,
+            num_states: 7,
+            lhs: 0.0,
+            rhs: 1.0,
+            delta: 1.0,
+            detail: String::new(),
+            shrunk: None,
+        }
+    }
+
+    #[test]
+    fn reproduce_lines_parse_back_to_the_disagreeing_seed() {
+        for d in [
+            disagreement(EnginePair::DenseVsGaussSeidel, Some(ModelFamily::NearSingular), 9),
+            disagreement(EnginePair::CompiledVsInstantiate, None, 41),
+        ] {
+            let printed = reproduce_args(&d).join(" ");
+            let raw: Vec<String> = printed.split_whitespace().map(str::to_owned).collect();
+            let args = parse_args(&raw).unwrap_or_else(|e| panic!("{printed:?}: {e:?}"));
+            assert_eq!(args.seeds, d.seed..d.seed + 1, "{printed}");
+            match d.family {
+                Some(family) => assert_eq!(args.families, vec![family], "{printed}"),
+                None => assert!(!args.families.is_empty(), "{printed}"),
+            }
+        }
+    }
 }

@@ -17,6 +17,7 @@
 //! | `interval-bound-contains-point` | interval bound over a parameter box | exact tape evaluation at points inside (must lie inside) |
 //! | `robust-contains-nominal` | robust VI bracket on the Wilson ball | dense LU on the nominal chain (must lie inside) |
 //! | `robust-vs-sampled` | robust VI bracket on the Wilson ball | dense LU on sampled members of the ball (must lie inside) |
+//! | `compiled-vs-instantiate` | the repair oracle's compiled reach system | instantiate + concrete checker (must be bitwise equal) |
 //!
 //! On disagreement the harness *shrinks* the model while the pair still
 //! disagrees — halving the state space (out-of-range transitions are
@@ -37,7 +38,9 @@ use tml_telemetry::{counter, span};
 use crate::gen::{self, ModelFamily, GOAL_LABEL};
 use crate::sim::{SimOptions, Simulator};
 use crate::stats::{hoeffding_half_width, Verdict};
-use tml_core::{ModelRepair, PerturbationTemplate, RepairOptions, RepairStatus, RepairStrategy};
+use tml_core::{
+    CompiledOracle, ModelRepair, PerturbationTemplate, RepairOptions, RepairStatus, RepairStrategy,
+};
 
 /// A deliberate fault for validating the harness end-to-end: one engine's
 /// output is biased, *conditioned on model size*, so a correct shrinker
@@ -117,6 +120,11 @@ pub enum EnginePair {
     /// Robust bracket vs sampled members: concrete chains drawn inside the
     /// uncertainty ball, solved exactly, must land inside the bracket.
     RobustVsSampled,
+    /// The repair oracle's compiled reach system vs instantiate-and-check,
+    /// on a random cancelling affine template at points inside its box
+    /// and on its faces: the values must be bitwise equal (`NaN` where the
+    /// candidate cannot be instantiated).
+    CompiledVsInstantiate,
 }
 
 impl EnginePair {
@@ -134,6 +142,7 @@ impl EnginePair {
             EnginePair::IntervalBoundContainsPoint,
             EnginePair::RobustContainsNominal,
             EnginePair::RobustVsSampled,
+            EnginePair::CompiledVsInstantiate,
         ]
     }
 
@@ -151,6 +160,7 @@ impl EnginePair {
             EnginePair::IntervalBoundContainsPoint => "interval-bound-contains-point",
             EnginePair::RobustContainsNominal => "robust-contains-nominal",
             EnginePair::RobustVsSampled => "robust-vs-sampled",
+            EnginePair::CompiledVsInstantiate => "compiled-vs-instantiate",
         }
     }
 
@@ -269,6 +279,9 @@ impl Oracle {
             self.run_pair_on_model(EnginePair::RobustVsSampled, family, seed, &model, &mut out);
         }
         self.run_parametric_pairs(seed, &mut out);
+        let n = 7 + (seed as usize % 5) * 3;
+        let (eval, _) = compiled_vs_instantiate(seed, n);
+        self.record_parametric(EnginePair::CompiledVsInstantiate, seed, n, eval, &mut out);
         counter!("oracle.diff.seeds", 1);
         out
     }
@@ -669,13 +682,7 @@ impl Oracle {
         // `--inject` the bound is deliberately narrowed by the bias, which
         // the containment check must catch.
         let mut worst: PairEval = None;
-        // Splitmix-style generator: deterministic per seed, independent of
-        // the model-generation stream.
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x1BAD_B002;
-        let mut frac = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut frac = unit_stream(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x1BAD_B002);
         const SLACK: f64 = 1e-9;
         'boxes: for round in 0..3 {
             // Round 0 uses a degenerate (point) box: its bound collapses to
@@ -775,6 +782,134 @@ impl Oracle {
         checker_dtmc::until_probabilities(d, phi, target, &direct)
             .ok()
             .map(|v| v[d.initial_state()])
+    }
+}
+
+/// The repair oracle compiled once per template vs instantiate-and-check
+/// at every candidate point, for the three compiled property shapes, under
+/// the direct solver and under the SCC-first ladder. Also returns how many
+/// values the compiled oracles answered and how many they deferred.
+fn compiled_vs_instantiate(seed: u64, n: usize) -> (PairEval, (u64, u64)) {
+    const FAILED: PairEval = Some((f64::NAN, f64::NAN, f64::INFINITY));
+    let (chain, template) = repair_instance(seed, n);
+    let Ok(pdtmc) = template.apply(&chain) else { return (FAILED, (0, 0)) };
+    let points = box_points(seed, &template.bounds());
+    let scc = CheckOptions { direct_solver_limit: 0, ..CheckOptions::default() };
+    let mut counts = (0, 0);
+    for phi in [
+        "P>=0.5 [ F \"goal\" ]",
+        "P>=0.5 [ \"safe\" U \"goal\" ]",
+        "R{\"cost\"}<=10 [ F \"goal\" ]",
+    ] {
+        let phi = tml_logic::parse_formula(phi).expect("fixed formula");
+        for opts in [CheckOptions::default(), scc] {
+            let Some(oracle) =
+                CompiledOracle::compile(&chain, &pdtmc, &phi, opts, Budget::unlimited())
+            else {
+                return (FAILED, counts);
+            };
+            let checker = Checker::with_options(opts);
+            for point in &points {
+                let compiled = oracle.value(point);
+                let checked = pdtmc
+                    .instantiate(point)
+                    .ok()
+                    .and_then(|m| checker.check_dtmc(&m, &phi).ok())
+                    .and_then(|r| r.value_at_initial())
+                    .unwrap_or(f64::NAN);
+                if compiled.to_bits() != checked.to_bits()
+                    && !(compiled.is_nan() && checked.is_nan())
+                {
+                    let delta = (compiled - checked).abs();
+                    let delta = if delta.is_nan() { f64::INFINITY } else { delta };
+                    return (Some((compiled, checked, delta)), counts);
+                }
+            }
+            let (c, d) = oracle.counts();
+            counts = (counts.0 + c, counts.1 + d);
+        }
+    }
+    (None, counts)
+}
+
+/// A chain and a random cancelling affine template for
+/// `compiled-vs-instantiate`: a random chain with a `"safe"` label on most
+/// states and a `"cost"` reward; each perturbed row moves mass between two
+/// of its successors along one of up to three parameters. A parameter's
+/// box half-width is 0.5, 1 or 1.5 times the step at which its first
+/// entry reaches zero, so some faces leave the support (deferred points).
+fn repair_instance(seed: u64, n: usize) -> (Dtmc, PerturbationTemplate) {
+    let base = gen::random_dtmc(seed ^ 0x0C0D_E5E7, n);
+    let mut frac = unit_stream(seed.wrapping_mul(0xD1B5_4A32_D192_ED03) ^ 0x5EED_0FF5);
+    let mut b = DtmcBuilder::new(n);
+    for s in 0..n {
+        for (t, p) in base.successors(s) {
+            b.transition(s, t, p).expect("copied row");
+        }
+        if s == n - 1 {
+            b.label(s, GOAL_LABEL).expect("state in range");
+        } else if frac() < 0.8 {
+            b.label(s, "safe").expect("state in range");
+        }
+        b.state_reward("cost", s, 1.0 + (s % 3) as f64).expect("finite reward");
+    }
+    let chain = b.build().expect("copied rows stay stochastic");
+    let nparams = 1 + (seed as usize % 3);
+    let mut template = PerturbationTemplate::new();
+    let mut limits = vec![f64::INFINITY; nparams];
+    let mut nudges = Vec::new();
+    for s in 0..n {
+        let row: Vec<(usize, f64)> = chain.successors(s).collect();
+        if row.len() < 2 || frac() < 0.3 {
+            continue;
+        }
+        let i = (frac() * nparams as f64) as usize % nparams;
+        let c = if frac() < 0.5 { -1.0 } else { 1.0 } * (0.2 + 0.8 * frac());
+        let (up, down) = (row[0], row[1]);
+        // The step |v| at which either entry reaches zero.
+        limits[i] = limits[i].min(up.1 / c.abs()).min(down.1 / c.abs());
+        nudges.push((s, up.0, down.0, i, c));
+    }
+    for (i, limit) in limits.iter().enumerate() {
+        let half = if limit.is_finite() {
+            limit * [0.5, 1.0, 1.5][(frac() * 3.0) as usize % 3]
+        } else {
+            0.1
+        };
+        template.parameter(&format!("v{i}"), -half, half);
+    }
+    for (s, up, down, i, c) in nudges {
+        template.nudge(s, up, i, c).expect("declared parameter");
+        template.nudge(s, down, i, -c).expect("declared parameter");
+    }
+    (chain, template)
+}
+
+/// Candidate points for `compiled-vs-instantiate`: three inside the box,
+/// then for every parameter a point on each of its two faces, plus both
+/// corners.
+fn box_points(seed: u64, bounds: &[(f64, f64)]) -> Vec<Vec<f64>> {
+    let mut frac = unit_stream(seed ^ 0xB0C5_0000_0000_0001);
+    let mut inside = || -> Vec<f64> { bounds.iter().map(|&(l, h)| l + frac() * (h - l)).collect() };
+    let mut points: Vec<Vec<f64>> = (0..3).map(|_| inside()).collect();
+    for (i, &(lo, hi)) in bounds.iter().enumerate() {
+        for face in [lo, hi] {
+            let mut p = inside();
+            p[i] = face;
+            points.push(p);
+        }
+    }
+    points.push(bounds.iter().map(|&(l, _)| l).collect());
+    points.push(bounds.iter().map(|&(_, h)| h).collect());
+    points
+}
+
+/// A deterministic stream of fractions in `[0, 1)` from `state` (an LCG's
+/// top 53 bits), independent of the model-generation streams.
+fn unit_stream(mut state: u64) -> impl FnMut() -> f64 {
+    move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -951,6 +1086,22 @@ mod tests {
         // Every family ran the eight model pairs, plus the three parametric
         // pairs.
         assert!(out.checks.len() >= ModelFamily::all().len() * 8);
+    }
+
+    #[test]
+    fn compiled_oracle_agrees_bitwise_and_defers_on_faces() {
+        let (mut compiled, mut deferred) = (0, 0);
+        for seed in 0..16 {
+            let (eval, (c, d)) = compiled_vs_instantiate(seed, 7 + (seed as usize % 5) * 3);
+            assert_eq!(eval, None, "seed {seed}");
+            compiled += c;
+            deferred += d;
+        }
+        // Most points keep the support; faces (and, in the 1.5x boxes, some
+        // interior points) leave it and must have taken the instantiate
+        // path.
+        assert!(compiled > deferred, "{compiled} compiled, {deferred} deferred");
+        assert!(deferred > 0, "no face left the support");
     }
 
     #[test]

@@ -60,6 +60,7 @@ mod constraint;
 mod data_repair;
 mod error;
 mod model_repair;
+mod oracle;
 pub mod pipeline;
 mod reward_repair;
 mod template;
@@ -69,6 +70,7 @@ pub use constraint::propositional_mask;
 pub use data_repair::{DataRepair, DataRepairOutcome, ModelSpec};
 pub use error::RepairError;
 pub use model_repair::{MdpPerturbationTemplate, ModelRepair, ModelRepairOutcome, RepairStatus};
+pub use oracle::CompiledOracle;
 pub use reward_repair::{
     enumerate_trajectories, project_distribution, sample_trajectories, trajectory_log_weight,
     MdpTraceView, QConstraint, QConstraintOutcome, RewardRepair, RewardRepairOutcome, WeightedRule,

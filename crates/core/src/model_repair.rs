@@ -1,6 +1,8 @@
 //! Model Repair (Definition 1): perturb transition probabilities so the
 //! model satisfies `φ`, minimizing the Frobenius cost `‖Z‖²_F`.
 
+use std::sync::Arc;
+
 use tml_checker::Checker;
 use tml_logic::StateFormula;
 use tml_models::{Dtmc, IntervalDtmc, Mdp};
@@ -10,9 +12,10 @@ use tml_parametric::{
     BoundSense, CompiledConstraintSet, LiftingOutcome, OptimalityCertificate, Polynomial,
     RationalFunction, RegionProblem, RegionRow, RegionSolver,
 };
-use tml_telemetry::span;
+use tml_telemetry::{counter, span};
 
 use crate::constraint::compile_constraint;
+use crate::oracle::{instantiate_value, CompiledOracle};
 use crate::{
     LinearExpr, PerturbationTemplate, RepairError, RepairOptions, RepairStrategy, RobustSpec,
 };
@@ -80,10 +83,16 @@ pub struct ModelRepairOutcome<M = Dtmc> {
 ///   function by parametric model checking (Proposition 2) and evaluated
 ///   in microseconds per optimizer step;
 /// * **oracle** — when the property shape is outside the symbolic fragment
-///   (bounded operators, nested `P`), each optimizer step instantiates the
-///   candidate model and runs the full checker. Slower but fully general;
-///   this is also the only back-end for MDP repair, where symbolic min/max
-///   elimination is not implemented.
+///   (bounded operators, nested `P`) or its rational function is too large
+///   to evaluate in `f64`, each optimizer step asks an oracle for the
+///   property's value at the candidate point. For unbounded `P[φ U ψ]`,
+///   `P[F ψ]` and `R[F ψ]` with propositional operands the oracle is a
+///   [`CompiledOracle`]: the maybe-state system is built once per repair
+///   and each step only refills and solves it, bitwise equal to checking
+///   the instantiated candidate. Any other property, a candidate that
+///   would change the support, robust repair and MDP repair (where
+///   symbolic min/max elimination is not implemented) instantiate the
+///   candidate model and run the full checker.
 #[derive(Debug, Clone, Default)]
 pub struct ModelRepair {
     opts: RepairOptions,
@@ -187,11 +196,13 @@ impl ModelRepair {
         // evaluated (state elimination without exact arithmetic leaves
         // uncancelled common factors that cause catastrophic cancellation
         // — PARAM avoids this with exact rationals), so beyond a small
-        // complexity threshold the exact instantiate-and-check oracle is
-        // used instead. The symbolic path is cross-validated to machine
-        // precision below the threshold.
+        // complexity threshold the exact oracle (compiled once per repair,
+        // bitwise equal to instantiate-and-check) is used instead. The
+        // symbolic path is cross-validated to machine precision below the
+        // threshold.
         const MAX_SYMBOLIC_DEGREE: u32 = 16;
         let mut lifted: Option<LiftingOutcome> = None;
+        let mut compiled_oracle: Option<Arc<CompiledOracle>> = None;
         // Robust repair constrains the *worst-case* value over the
         // uncertainty ball, which the symbolic rational function (a nominal
         // value) cannot express — the oracle path is mandatory.
@@ -232,9 +243,17 @@ impl ModelRepair {
                             Err(_) => f64::NAN,
                         }
                     });
+                } else if let Some(oracle) =
+                    CompiledOracle::compile(base, &pd, &phi, check_opts, inner.clone())
+                {
+                    let oracle = Arc::new(oracle);
+                    compiled_oracle = Some(oracle.clone());
+                    nlp.constraint_with_margin("property", sense_of(op), bound, margin, move |v| {
+                        oracle.value(v)
+                    });
                 } else {
                     nlp.constraint_with_margin("property", sense_of(op), bound, margin, move |v| {
-                        oracle_value_dtmc(&pd, &phi, v, &check_opts, &inner)
+                        instantiate_value(&pd, &phi, v, &check_opts, &inner)
                     });
                 }
                 if let Some(sc) = &compiled {
@@ -310,6 +329,13 @@ impl ModelRepair {
             solver.solve(&nlp)?
         };
         absorb_solution(&mut diag, &sol);
+        if let Some(oracle) = &compiled_oracle {
+            let (compiled, deferred) = oracle.counts();
+            counter!("model_repair.oracle.compiled", compiled);
+            counter!("model_repair.oracle.deferred", deferred);
+            diag.telemetry.incr("model_repair.oracle.compiled", compiled);
+            diag.telemetry.incr("model_repair.oracle.deferred", deferred);
+        }
         if !sol.feasible {
             return Ok(ModelRepairOutcome {
                 status: infeasible_status(&sol),
@@ -839,24 +865,6 @@ pub(crate) fn robust_value_dtmc(
         .and_then(|r| r.bracket_at_initial())
         .map(|(lo, hi)| if op.is_lower_bound() { lo } else { hi })
         .unwrap_or(f64::NAN)
-}
-
-fn oracle_value_dtmc(
-    pdtmc: &tml_parametric::ParametricDtmc,
-    formula: &StateFormula,
-    v: &[f64],
-    check_opts: &tml_checker::CheckOptions,
-    budget: &Budget,
-) -> f64 {
-    match pdtmc.instantiate(v) {
-        Ok(m) => Checker::with_options(*check_opts)
-            .with_budget(budget.clone())
-            .check_dtmc(&m, formula)
-            .ok()
-            .and_then(|r| r.value_at_initial())
-            .unwrap_or(f64::NAN),
-        Err(_) => f64::NAN,
-    }
 }
 
 /// Folds an optimizer solution's spend and stop cause into the diagnostics.

@@ -46,65 +46,95 @@ pub fn solve_dense<T: Field>(a: &DenseMatrix<T>, b: &[T]) -> Result<Vec<T>, Nume
         });
     }
 
-    // Augmented working copy.
-    let mut m: Vec<Vec<T>> = (0..n).map(|r| a.row(r).to_vec()).collect();
+    // Row-major working copies.
+    let mut m: Vec<T> = (0..n).flat_map(|r| a.row(r).iter().cloned()).collect();
     let mut rhs: Vec<T> = b.to_vec();
+    let mut x = vec![T::zero(); n];
+    solve_dense_in_place(&mut m, &mut rhs, &mut x)?;
+    Ok(x)
+}
+
+/// [`solve_dense`] without allocating: `a` is the row-major `n × n` matrix
+/// and `b` the right-hand side (both overwritten by the elimination), `x`
+/// receives the solution, with `n = b.len()`.
+///
+/// # Errors
+///
+/// * [`NumericsError::ShapeMismatch`] if `a` is not `n × n` or `x` is not
+///   of length `n`.
+/// * [`NumericsError::SingularMatrix`] if no non-zero pivot can be found in
+///   some column.
+pub fn solve_dense_in_place<T: Field>(
+    a: &mut [T],
+    b: &mut [T],
+    x: &mut [T],
+) -> Result<(), NumericsError> {
+    let n = b.len();
+    if a.len() != n * n || x.len() != n {
+        return Err(NumericsError::ShapeMismatch {
+            detail: format!(
+                "solve_dense_in_place: {} matrix entries and {} unknowns for {n} equations",
+                a.len(),
+                x.len()
+            ),
+        });
+    }
 
     for col in 0..n {
         // Partial pivoting by weight.
         let mut best = col;
-        let mut best_w = m[col][col].pivot_weight();
-        for (r, row) in m.iter().enumerate().skip(col + 1) {
-            let w = row[col].pivot_weight();
+        let mut best_w = a[col * n + col].pivot_weight();
+        for r in (col + 1)..n {
+            let w = a[r * n + col].pivot_weight();
             if w > best_w {
                 best = r;
                 best_w = w;
             }
         }
-        if best_w == 0.0 || m[best][col].is_zero() {
+        if best_w == 0.0 || a[best * n + col].is_zero() {
             return Err(NumericsError::SingularMatrix { at: col });
         }
-        m.swap(col, best);
-        rhs.swap(col, best);
+        if best != col {
+            for c in 0..n {
+                a.swap(col * n + c, best * n + c);
+            }
+            b.swap(col, best);
+        }
 
-        let pivot = m[col][col].clone();
+        let pivot = a[col * n + col].clone();
         for r in (col + 1)..n {
-            if m[r][col].is_zero() {
+            if a[r * n + col].is_zero() {
                 continue;
             }
-            let factor = m[r][col].div(&pivot);
-            // Rows `col` and `r` of `m` are read and written together, so an
-            // iterator form would need split borrows.
-            #[allow(clippy::needless_range_loop)]
-            for c in col..n {
-                if m[col][c].is_zero() {
+            let factor = a[r * n + col].div(&pivot);
+            for c in (col + 1)..n {
+                if a[col * n + c].is_zero() {
                     continue;
                 }
-                let delta = factor.mul(&m[col][c]);
-                m[r][c] = m[r][c].sub(&delta);
+                let delta = factor.mul(&a[col * n + c]);
+                a[r * n + c] = a[r * n + c].sub(&delta);
             }
             // Exact zero below the pivot by construction.
-            m[r][col] = T::zero();
-            if !rhs[col].is_zero() {
-                let delta = factor.mul(&rhs[col]);
-                rhs[r] = rhs[r].sub(&delta);
+            a[r * n + col] = T::zero();
+            if !b[col].is_zero() {
+                let delta = factor.mul(&b[col]);
+                b[r] = b[r].sub(&delta);
             }
         }
     }
 
     // Back-substitution.
-    let mut x = vec![T::zero(); n];
     for col in (0..n).rev() {
-        let mut acc = rhs[col].clone();
+        let mut acc = b[col].clone();
         for c in (col + 1)..n {
-            if m[col][c].is_zero() || x[c].is_zero() {
+            if a[col * n + c].is_zero() || x[c].is_zero() {
                 continue;
             }
-            acc = acc.sub(&m[col][c].mul(&x[c]));
+            acc = acc.sub(&a[col * n + c].mul(&x[c]));
         }
-        x[col] = acc.div(&m[col][col]);
+        x[col] = acc.div(&a[col * n + col]);
     }
-    Ok(x)
+    Ok(())
 }
 
 /// Computes the residual `‖A·x − b‖∞` of a candidate `f64` solution.

@@ -81,6 +81,16 @@ impl ParametricDtmc {
         &self.labeling
     }
 
+    /// The symbolic transitions of `state` as `(successor, probability)`
+    /// pairs, in increasing successor order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is out of range.
+    pub fn successors(&self, state: usize) -> impl Iterator<Item = (usize, &RationalFunction)> {
+        self.transitions[state].iter().map(|(t, rf)| (*t, rf))
+    }
+
     /// The symbolic transition probability `from → to` (zero if absent).
     pub fn probability(&self, from: usize, to: usize) -> RationalFunction {
         self.transitions

@@ -135,6 +135,41 @@ fn wsn_repair_trace_phases_sum_to_the_parent_span() {
     assert!(violations.is_empty(), "metric naming convention violated: {violations:#?}");
 }
 
+/// The WSN property's rational function is too large for the symbolic
+/// path, so every optimizer merit asks the compiled oracle: it opens no
+/// span and counts nothing per call, and records its two counters once per
+/// repair.
+#[test]
+fn wsn_repair_oracle_is_traced_once_per_repair() {
+    let _lock = trusted_ml::telemetry::TEST_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
+    let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    let sink = JsonlSink::new(buf.clone(), "telemetry-integration-test").expect("meta line");
+    let sub = Arc::new(Subscriber::builder().sink(Arc::new(sink)).build());
+    assert!(trusted_ml::telemetry::install_global(sub.clone()), "telemetry slot free");
+    let config = WsnConfig::default();
+    let outcome = ModelRepair::new()
+        .repair_dtmc(
+            &build_dtmc(&config).expect("wsn chain"),
+            &attempts_property(40.0),
+            &repair_template(&config).expect("wsn template"),
+        )
+        .expect("repair run");
+    trusted_ml::telemetry::uninstall_global();
+    assert!(outcome.verified, "the x=40 WSN repair verifies");
+
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).expect("utf-8 trace");
+    let spans = text.lines().filter(|l| l.contains("\"type\":\"span_start\"")).count();
+    assert!(spans < 500, "{spans} spans for one repair");
+
+    let compiled = outcome.diagnostics.telemetry.counter("model_repair.oracle.compiled");
+    let deferred = outcome.diagnostics.telemetry.counter("model_repair.oracle.deferred");
+    assert!(compiled > 1_000, "the compiled oracle answered {compiled} calls");
+    assert!(deferred < compiled, "{deferred} deferred of {compiled}");
+    let snapshot = sub.metrics_snapshot();
+    assert_eq!(snapshot.counter("model_repair.oracle.compiled"), compiled);
+    assert_eq!(snapshot.counter("model_repair.oracle.deferred"), deferred);
+}
+
 // ---------------------------------------------------------------------
 // Span-tree reconstruction property test.
 //
