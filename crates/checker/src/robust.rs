@@ -29,6 +29,8 @@
 //! fixed point as a synchronous (Jacobi) sweep, so the brackets converge
 //! to the values of whole-model iteration at a fraction of the backups.
 //! A fixed block order and in-block order keep them bitwise repeatable.
+//! Iteration from below only approaches 1, so an unbounded until first
+//! fixes each side's qualitative Prob1 states at exactly 1 (see `prob1`).
 //! Step-bounded operators (`U<=k`, `C<=k`) keep synchronous sweeps, which
 //! their exact k-step semantics needs.
 //!
@@ -330,13 +332,16 @@ trait RobustModel {
         extra: &impl Fn(usize, usize) -> f64,
     ) -> f64;
     fn reward_structure(&self, name: Option<&str>) -> Result<&RewardStructure, CheckError>;
+    /// The transition rows of `state`: one for a DTMC, one per choice of
+    /// an MDP.
+    fn rows(&self, state: usize) -> impl Iterator<Item = &[IntervalTransition]>;
     /// Appends the support successors of `state`: targets some member can
     /// reach in one step (`hi > 0` in any choice). May repeat targets.
-    fn support(&self, state: usize, out: &mut Vec<usize>);
-}
-
-fn row_support(row: &[IntervalTransition], out: &mut Vec<usize>) {
-    out.extend(row.iter().filter(|&&(_, _, hi)| hi > 0.0).map(|&(t, _, _)| t));
+    fn support(&self, state: usize, out: &mut Vec<usize>) {
+        for row in self.rows(state) {
+            out.extend(row.iter().filter(|&&(_, _, hi)| hi > 0.0).map(|&(t, _, _)| t));
+        }
+    }
 }
 
 impl RobustModel for IntervalDtmc {
@@ -362,8 +367,8 @@ impl RobustModel for IntervalDtmc {
     fn reward_structure(&self, name: Option<&str>) -> Result<&RewardStructure, CheckError> {
         lookup_rewards(name, |n| self.reward_structure(n).ok(), self.default_reward_structure())
     }
-    fn support(&self, state: usize, out: &mut Vec<usize>) {
-        row_support(self.row(state), out);
+    fn rows(&self, state: usize) -> impl Iterator<Item = &[IntervalTransition]> {
+        std::iter::once(self.row(state))
     }
 }
 
@@ -399,10 +404,8 @@ impl RobustModel for IntervalMdp {
     fn reward_structure(&self, name: Option<&str>) -> Result<&RewardStructure, CheckError> {
         lookup_rewards(name, |n| self.reward_structure(n).ok(), self.default_reward_structure())
     }
-    fn support(&self, state: usize, out: &mut Vec<usize>) {
-        for choice in self.choices(state) {
-            row_support(&choice.transitions, out);
-        }
+    fn rows(&self, state: usize) -> impl Iterator<Item = &[IntervalTransition]> {
+        self.choices(state).iter().map(|c| c.transitions.as_slice())
     }
 }
 
@@ -624,25 +627,29 @@ fn robust_vi_blocks(
     x
 }
 
-/// One side of the robust `P(φ U ψ)`, with `frozen = ψ ∨ ¬φ`.
+/// One side of the robust `P(φ U ψ)`: states in `one` start at 1, the
+/// rest at 0, and `frozen` states (`ψ ∨ ¬φ`, and any state fixed at 1)
+/// keep their start value.
 fn robust_until<M: RobustModel>(
     model: &M,
-    target: &[bool],
+    one: &[bool],
     frozen: &[bool],
     horizon: &Horizon<'_>,
     run: &CheckRun<'_>,
     maximize: bool,
     minimize_outer: bool,
 ) -> Vec<f64> {
-    let x: Vec<f64> = target.iter().map(|&t| if t { 1.0 } else { 0.0 }).collect();
+    let x: Vec<f64> = one.iter().map(|&t| if t { 1.0 } else { 0.0 }).collect();
     let zero = |_: usize, _: usize| 0.0;
     robust_vi(run, x, frozen, horizon, |s, vals| {
         model.backup(s, vals, maximize, minimize_outer, &zero).clamp(0.0, 1.0)
     })
 }
 
-/// The `(pessimistic, optimistic)` pair of `P(φ U ψ)`. Both sides share
-/// one frozen mask and, when unbounded, one condensation.
+/// The `(pessimistic, optimistic)` pair of `P(φ U ψ)`. Both sides start
+/// from the frozen mask `ψ ∨ ¬φ` and, when unbounded, share one
+/// condensation of it; an unbounded side also fixes its [`prob1`] states
+/// at exactly 1, which value iteration from below only approaches.
 fn until_bracket<M: RobustModel>(
     model: &M,
     phi: &[bool],
@@ -651,18 +658,156 @@ fn until_bracket<M: RobustModel>(
     run: &CheckRun<'_>,
 ) -> (Vec<f64>, Vec<f64>) {
     let frozen: Vec<bool> = target.iter().zip(phi).map(|(&t, &p)| t || !p).collect();
-    let blocks;
-    let horizon = match bound {
-        Some(k) => Horizon::Steps(k),
-        None => {
-            blocks = SupportBlocks::new(model, &frozen);
-            Horizon::Unbounded(&blocks)
+    if let Some(k) = bound {
+        let horizon = Horizon::Steps(k);
+        return (
+            robust_until(model, target, &frozen, &horizon, run, false, true),
+            robust_until(model, target, &frozen, &horizon, run, true, false),
+        );
+    }
+    let blocks = SupportBlocks::new(model, &frozen);
+    let horizon = Horizon::Unbounded(&blocks);
+    let side = |optimistic: bool| {
+        let one = prob1(model, phi, target, optimistic);
+        let frozen: Vec<bool> = frozen.iter().zip(&one).map(|(&f, &o)| f || o).collect();
+        robust_until(model, &one, &frozen, &horizon, run, optimistic, !optimistic)
+    };
+    (side(false), side(true))
+}
+
+/// The states whose robust `P(φ U ψ)` is exactly 1 on one side: for some
+/// member and scheduler when `optimistic`, else for every member and
+/// scheduler.
+///
+/// This is the nested fixed point of MDP analysis,
+/// `νZ. μY. ψ ∨ (φ ∧ Q row. stays(row, Z) ∧ enters(row, Y))`, with the
+/// scheduler's quantifier `Q` over a state's rows (∃ when optimistic, ∀
+/// otherwise) and nature's supports read off the intervals. A transition
+/// with `lo > 0` is a *must*-edge that every member takes. One with
+/// `hi > 0` is a *may*-edge, which some member takes when the lower
+/// bounds leave mass to spare ([`usable`]). On the optimistic side some
+/// member of the row keeps all of its mass in `Z` and steps into `Y`; on
+/// the pessimistic side every member does.
+///
+/// States that can no longer stay in `Z` leave it at once, and their
+/// predecessors are rechecked, so the outer loop ends after a few rounds
+/// instead of one round per step of the longest path out of `Z`.
+fn prob1<M: RobustModel>(model: &M, phi: &[bool], target: &[bool], optimistic: bool) -> Vec<bool> {
+    let n = model.num_states();
+    let preds = SupportPreds::new(model, |s| phi[s] && !target[s]);
+    let quantify = |s: usize, ok: &dyn Fn(&[IntervalTransition]) -> bool| {
+        let mut rows = model.rows(s);
+        if optimistic {
+            rows.any(ok)
+        } else {
+            rows.all(ok)
         }
     };
-    (
-        robust_until(model, target, &frozen, &horizon, run, false, true),
-        robust_until(model, target, &frozen, &horizon, run, true, false),
-    )
+    let stays = |row: &[IntervalTransition], z: &[bool]| {
+        if optimistic {
+            can_stay_in(row, |t| z[t])
+        } else {
+            usable(row).all(|t| z[t])
+        }
+    };
+    let enters = |row: &[IntervalTransition], y: &[bool]| {
+        if optimistic {
+            usable(row).any(|t| y[t])
+        } else {
+            !can_stay_in(row, |t| !y[t])
+        }
+    };
+    let mut z: Vec<bool> = phi.iter().zip(target).map(|(&p, &t)| p || t).collect();
+    let mut left: Vec<usize> = (0..n).filter(|&s| !z[s]).collect();
+    loop {
+        while let Some(t) = left.pop() {
+            for &s in preds.of(t) {
+                if z[s] && !quantify(s, &|row| stays(row, &z)) {
+                    z[s] = false;
+                    left.push(s);
+                }
+            }
+        }
+        // A state's rows only change verdict when a successor joins `y`.
+        let mut y = target.to_vec();
+        let mut stack: Vec<usize> = (0..n).filter(|&s| target[s]).collect();
+        while let Some(t) = stack.pop() {
+            for &s in preds.of(t) {
+                if !y[s] && z[s] && quantify(s, &|row| stays(row, &z) && enters(row, &y)) {
+                    y[s] = true;
+                    stack.push(s);
+                }
+            }
+        }
+        left = (0..n).filter(|&s| z[s] && !y[s]).collect();
+        if left.is_empty() {
+            return z;
+        }
+        for &s in &left {
+            z[s] = false;
+        }
+    }
+}
+
+/// The targets some member of the row's polytope steps to with positive
+/// probability: every must-edge, and every may-edge when the lower bounds
+/// sum to less than one.
+fn usable(row: &[IntervalTransition]) -> impl Iterator<Item = usize> + '_ {
+    let spare = row.iter().map(|&(_, lo, _)| lo).sum::<f64>() < 1.0;
+    row.iter().filter(move |&&(_, lo, hi)| lo > 0.0 || (spare && hi > 0.0)).map(|&(t, _, _)| t)
+}
+
+/// Whether some member of the row's polytope puts all of its mass on
+/// states `inside`: no must-edge leaves, and the upper bounds inside can
+/// carry the whole mass (to the tolerance the row was validated with).
+fn can_stay_in(row: &[IntervalTransition], inside: impl Fn(usize) -> bool) -> bool {
+    let mut carry = 0.0;
+    for &(t, lo, hi) in row {
+        if inside(t) {
+            carry += hi;
+        } else if lo > 0.0 {
+            return false;
+        }
+    }
+    carry >= 1.0 - tml_models::STOCHASTIC_TOLERANCE
+}
+
+/// Predecessors along the support graph's edges, in one flat array: `of(t)`
+/// lists every `s` with `source(s)` and an edge `s → t` (`hi > 0`).
+struct SupportPreds {
+    starts: Vec<usize>,
+    sources: Vec<usize>,
+}
+
+impl SupportPreds {
+    fn new<M: RobustModel>(model: &M, source: impl Fn(usize) -> bool) -> Self {
+        let n = model.num_states();
+        let mut edges = Vec::new();
+        let mut targets = Vec::new();
+        for s in (0..n).filter(|&s| source(s)) {
+            targets.clear();
+            model.support(s, &mut targets);
+            edges.extend(targets.iter().map(|&t| (t, s)));
+        }
+        let mut starts = vec![0usize; n + 1];
+        for &(t, _) in &edges {
+            starts[t + 1] += 1;
+        }
+        for t in 0..n {
+            starts[t + 1] += starts[t];
+        }
+        let mut cursor = starts.clone();
+        let mut sources = vec![0usize; edges.len()];
+        for &(t, s) in &edges {
+            sources[cursor[t]] = s;
+            cursor[t] += 1;
+        }
+        SupportPreds { starts, sources }
+    }
+
+    fn of(&self, t: usize) -> &[usize] {
+        &self.sources[self.starts[t]..self.starts[t + 1]]
+    }
 }
 
 /// One-step robust `P(X target)`.

@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// Comparison operator of a probability or reward bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Strictly less than.
     Lt,
@@ -52,7 +50,7 @@ impl CmpOp {
 }
 
 /// Optimization direction over MDP schedulers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opt {
     /// Minimize over schedulers (`Pmin`, `Rmin`).
     Min,
@@ -67,7 +65,7 @@ pub enum Opt {
 /// probability of the path formula `ψ` satisfies the bound; on MDPs the
 /// scheduler quantification is either explicit (`opt`) or derived from the
 /// bound direction (lower bounds → all schedulers → `Pmin`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StateFormula {
     /// Constant truth.
     True,
@@ -138,7 +136,7 @@ impl StateFormula {
 }
 
 /// A PCTL path formula.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PathFormula {
     /// `X φ` — `φ` holds in the next state.
     Next(Box<StateFormula>),
@@ -168,7 +166,7 @@ pub enum PathFormula {
 }
 
 /// Which expected reward a reward operator refers to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RewardKind {
     /// `[F φ]` — expected reward accumulated until first reaching `φ`.
     Reach(Box<StateFormula>),
@@ -179,7 +177,7 @@ pub enum RewardKind {
 /// A numeric top-level query such as `P=? [ F "goal" ]` or
 /// `Rmax=? [ F "delivered" ]`: instead of a truth value, the checker returns
 /// the probability/reward itself.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Query {
     /// `P=? [ψ]` / `Pmax=?` / `Pmin=?`.
     Prob {

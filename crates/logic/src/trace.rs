@@ -7,8 +7,6 @@
 //! trajectory never visits an unsafe state"), so the natural rule language
 //! is LTL with finite-trace semantics.
 
-use serde::{Deserialize, Serialize};
-
 /// A view of one finite trajectory that rules are evaluated against.
 ///
 /// Implemented by the workspace's `Path`-based adapters; any sequence that
@@ -55,7 +53,7 @@ pub trait TraceContext {
 /// assert!(rule.eval(&safe, 0));
 /// assert!(!rule.eval(&unsafe_, 0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceFormula {
     /// Constant truth.
     True,

@@ -1,7 +1,6 @@
 use std::collections::BTreeMap;
 
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 use crate::reward::structure_mut;
 use crate::{Labeling, ModelError, RewardStructure, STOCHASTIC_TOLERANCE};
@@ -36,7 +35,7 @@ use crate::{Labeling, ModelError, RewardStructure, STOCHASTIC_TOLERANCE};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dtmc {
     transitions: Vec<Vec<(usize, f64)>>,
     initial: usize,

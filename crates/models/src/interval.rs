@@ -22,8 +22,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::dtmc::rows_by_source;
 use crate::reward::structure_mut;
 use crate::{Dtmc, DtmcBuilder, Labeling, ModelError, RewardStructure, STOCHASTIC_TOLERANCE};
@@ -51,7 +49,7 @@ pub type IntervalTransition = (usize, f64, f64);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntervalDtmc {
     /// `transitions[s]` lists `(target, lo, hi)` sorted by target.
     transitions: Vec<Vec<IntervalTransition>>,
@@ -514,7 +512,7 @@ impl IntervalDtmcBuilder {
 
 /// One uncertain choice of an interval MDP: an action plus `[lo, hi]`
 /// transition bounds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntervalChoice {
     /// Index into [`IntervalMdp::action_names`].
     pub action: usize,
@@ -525,7 +523,7 @@ pub struct IntervalChoice {
 /// A Markov decision process with interval-valued transition
 /// probabilities: nondeterminism is resolved by the scheduler, the
 /// residual probability uncertainty by nature (the adversary).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntervalMdp {
     states: Vec<Vec<IntervalChoice>>,
     action_names: Vec<String>,

@@ -1,7 +1,5 @@
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::ModelError;
 
 /// An assignment of atomic-proposition labels to states.
@@ -24,7 +22,7 @@ use crate::ModelError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Labeling {
     num_states: usize,
     map: BTreeMap<String, BTreeSet<usize>>,

@@ -9,13 +9,11 @@
 //! weights, which is exactly the parameterization the paper's Data Repair
 //! formulation feeds into parametric model checking.
 
-use serde::{Deserialize, Serialize};
-
 use crate::interval::IntervalDtmcBuilder;
 use crate::{DtmcBuilder, MdpBuilder, ModelError, Path};
 
 /// A trace with a multiplicity/confidence weight and a class tag.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightedTrace {
     /// The observed trajectory.
     pub path: Path,
@@ -41,7 +39,7 @@ pub struct WeightedTrace {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceDataset {
     class_names: Vec<String>,
     traces: Vec<WeightedTrace>,

@@ -1,13 +1,12 @@
 use std::collections::BTreeMap;
 
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 use crate::{Dtmc, DtmcBuilder, Labeling, ModelError, Path, RewardStructure, STOCHASTIC_TOLERANCE};
 
 /// One nondeterministic choice available in an MDP state: an action name
 /// plus a full probability distribution over successor states.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Choice {
     /// Index into [`Mdp::action_names`].
     pub action: usize,
@@ -38,7 +37,7 @@ pub struct Choice {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mdp {
     states: Vec<Vec<Choice>>,
     action_names: Vec<String>,

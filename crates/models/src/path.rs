@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::ModelError;
 
 /// A finite trajectory `(s₀, a₀), (s₁, a₁), …, sₙ` through an MDP (or, with
@@ -21,7 +19,7 @@ use crate::ModelError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Path {
     /// Visited states, in order.
     pub states: Vec<usize>,

@@ -1,5 +1,4 @@
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 use crate::{Dtmc, Mdp, ModelError};
 
@@ -26,7 +25,7 @@ use crate::{Dtmc, Mdp, ModelError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeterministicPolicy {
     choices: Vec<usize>,
 }
@@ -106,7 +105,7 @@ impl DeterministicPolicy {
 
 /// A stochastic memoryless policy: a distribution over choice indices per
 /// state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StochasticPolicy {
     probs: Vec<Vec<f64>>,
 }

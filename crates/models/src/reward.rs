@@ -1,7 +1,5 @@
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ModelError;
 
 /// A named reward structure: a non-negative reward per state and,
@@ -25,7 +23,7 @@ use crate::ModelError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RewardStructure {
     name: String,
     state_rewards: Vec<f64>,

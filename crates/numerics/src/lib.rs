@@ -58,4 +58,4 @@ pub use budget::{Budget, CancelToken, Diagnostics, Exhaustion};
 pub use dense::DenseMatrix;
 pub use error::NumericsError;
 pub use field::Field;
-pub use sparse::{CsrMatrix, Triplet, PAR_NNZ_THRESHOLD};
+pub use sparse::{CsrMatrix, Triplet};

@@ -561,8 +561,9 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
-        // No subscriber installed on this thread and (in this test binary)
-        // no global one: spans carry no id and emit nothing.
+        // No subscriber installed on this thread and, under the lock, no
+        // global one: spans carry no id and emit nothing.
+        let _lock = TEST_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
         let g = span!("nothing");
         assert_eq!(g.id(), None);
         drop(g);
@@ -609,6 +610,8 @@ mod tests {
 
     #[test]
     fn scoped_subscriber_uninstalls_on_drop() {
+        // The lock keeps the global-install tests from catching "after".
+        let _lock = TEST_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!enabled() || GLOBAL.read().unwrap().is_some());
         {
             let (_ring, _sub, _guard) = scoped();

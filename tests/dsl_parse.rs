@@ -13,7 +13,8 @@ use trusted_ml::models::dsl::{
     MAX_REWARD_STRUCTURES,
 };
 use trusted_ml::models::{
-    DtmcBuilder, IntervalDtmc, IntervalDtmcBuilder, IntervalMdp, ModelError, STOCHASTIC_TOLERANCE,
+    Dtmc, DtmcBuilder, IntervalDtmc, IntervalDtmcBuilder, IntervalMdp, Mdp, MdpBuilder, ModelError,
+    STOCHASTIC_TOLERANCE,
 };
 
 const ASSETS: [&str; 4] = [
@@ -139,8 +140,38 @@ fn assert_round_trip(text: &str, model: &ModelFile) {
     assert_eq!(format!("{back:?}"), format!("{model:?}"));
 }
 
+/// A chain with an initial state other than 0, two labels and a reward.
+fn sample_dtmc() -> Dtmc {
+    let mut b = DtmcBuilder::new(3);
+    b.transition(0, 1, 0.25).unwrap();
+    b.transition(0, 2, 0.75).unwrap();
+    b.transition(1, 1, 1.0).unwrap();
+    b.transition(2, 0, 1.0).unwrap();
+    b.label(1, "goal").unwrap();
+    b.label(2, "detour").unwrap();
+    b.state_reward("fuel", 0, 1.5).unwrap();
+    b.initial_state(2).unwrap();
+    b.build().unwrap()
+}
+
+/// An MDP with two actions in one state and both state and choice rewards.
+fn sample_mdp() -> Mdp {
+    let mut b = MdpBuilder::new(2);
+    b.choice(0, "go", &[(1, 0.9), (0, 0.1)]).unwrap();
+    b.choice(0, "wait", &[(0, 1.0)]).unwrap();
+    b.choice(1, "wait", &[(1, 1.0)]).unwrap();
+    b.label(1, "done").unwrap();
+    b.state_reward("cost", 0, 1.0).unwrap();
+    b.choice_reward("cost", 0, 0, 0.25).unwrap();
+    b.build().unwrap()
+}
+
 #[test]
 fn printed_models_parse_back_bit_for_bit() {
+    let d = sample_dtmc();
+    assert_round_trip(&dtmc_to_dsl(&d), &ModelFile::Dtmc(d));
+    let m = sample_mdp();
+    assert_round_trip(&mdp_to_dsl(&m), &ModelFile::Mdp(m));
     for seed in 1..4 {
         let d = gen::layered_scc_dtmc(seed, 6, 5, 3);
         assert_round_trip(&dtmc_to_dsl(&d), &ModelFile::Dtmc(d));

@@ -3,15 +3,21 @@
 //! degenerate (`lo == hi`) sets must reproduce the scalar checker, and the
 //! robust solve must be bitwise-deterministic — across repeated runs,
 //! across transition insertion order, and across thread counts. The
-//! SCC-first solve must also ignore `hi == 0` edges, stop cleanly on a
-//! starved budget, and give the same bits for rows in any order.
+//! SCC-first solve must also ignore `hi == 0` edges and stop cleanly on a
+//! starved budget. States whose value is exactly 1 on a side are exactly
+//! the qualitative Prob1 set of that side, so a nominal value of exactly 1
+//! lies inside its ball's bracket.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use tml_conformance::gen;
 use trusted_ml::checker::{Budget, CheckOptions, Checker, Exhaustion, RobustBracket};
 use trusted_ml::logic::{parse_query, Query};
 use trusted_ml::models::dsl::{dtmc_to_dsl, parse_model, ModelFile};
-use trusted_ml::models::{Dtmc, DtmcBuilder, IntervalDtmc, IntervalDtmcBuilder};
+use trusted_ml::models::{
+    Dtmc, DtmcBuilder, IntervalDtmc, IntervalDtmcBuilder, IntervalMdpBuilder,
+};
 
 /// A random 2-successor chain with an absorbing "goal" at the last state
 /// (same generator shape as the fault-injection property tests). Edge
@@ -252,52 +258,208 @@ fn one_evaluation_budget_stops_a_multi_block_solve_with_bounds_from_below() {
     }
 }
 
-/// `model` with every row's transitions in reverse order. Builders always
-/// sort rows by target, so this goes through the serialized form, which
-/// keeps rows as given.
-fn with_reversed_rows(model: &IntervalDtmc) -> IntervalDtmc {
-    let json = serde_json::to_string(model).unwrap();
-    let key = "\"transitions\":";
-    let start = json.find(key).expect("serialized rows") + key.len();
-    let mut depth = 0;
-    let mut end = start;
-    for (i, byte) in json[start..].bytes().enumerate() {
-        match byte {
-            b'[' => depth += 1,
-            b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = start + i + 1;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut rows: Vec<Vec<(usize, f64, f64)>> = serde_json::from_str(&json[start..end]).unwrap();
-    for row in &mut rows {
-        row.reverse();
-    }
-    let rows = serde_json::to_string(&rows).unwrap();
-    serde_json::from_str(&format!("{}{rows}{}", &json[..start], &json[end..])).unwrap()
-}
-
 fn bits(b: &RobustBracket) -> Vec<(u64, u64)> {
     (0..b.pessimistic.len()).map(|s| (b.at(s).0.to_bits(), b.at(s).1.to_bits())).collect()
 }
 
+/// The nominal chain is a member of its own Wilson ball, so its value lies
+/// inside the ball's bracket in every state. Here the initial state reaches
+/// the goal almost surely: the nominal value is exactly 1 (the scalar
+/// checker's Prob1), and so must the bracket's ends be, which value
+/// iteration from below approaches without reaching.
 #[test]
-fn reversed_rows_give_bitwise_identical_brackets() {
-    let model = with_blocked(&gen::layered_scc_dtmc(7, 6, 12, 3));
-    let ball = IntervalDtmc::wilson_around(&model, 0.95, 200.0).unwrap();
-    let reversed = with_reversed_rows(&ball);
-    // The copy really is unsorted, so the inner adversary's sorting path runs.
-    assert!((0..ball.num_states()).any(|s| ball.row(s).len() > 1
-        && reversed.row(s).first() == ball.row(s).last()
-        && reversed.row(s) != ball.row(s)));
-    for q in robust_queries() {
-        let a = Checker::new().query_interval_dtmc(&ball, &q).unwrap();
-        let b = Checker::new().query_interval_dtmc(&reversed, &q).unwrap();
-        assert_eq!(bits(&a), bits(&b), "{q}");
+fn nominal_value_lies_in_its_own_wilson_ball_bracket() {
+    let model = gen::layered_scc_dtmc(4, 16, 25, 3);
+    let ball = IntervalDtmc::wilson_around(&model, 0.95, 500.0).unwrap();
+    let q = parse_query("P=? [ F \"goal\" ]").unwrap();
+    let nominal = Checker::new().query_dtmc(&model, &q).unwrap();
+    let bracket = Checker::new().query_interval_dtmc(&ball, &q).unwrap();
+    assert_eq!(nominal[model.initial_state()], 1.0);
+    for (s, &v) in nominal.iter().enumerate() {
+        let (lo, hi) = bracket.at(s);
+        assert!(lo - 1e-9 <= v && v <= hi + 1e-9, "state {s}: nominal {v} outside [{lo}, {hi}]");
+    }
+}
+
+// ------------------------------------------------- Prob1 by brute force
+
+type Row = Vec<(usize, f64, f64)>;
+
+/// An interval row over one to three distinct targets around a random
+/// distribution `p`. Lower bounds are 0, `p` or in between, and upper
+/// bounds `p`, 1 or in between, so rows mix must-edges (`lo > 0`) with
+/// may-edges, and subsets of the targets that can or cannot carry the
+/// whole mass. Now and then an extra edge `[0, hi]` rides along: `[0, 0]`,
+/// or a may-edge that no member can take when the other lower bounds
+/// already sum to one.
+fn random_row(rng: &mut StdRng, n: usize) -> Row {
+    let k = rng.random_range(1..4);
+    let mut targets: Vec<usize> = Vec::new();
+    while targets.len() < k {
+        let t = rng.random_range(0..n);
+        if !targets.contains(&t) {
+            targets.push(t);
+        }
+    }
+    let weights: Vec<f64> = (0..k).map(|_| 0.05 + rng.random_range(0.0..1.0)).collect();
+    let total: f64 = weights.iter().sum();
+    let mut row: Row = targets
+        .iter()
+        .zip(&weights)
+        .map(|(&t, &w)| {
+            let p = w / total;
+            let lo = match rng.random_range(0..4) {
+                0 => 0.0,
+                1 => p,
+                _ => p * rng.random_range(0.0..1.0),
+            };
+            let hi = match rng.random_range(0..4) {
+                0 => p,
+                1 => 1.0,
+                _ => p + (1.0 - p) * rng.random_range(0.0..1.0),
+            };
+            (t, lo, hi)
+        })
+        .collect();
+    if rng.random_range(0..3) == 0 {
+        let t = rng.random_range(0..n);
+        if !targets.contains(&t) {
+            let hi = if rng.random_range(0..2) == 0 { 0.0 } else { rng.random_range(0.0..1.0) };
+            row.push((t, 0.0, hi));
+        }
+    }
+    row
+}
+
+/// Every exact support of a row: the target sets `S` for which some member
+/// of `{p : lo ≤ p ≤ hi, Σ p = 1}` is positive exactly on `S`, to the
+/// validation tolerance on `Σ hi`.
+fn supports(row: &Row) -> Vec<Vec<usize>> {
+    let k = row.len();
+    let mut out = Vec::new();
+    for mask in 1u32..(1 << k) {
+        let inside = |i: usize| mask & (1 << i) != 0;
+        let (mut lo_sum, mut hi_sum, mut all_must, mut ok) = (0.0, 0.0, true, true);
+        for (i, &(_, lo, hi)) in row.iter().enumerate() {
+            if inside(i) {
+                ok &= hi > 0.0;
+                all_must &= lo > 0.0;
+                lo_sum += lo;
+                hi_sum += hi;
+            } else {
+                ok &= lo == 0.0;
+            }
+        }
+        // Positive mass on a `lo == 0` member needs mass to spare.
+        if ok && hi_sum >= 1.0 - 1e-9 && (all_must || lo_sum < 1.0) {
+            out.push((0..k).filter(|&i| inside(i)).map(|i| row[i].0).collect());
+        }
+    }
+    out
+}
+
+/// The states that reach `target` through `phi` almost surely in the
+/// chain whose successors of `s` are `succ[s]`.
+fn graph_prob1(succ: &[&[usize]], phi: &[bool], target: &[bool]) -> Vec<bool> {
+    let n = succ.len();
+    let closure = |seed: Vec<bool>, through: &dyn Fn(usize) -> bool| {
+        let mut set = seed;
+        loop {
+            let grown: Vec<bool> =
+                (0..n).map(|s| set[s] || (through(s) && succ[s].iter().any(|&t| set[t]))).collect();
+            if grown == set {
+                return set;
+            }
+            set = grown;
+        }
+    };
+    let live = |s: usize| phi[s] && !target[s];
+    let reach = closure(target.to_vec(), &live);
+    let bad = closure(reach.iter().map(|&r| !r).collect(), &live);
+    bad.iter().map(|&b| !b).collect()
+}
+
+/// Prob1 on each side by enumeration: every memoryless choice of one row
+/// and one exact support per state, then plain graph Prob1 on the chain it
+/// induces. Memoryless strategies decide qualitative reachability, so the
+/// optimistic set is their union and the pessimistic set their
+/// intersection.
+fn brute_force_prob1(rows: &[Vec<Row>], phi: &[bool], target: &[bool]) -> (Vec<bool>, Vec<bool>) {
+    let n = rows.len();
+    let options: Vec<Vec<Vec<usize>>> = rows
+        .iter()
+        .enumerate()
+        .map(|(s, choices)| {
+            if phi[s] && !target[s] {
+                choices.iter().flat_map(supports).collect()
+            } else {
+                vec![Vec::new()]
+            }
+        })
+        .collect();
+    let (mut pess, mut opt) = (vec![true; n], vec![false; n]);
+    let mut pick = vec![0usize; n];
+    loop {
+        let succ: Vec<&[usize]> = (0..n).map(|s| options[s][pick[s]].as_slice()).collect();
+        for (s, one) in graph_prob1(&succ, phi, target).into_iter().enumerate() {
+            pess[s] &= one;
+            opt[s] |= one;
+        }
+        // Next strategy, as an odometer over the states' options.
+        let mut s = 0;
+        while s < n && pick[s] + 1 == options[s].len() {
+            pick[s] = 0;
+            s += 1;
+        }
+        if s == n {
+            return (pess, opt);
+        }
+        pick[s] += 1;
+    }
+}
+
+/// The states whose bracket end is exactly 1.
+fn ones(side: &[f64]) -> Vec<bool> {
+    side.iter().map(|&v| v == 1.0).collect()
+}
+
+#[test]
+fn bracket_ends_at_exactly_one_are_the_brute_force_prob1_sets() {
+    let q = parse_query("P=? [ !\"blocked\" U \"goal\" ]").unwrap();
+    let mut rng = StdRng::seed_from_u64(17);
+    for case in 0..300 {
+        let n = rng.random_range(3..6);
+        let choices = if case % 2 == 0 { 1 } else { 2 };
+        let rows: Vec<Vec<Row>> = (0..n)
+            .map(|_| (0..rng.random_range(1..=choices)).map(|_| random_row(&mut rng, n)).collect())
+            .collect();
+        let target: Vec<bool> = (0..n).map(|s| s == n - 1 || rng.random_range(0..8) == 0).collect();
+        let phi: Vec<bool> = (0..n).map(|s| target[s] || rng.random_range(0..6) != 0).collect();
+        let (want_pess, want_opt) = brute_force_prob1(&rows, &phi, &target);
+
+        let mut dtmc = IntervalDtmcBuilder::new(n);
+        let mut mdp = IntervalMdpBuilder::new(n);
+        for s in 0..n {
+            for &(t, lo, hi) in &rows[s][0] {
+                dtmc.transition(s, t, lo, hi).unwrap();
+            }
+            for (c, row) in rows[s].iter().enumerate() {
+                mdp.choice(s, &format!("a{c}"), row).unwrap();
+            }
+            for (label, on) in [("goal", target[s]), ("blocked", !phi[s])] {
+                if on {
+                    dtmc.label(s, label).unwrap();
+                    mdp.label(s, label).unwrap();
+                }
+            }
+        }
+        let checker = tight_checker();
+        let bracket = if choices == 1 {
+            checker.query_interval_dtmc(&dtmc.build().unwrap(), &q).unwrap()
+        } else {
+            checker.query_interval_mdp(&mdp.build().unwrap(), &q).unwrap()
+        };
+        assert_eq!(ones(&bracket.pessimistic), want_pess, "case {case}: {rows:?} {phi:?}");
+        assert_eq!(ones(&bracket.optimistic), want_opt, "case {case}: {rows:?} {phi:?}");
     }
 }

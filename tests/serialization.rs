@@ -1,9 +1,9 @@
-//! Serialization round-trips: models, datasets and formulas survive
-//! serde (JSON) and the textual model format without loss.
+//! Serialization round-trips: models survive the textual model format
+//! without loss, in structure and in what the checker computes on them.
 
-use trusted_ml::logic::{parse_formula, parse_query, StateFormula};
+use trusted_ml::logic::parse_query;
 use trusted_ml::models::dsl::{dtmc_to_dsl, mdp_to_dsl, parse_model, ModelFile};
-use trusted_ml::models::{DtmcBuilder, MdpBuilder, Path, TraceDataset};
+use trusted_ml::models::{DtmcBuilder, MdpBuilder};
 
 fn sample_dtmc() -> trusted_ml::models::Dtmc {
     let mut b = DtmcBuilder::new(3);
@@ -27,48 +27,6 @@ fn sample_mdp() -> trusted_ml::models::Mdp {
     b.state_reward("cost", 0, 1.0).unwrap();
     b.choice_reward("cost", 0, 0, 0.25).unwrap();
     b.build().unwrap()
-}
-
-#[test]
-fn dtmc_json_roundtrip() {
-    let d = sample_dtmc();
-    let json = serde_json::to_string(&d).unwrap();
-    let back: trusted_ml::models::Dtmc = serde_json::from_str(&json).unwrap();
-    assert_eq!(d, back);
-}
-
-#[test]
-fn mdp_json_roundtrip() {
-    let m = sample_mdp();
-    let json = serde_json::to_string(&m).unwrap();
-    let back: trusted_ml::models::Mdp = serde_json::from_str(&json).unwrap();
-    assert_eq!(m, back);
-}
-
-#[test]
-fn dataset_json_roundtrip() {
-    let mut ds = TraceDataset::new();
-    let c = ds.add_class("obs");
-    ds.push(c, Path::with_actions(vec![0, 1], vec![2]).unwrap(), 3.5).unwrap();
-    let json = serde_json::to_string(&ds).unwrap();
-    let back: TraceDataset = serde_json::from_str(&json).unwrap();
-    assert_eq!(ds, back);
-}
-
-#[test]
-fn formula_json_roundtrip() {
-    let phi = parse_formula("Pmax>=0.95 [ !\"bad\" U<=12 \"good\" ]").unwrap();
-    let json = serde_json::to_string(&phi).unwrap();
-    let back: StateFormula = serde_json::from_str(&json).unwrap();
-    assert_eq!(phi, back);
-}
-
-#[test]
-fn query_json_roundtrip() {
-    let q = parse_query("R{\"fuel\"}min=? [ F \"goal\" ]").unwrap();
-    let json = serde_json::to_string(&q).unwrap();
-    let back: trusted_ml::logic::Query = serde_json::from_str(&json).unwrap();
-    assert_eq!(q, back);
 }
 
 #[test]

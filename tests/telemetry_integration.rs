@@ -2,19 +2,22 @@
 //! sink installed must emit a `tml-trace/v1` stream whose spans balance,
 //! whose phase durations sum to the parent repair span (within tolerance —
 //! the phases cover everything but loop glue), and whose root span agrees
-//! with externally measured wall time.
+//! with externally measured wall time. Tracing, on or off, changes no
+//! result bit.
 
 use std::collections::HashMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use trusted_ml::checker::Checker;
+use tml_conformance::gen;
+use trusted_ml::checker::dtmc::until_probabilities;
+use trusted_ml::checker::{CheckOptions, Checker, LinearSolver};
 use trusted_ml::models::IntervalDtmc;
 use trusted_ml::repair::ModelRepair;
 use trusted_ml::telemetry::json::{self, Value};
 use trusted_ml::telemetry::sink::JsonlSink;
-use trusted_ml::telemetry::Subscriber;
+use trusted_ml::telemetry::{Subscriber, TraceContext};
 use trusted_ml::wsn::{attempts_property, build_dtmc, repair_template, WsnConfig};
 
 /// A `Write` target the test can read back after the sink is done with it.
@@ -328,4 +331,34 @@ fn disabled_telemetry_changes_no_repair_outcome() {
         .expect("repair run");
     assert!(outcome.verified);
     assert_eq!(outcome.parameters.len(), 2);
+}
+
+#[test]
+fn tracing_changes_no_bit_of_an_scc_solve() {
+    // The layered-SCC `P(φ U goal)` solve, untraced and then with a
+    // subscriber and a trace context installed, so every block span pays
+    // the full correlated-tracing path. The lock keeps other tests'
+    // subscribers out of the untraced run.
+    let _lock = trusted_ml::telemetry::TEST_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
+    let model = gen::layered_scc_dtmc(7, 64, 10_000 / 256, 4);
+    let target = model.labeling().mask(gen::GOAL_LABEL);
+    let phi: Vec<bool> = (0..model.num_states()).map(|s| target[s] || s % 97 != 13).collect();
+    let opts = CheckOptions {
+        solver: LinearSolver::Scc,
+        tolerance: 1e-10,
+        max_iterations: 5_000_000,
+        ..CheckOptions::default()
+    };
+    let solve = || until_probabilities(&model, &phi, &target, &opts).expect("scc solve");
+    let untraced = solve();
+    let sub = Arc::new(Subscriber::builder().build());
+    assert!(trusted_ml::telemetry::install_global(sub.clone()), "telemetry slot free");
+    let traced = {
+        let _trace = trusted_ml::telemetry::with_trace(TraceContext::derive(7, 0));
+        solve()
+    };
+    trusted_ml::telemetry::uninstall_global();
+    assert!(sub.metrics_snapshot().histogram("span.numerics.scc.block").is_some(), "traced");
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&untraced), bits(&traced), "tracing changed the solve");
 }
