@@ -15,22 +15,21 @@
 //! effort function is the weighted dropped mass `Σ_g m_g·(1 − w_g)²`,
 //! matching `E_T = ‖D − D'‖²`.
 
-use tml_checker::Checker;
-use tml_logic::StateFormula;
+use std::borrow::Cow;
+
+use tml_checker::CheckOptions;
+use tml_logic::{CmpOp, StateFormula};
 use tml_models::{
     learn, Dtmc, DtmcBuilder, IntervalDtmc, IntervalDtmcBuilder, MlOptions, TraceDataset,
 };
 use tml_numerics::{Budget, Diagnostics};
-use tml_optimizer::{Nlp, PenaltySolver};
-use tml_parametric::{
-    BoundSense, CompiledConstraintSet, LiftingOutcome, OptimalityCertificate, ParametricDtmc,
-    Polynomial, RationalFunction, RegionProblem, RegionRow, RegionSolver,
-};
+use tml_optimizer::Nlp;
+use tml_parametric::{OptimalityCertificate, ParametricDtmc, Polynomial, RationalFunction};
 use tml_telemetry::span;
 
-use crate::constraint::compile_constraint;
-use crate::model_repair::{absorb_solution, infeasible_status, repaired_status, RepairStatus};
-use crate::{RepairError, RepairOptions, RepairStrategy};
+use crate::driver::{checked_value, conservative_end, drive, PropertyOracle, RepairProblem};
+use crate::model_repair::RepairStatus;
+use crate::{RepairError, RepairOptions, RobustSpec};
 
 /// Static decoration applied to learned models: labels, rewards and the
 /// initial state (these are not derivable from traces alone).
@@ -68,6 +67,37 @@ impl ModelSpec {
     pub fn reward(mut self, structure: &str, state: usize, value: f64) -> Self {
         self.state_rewards.push((structure.to_owned(), state, value));
         self
+    }
+
+    /// Learns the decorated ML model from `dataset`, with class `weights`
+    /// when given.
+    pub(crate) fn learn(
+        &self,
+        dataset: &TraceDataset,
+        weights: Option<&[f64]>,
+    ) -> Result<Dtmc, RepairError> {
+        let mut b = learn::ml_dtmc(self.num_states, dataset, weights, MlOptions::default())?;
+        self.decorate(&mut b)?;
+        Ok(b.build()?)
+    }
+
+    /// Learns the decorated interval model whose per-row Wilson intervals
+    /// at `confidence` bracket the (optionally re-weighted) ML estimates.
+    fn learn_interval(
+        &self,
+        dataset: &TraceDataset,
+        weights: Option<&[f64]>,
+        confidence: f64,
+    ) -> Result<IntervalDtmc, RepairError> {
+        let mut b = learn::interval_dtmc_from_traces(
+            self.num_states,
+            dataset,
+            weights,
+            confidence,
+            MlOptions::default(),
+        )?;
+        self.decorate_interval(&mut b)?;
+        Ok(b.build()?)
     }
 
     fn decorate(&self, b: &mut DtmcBuilder) -> Result<(), RepairError> {
@@ -130,6 +160,14 @@ pub struct DataRepairOutcome {
 }
 
 /// The Data Repair algorithm.
+///
+/// [`repair`](Self::repair) describes the repair to the crate's one repair
+/// driver, which Model Repair shares: the parameters are the class
+/// keep-weights, the cost is the teaching effort, the parametric chain is
+/// the ML estimate as rational functions of the weights, and the oracle
+/// re-learns the chain (or, when robust, its Wilson ball) from the
+/// re-weighted traces and checks it. The solver starts from "keep
+/// everything".
 #[derive(Debug, Clone)]
 pub struct DataRepair {
     opts: RepairOptions,
@@ -229,48 +267,54 @@ impl DataRepair {
         }
         let _span =
             span!("data_repair", traces = dataset.num_traces(), classes = dataset.num_classes());
-        let robust = self.opts.robust;
-        if let Some(rs) = &robust {
-            rs.validate()?;
-        }
-        let checker = Checker::with_options(self.opts.check).with_budget(self.budget.clone());
-        let mut diag = Diagnostics::new();
-        let base = self.learn(dataset, spec, None)?;
-        let initial_holds = if let Some(rs) = robust {
-            // The uncertainty ball comes straight from the trace counts:
-            // per-row Wilson intervals at the requested confidence.
-            let ball = self.interval_learn(dataset, spec, None, rs.confidence)?;
-            let r = checker.check_interval_dtmc(&ball, formula)?;
-            diag.absorb(r.diagnostics());
-            r.holds()
-        } else {
-            let r = checker.check_dtmc(&base, formula)?;
-            diag.absorb(r.diagnostics());
-            r.holds()
+        let mut problem =
+            DataProblem { repair: self, dataset, spec, masses: class_masses(dataset), pdtmc: None };
+        let run = drive(&mut problem, formula, &self.opts, &self.budget, &self.warm_starts)?;
+        let names = dataset.class_names();
+        let (keep_weights, dropped_mass) = match &run.point {
+            Some(w) => (
+                names.iter().cloned().zip(w.iter().copied()).collect(),
+                w.iter().zip(&problem.masses).map(|(&w, &m)| m * (1.0 - w)).sum(),
+            ),
+            None => (names.iter().map(|n| (n.clone(), 1.0)).collect(), 0.0),
         };
-        if initial_holds {
-            return Ok(DataRepairOutcome {
-                status: RepairStatus::AlreadySatisfied,
-                keep_weights: dataset.class_names().iter().map(|n| (n.clone(), 1.0)).collect(),
-                effort: 0.0,
-                dropped_mass: 0.0,
-                model: Some(base),
-                verified: true,
-                verified_by_simulation: None,
-                evaluations: 0,
-                solver_point: None,
-                certificate: None,
-                diagnostics: diag,
-            });
-        }
+        Ok(DataRepairOutcome {
+            status: run.status,
+            keep_weights,
+            effort: run.cost,
+            dropped_mass,
+            model: run.model,
+            verified: run.verified,
+            verified_by_simulation: None,
+            evaluations: run.evaluations,
+            solver_point: run.point,
+            certificate: run.certificate,
+            diagnostics: run.diagnostics,
+        })
+    }
+}
 
-        let g = dataset.num_classes();
-        let masses = class_masses(dataset);
-        let pdtmc = self.parametric_model(dataset, spec)?;
+/// Data repair as the driver sees it: one keep-weight per trace class.
+struct DataProblem<'a> {
+    repair: &'a DataRepair,
+    dataset: &'a TraceDataset,
+    spec: &'a ModelSpec,
+    /// Trace mass per class, `m_g`.
+    masses: Vec<f64>,
+    /// The ML estimate as rational functions of the weights, built by
+    /// `prepare`.
+    pdtmc: Option<ParametricDtmc>,
+}
 
-        let mut boxes = vec![(self.min_keep, 1.0); g];
-        for (class, lo, hi) in &self.class_bounds {
-            match dataset.class_names().iter().position(|c| c == class) {
+impl RepairProblem for DataProblem<'_> {
+    type Model = Dtmc;
+    const PHASE_SPANS: bool = false;
+
+    fn prepare(&mut self) -> Result<Vec<(f64, f64)>, RepairError> {
+        self.pdtmc = Some(parametric_model(self.dataset, self.spec)?);
+        let mut boxes = vec![(self.repair.min_keep, 1.0); self.dataset.num_classes()];
+        for (class, lo, hi) in &self.repair.class_bounds {
+            match self.dataset.class_names().iter().position(|c| c == class) {
                 Some(i) => boxes[i] = (*lo, *hi),
                 None => {
                     return Err(RepairError::InvalidInput {
@@ -279,360 +323,135 @@ impl DataRepair {
                 }
             }
         }
-        let mut nlp = Nlp::new(g, boxes.clone())?;
-        {
-            let m = masses.clone();
-            let m_grad = masses.clone();
-            // ∂/∂w_g Σ m·(1−w)² = −2·m_g·(1−w_g).
-            nlp.objective_with_grad(
-                move |w| w.iter().zip(&m).map(|(&wg, &mg)| mg * (1.0 - wg).powi(2)).sum(),
-                move |w, grad| {
-                    for ((gi, &wg), &mg) in grad.iter_mut().zip(w).zip(&m_grad) {
-                        *gi = -2.0 * mg * (1.0 - wg);
-                    }
-                },
-            );
-        }
-        // Same symbolic-degree guard as Model Repair: high-degree rational
-        // functions are numerically fragile in f64, so fall back to
-        // re-learn-and-check beyond the threshold.
-        const MAX_SYMBOLIC_DEGREE: u32 = 16;
-        let mut lifted: Option<LiftingOutcome> = None;
-        // Robust repair constrains the worst-case value over the Wilson
-        // ball of the re-learned chain; the symbolic rational function is a
-        // nominal value, so the re-learn-and-robust-check oracle is forced.
-        let compiled = if robust.is_some() {
-            if self.opts.strategy == RepairStrategy::Lifting {
-                diag.record_fallback("lifting: robust repair uses the oracle, penalty search used");
-            }
-            None
-        } else {
-            match compile_constraint(&pdtmc, formula) {
-                Ok(sc) => Some(sc),
-                Err(RepairError::UnsupportedProperty { .. }) => None,
-                Err(other) => return Err(other),
-            }
-        };
-        match &compiled {
-            Some(sc) if sc.function.complexity() <= MAX_SYMBOLIC_DEGREE => {
-                // Flatten the symbolic rational function to an evaluation
-                // tape and register its quotient-rule gradient, so the
-                // solver's analytic merit path applies (no differencing).
-                let f = sc.function.compile();
-                let f_grad = f.clone();
-                let margin = self.margin(sc.op);
-                if self.opts.strategy != RepairStrategy::Penalty {
-                    lifted = Some(self.lift_regions(sc, margin, &masses, &boxes)?);
-                }
-                nlp.constraint_with_grad(
-                    "property",
-                    sense_of(sc.op),
-                    sc.bound,
-                    margin,
-                    move |w| f.eval(w).unwrap_or(f64::NAN),
-                    move |w, grad| {
-                        if f_grad.eval_grad(w, grad).is_err() {
-                            grad.fill(0.0);
-                        }
-                    },
-                );
-            }
-            _ => {
-                if let Some(sc) = &compiled {
-                    // Interval enclosures stay sound at any degree, so
-                    // region pruning and warm starts still apply even
-                    // though pointwise NLP evaluation does not.
-                    if self.opts.strategy != RepairStrategy::Penalty {
-                        let margin = self.margin(sc.op);
-                        lifted = Some(self.lift_regions(sc, margin, &masses, &boxes)?);
-                    }
-                } else if robust.is_none() && self.opts.strategy == RepairStrategy::Lifting {
-                    // Lifting was requested but needs the symbolic path.
-                    diag.record_fallback("lifting: property not symbolic, penalty search used");
-                }
-                let (op, bound) = top_level_bound(formula)?;
-                let margin = self.margin(op);
-                let ds = dataset.clone();
-                let sp = spec.clone();
-                let phi = formula.clone();
-                let check_opts = self.opts.check;
-                let inner = self.budget.without_evaluation_cap();
-                let this = self.clone();
-                if let Some(rs) = robust {
-                    // Worst-case oracle: re-learn the Wilson ball from the
-                    // re-weighted counts and test its conservative end.
-                    nlp.constraint_with_margin("property", sense_of(op), bound, margin, move |w| {
-                        match this.interval_learn(&ds, &sp, Some(w), rs.confidence) {
-                            Ok(ball) => Checker::with_options(check_opts)
-                                .with_budget(inner.clone())
-                                .check_interval_dtmc(&ball, &phi)
-                                .ok()
-                                .and_then(|r| r.bracket_at_initial())
-                                .map(|(lo, hi)| if op.is_lower_bound() { lo } else { hi })
-                                .unwrap_or(f64::NAN),
-                            Err(_) => f64::NAN,
-                        }
-                    });
-                } else {
-                    nlp.constraint_with_margin("property", sense_of(op), bound, margin, move |w| {
-                        match this.learn(&ds, &sp, Some(w)) {
-                            Ok(m) => Checker::with_options(check_opts)
-                                .with_budget(inner.clone())
-                                .check_dtmc(&m, &phi)
-                                .ok()
-                                .and_then(|r| r.value_at_initial())
-                                .unwrap_or(f64::NAN),
-                            Err(_) => f64::NAN,
-                        }
-                    });
-                }
-            }
-        }
-
-        // Digest the region verdicts exactly as Model Repair does: a
-        // fully-violating box proves infeasibility, an exhausted refinement
-        // degrades to the full penalty search, surviving boxes warm-start a
-        // restart-free solve.
-        let mut lifting_evals = 0usize;
-        let mut solver_opts = self.opts.solver;
-        let mut region_starts: Vec<Vec<f64>> = Vec::new();
-        if let Some(lift) = &lifted {
-            lifting_evals = lift.evaluations;
-            diag.evaluations += lift.evaluations as u64;
-            diag.telemetry.incr("parametric.lifting.evaluations", lift.evaluations as u64);
-            if lift.exhausted.is_some() {
-                diag.record_fallback(
-                    "lifting: budget exhausted mid-refinement, penalty search used",
-                );
-                lifted = None;
-            } else if lift.all_violating() {
-                return Ok(DataRepairOutcome {
-                    status: RepairStatus::Infeasible,
-                    keep_weights: dataset.class_names().iter().map(|n| (n.clone(), 1.0)).collect(),
-                    effort: 0.0,
-                    dropped_mass: 0.0,
-                    model: None,
-                    verified: false,
-                    verified_by_simulation: None,
-                    evaluations: lifting_evals,
-                    solver_point: None,
-                    certificate: None,
-                    diagnostics: diag,
-                });
-            } else {
-                region_starts = lift.warm_starts(3);
-                solver_opts.restarts = 0;
-                if !lift.candidates.is_empty() && solver_opts.penalty_rounds > 3 {
-                    // The warm starts already passed a pointwise
-                    // feasibility screen, so the slow μ ramp-in rounds are
-                    // redundant: start the schedule at the μ it would have
-                    // reached, keeping the final μ identical.
-                    solver_opts.penalty_init *=
-                        solver_opts.penalty_growth.powi(solver_opts.penalty_rounds as i32 - 3);
-                    solver_opts.penalty_rounds = 3;
-                }
-            }
-        }
-
-        // Start from "keep everything", then region survivors, then any
-        // caller-provided points.
-        let mut solver = PenaltySolver::with_options(solver_opts).with_budget(self.budget.clone());
-        solver.start_from(vec![1.0; g]);
-        for w in region_starts {
-            solver.start_from(w);
-        }
-        for w in &self.warm_starts {
-            solver.start_from(w.clone());
-        }
-        let sol = solver.solve(&nlp)?;
-        absorb_solution(&mut diag, &sol);
-        let keep_weights: Vec<(String, f64)> =
-            dataset.class_names().iter().cloned().zip(sol.x.iter().copied()).collect();
-        let effort: f64 = sol.x.iter().zip(&masses).map(|(&w, &m)| m * (1.0 - w).powi(2)).sum();
-        let dropped: f64 = sol.x.iter().zip(&masses).map(|(&w, &m)| m * (1.0 - w)).sum();
-        if !sol.feasible {
-            return Ok(DataRepairOutcome {
-                status: infeasible_status(&sol),
-                keep_weights,
-                effort,
-                dropped_mass: dropped,
-                model: None,
-                verified: false,
-                verified_by_simulation: None,
-                evaluations: sol.evaluations + lifting_evals,
-                solver_point: Some(sol.x.clone()),
-                certificate: None,
-                diagnostics: diag,
-            });
-        }
-        let model = self.learn(dataset, spec, Some(&sol.x))?;
-        let verified = if let Some(rs) = robust {
-            let ball = self.interval_learn(dataset, spec, Some(&sol.x), rs.confidence)?;
-            let verdict = checker.check_interval_dtmc(&ball, formula)?;
-            diag.absorb(verdict.diagnostics());
-            verdict.holds()
-        } else {
-            let verdict = checker.check_dtmc(&model, formula)?;
-            diag.absorb(verdict.diagnostics());
-            verdict.holds()
-        };
-        let certificate = lifted.as_ref().map(|lift| {
-            let lower_bound = lift.feasible_lower_bound();
-            let epsilon = self.opts.lifting.epsilon;
-            OptimalityCertificate {
-                lower_bound,
-                upper_bound: effort,
-                epsilon,
-                certified: verified && effort - lower_bound <= epsilon,
-            }
-        });
-        Ok(DataRepairOutcome {
-            status: repaired_status(verified, &diag),
-            keep_weights,
-            effort,
-            dropped_mass: dropped,
-            model: Some(model),
-            verified,
-            verified_by_simulation: None,
-            evaluations: sol.evaluations + lifting_evals,
-            solver_point: Some(sol.x.clone()),
-            certificate,
-            diagnostics: diag,
-        })
+        Ok(boxes)
     }
 
-    /// Learns the decorated ML model (optionally with class weights).
-    fn learn(
-        &self,
-        dataset: &TraceDataset,
-        spec: &ModelSpec,
-        weights: Option<&[f64]>,
-    ) -> Result<Dtmc, RepairError> {
-        let mut b = learn::ml_dtmc(spec.num_states, dataset, weights, MlOptions::default())?;
-        spec.decorate(&mut b)?;
-        Ok(b.build()?)
+    fn objective(&self, nlp: &mut Nlp) {
+        let m = self.masses.clone();
+        let m_grad = self.masses.clone();
+        // ∂/∂w_g Σ m·(1−w)² = −2·m_g·(1−w_g).
+        nlp.objective_with_grad(
+            move |w| w.iter().zip(&m).map(|(&wg, &mg)| mg * (1.0 - wg).powi(2)).sum(),
+            move |w, grad| {
+                for ((gi, &wg), &mg) in grad.iter_mut().zip(w).zip(&m_grad) {
+                    *gi = -2.0 * mg * (1.0 - wg);
+                }
+            },
+        );
     }
 
-    /// Learns the decorated interval model whose per-row Wilson intervals
-    /// at `confidence` bracket the (optionally re-weighted) ML estimates.
-    fn interval_learn(
-        &self,
-        dataset: &TraceDataset,
-        spec: &ModelSpec,
-        weights: Option<&[f64]>,
-        confidence: f64,
-    ) -> Result<IntervalDtmc, RepairError> {
-        let mut b = learn::interval_dtmc_from_traces(
-            spec.num_states,
-            dataset,
-            weights,
-            confidence,
-            MlOptions::default(),
-        )?;
-        spec.decorate_interval(&mut b)?;
-        Ok(b.build()?)
+    fn cost(&self, w: &[f64]) -> f64 {
+        w.iter().zip(&self.masses).map(|(&w, &m)| m * (1.0 - w).powi(2)).sum()
     }
 
-    /// Builds the parametric chain whose transition probabilities are the
-    /// ML estimates as rational functions of the keep-weights.
-    fn parametric_model(
-        &self,
-        dataset: &TraceDataset,
-        spec: &ModelSpec,
-    ) -> Result<ParametricDtmc, RepairError> {
-        let g = dataset.num_classes();
-        let n = spec.num_states;
-        // Per-class transition counts.
-        let mut per_class: Vec<Vec<Vec<f64>>> = Vec::with_capacity(g);
-        for class in 0..g {
-            let indicator: Vec<f64> = (0..g).map(|i| if i == class { 1.0 } else { 0.0 }).collect();
-            per_class.push(dataset.transition_counts(n, Some(&indicator))?);
-        }
-        let param_names: Vec<String> =
-            dataset.class_names().iter().map(|c| format!("w_{c}")).collect();
-        let mut b = ParametricDtmc::builder(n, param_names);
-        b.initial_state(spec.initial)?;
-        for s in 0..n {
-            // den(s) = Σ_g w_g · c_g(s,·)
-            let mut den = Polynomial::zero(g);
-            for (class, counts) in per_class.iter().enumerate() {
-                let tot: f64 = counts[s].iter().sum();
-                if tot > 0.0 {
-                    den = den.add(&Polynomial::var(g, class).scale(tot));
-                }
-            }
-            if den.is_zero() {
-                // State never left in any trace: constant self-loop.
-                b.transition(s, s, RationalFunction::one_rf(g))?;
-                continue;
-            }
-            for t in 0..n {
-                let mut num = Polynomial::zero(g);
-                for (class, counts) in per_class.iter().enumerate() {
-                    let c = counts[s][t];
-                    if c > 0.0 {
-                        num = num.add(&Polynomial::var(g, class).scale(c));
-                    }
-                }
-                if num.is_zero() {
-                    continue;
-                }
-                b.transition(s, t, RationalFunction::new(num, den.clone())?)?;
-            }
-        }
-        for (s, l) in &spec.labels {
-            b.label(*s, l)?;
-        }
-        for (structure, s, r) in &spec.state_rewards {
-            b.state_reward(structure, *s, RationalFunction::constant(g, *r))?;
-        }
-        Ok(b.build()?)
-    }
-
-    /// Runs branch-and-refine region verification over the keep-weight box:
-    /// the property's rational function becomes the single [`RegionRow`]
-    /// (threshold shifted by the margin so "all-sat" means margin-feasible,
-    /// matching what the penalty solver accepts), and the teaching-effort
-    /// objective `Σ m_g (1 − w_g)²` is interval-bounded alongside to order
-    /// surviving boxes and derive the certificate's lower bound.
-    fn lift_regions(
-        &self,
-        sc: &crate::constraint::SymbolicConstraint,
-        margin: f64,
-        masses: &[f64],
-        boxes: &[(f64, f64)],
-    ) -> Result<LiftingOutcome, RepairError> {
-        let g = masses.len();
-        let set = CompiledConstraintSet::compile(std::slice::from_ref(&sc.function))?;
-        let row = if sc.op.is_lower_bound() {
-            RegionRow::new(BoundSense::Ge, sc.bound + margin)
-        } else {
-            RegionRow::new(BoundSense::Le, sc.bound - margin)
-        };
-        // effort = Σ_g m_g·(1 − w_g)² as a polynomial in w.
+    /// The teaching effort `Σ_g m_g·(1 − w_g)²` as a polynomial in `w`.
+    fn cost_polynomial(&self) -> Polynomial {
+        let g = self.masses.len();
         let mut effort = Polynomial::zero(g);
-        for (i, &m) in masses.iter().enumerate() {
+        for (i, &m) in self.masses.iter().enumerate() {
             if m != 0.0 {
                 let lin = Polynomial::constant(g, 1.0).add(&Polynomial::var(g, i).scale(-1.0));
                 effort = effort.add(&lin.mul(&lin).scale(m));
             }
         }
-        let objective = RationalFunction::from_poly(effort).compile();
-        let problem = RegionProblem::new(set, vec![row])?.with_objective(objective);
-        let solver = RegionSolver::with_options(self.opts.lifting).with_budget(self.budget.clone());
-        Ok(solver.solve(&problem, boxes)?)
+        effort
     }
 
-    fn margin(&self, op: tml_logic::CmpOp) -> f64 {
-        // The optimizer accepts points violating constraints by up to its
-        // feasibility tolerance; fold that slack into the margin so an
-        // "optimizer-feasible" point always verifies under the checker.
-        let slack = self.opts.solver.feasibility_tolerance + self.opts.check.bound_tolerance;
-        match op {
-            tml_logic::CmpOp::Gt | tml_logic::CmpOp::Lt => self.opts.strict_margin + slack,
-            _ => slack,
+    /// The uncertainty ball comes straight from the (re-weighted) trace
+    /// counts: per-row Wilson intervals at the requested confidence.
+    fn candidate(
+        &self,
+        point: Option<&[f64]>,
+        robust: Option<RobustSpec>,
+    ) -> Result<(Cow<'_, Dtmc>, Option<IntervalDtmc>), RepairError> {
+        let model = self.spec.learn(self.dataset, point)?;
+        let ball = robust
+            .map(|rs| self.spec.learn_interval(self.dataset, point, rs.confidence))
+            .transpose()?;
+        Ok((Cow::Owned(model), ball))
+    }
+
+    fn parametric(&self) -> Option<&ParametricDtmc> {
+        self.pdtmc.as_ref()
+    }
+
+    fn oracle(
+        &self,
+        formula: &StateFormula,
+        robust: Option<RobustSpec>,
+        op: CmpOp,
+        check: CheckOptions,
+        budget: Budget,
+    ) -> PropertyOracle {
+        let (ds, sp, phi) = (self.dataset.clone(), self.spec.clone(), formula.clone());
+        PropertyOracle::Closure(match robust {
+            Some(rs) => Box::new(move |w| {
+                let ball = sp.learn_interval(&ds, Some(w), rs.confidence).ok();
+                conservative_end(ball, &phi, op, &check, &budget)
+            }),
+            None => {
+                Box::new(move |w| checked_value(sp.learn(&ds, Some(w)).ok(), &phi, &check, &budget))
+            }
+        })
+    }
+
+    fn start_points(&self) -> Vec<Vec<f64>> {
+        vec![vec![1.0; self.masses.len()]]
+    }
+}
+
+/// Builds the parametric chain whose transition probabilities are the ML
+/// estimates as rational functions of the keep-weights.
+fn parametric_model(
+    dataset: &TraceDataset,
+    spec: &ModelSpec,
+) -> Result<ParametricDtmc, RepairError> {
+    let g = dataset.num_classes();
+    let n = spec.num_states;
+    // Per-class transition counts.
+    let mut per_class: Vec<Vec<Vec<f64>>> = Vec::with_capacity(g);
+    for class in 0..g {
+        let indicator: Vec<f64> = (0..g).map(|i| if i == class { 1.0 } else { 0.0 }).collect();
+        per_class.push(dataset.transition_counts(n, Some(&indicator))?);
+    }
+    let param_names: Vec<String> = dataset.class_names().iter().map(|c| format!("w_{c}")).collect();
+    let mut b = ParametricDtmc::builder(n, param_names);
+    b.initial_state(spec.initial)?;
+    for s in 0..n {
+        // den(s) = Σ_g w_g · c_g(s,·)
+        let mut den = Polynomial::zero(g);
+        for (class, counts) in per_class.iter().enumerate() {
+            let tot: f64 = counts[s].iter().sum();
+            if tot > 0.0 {
+                den = den.add(&Polynomial::var(g, class).scale(tot));
+            }
+        }
+        if den.is_zero() {
+            // State never left in any trace: constant self-loop.
+            b.transition(s, s, RationalFunction::one_rf(g))?;
+            continue;
+        }
+        for t in 0..n {
+            let mut num = Polynomial::zero(g);
+            for (class, counts) in per_class.iter().enumerate() {
+                let c = counts[s][t];
+                if c > 0.0 {
+                    num = num.add(&Polynomial::var(g, class).scale(c));
+                }
+            }
+            if num.is_zero() {
+                continue;
+            }
+            b.transition(s, t, RationalFunction::new(num, den.clone())?)?;
         }
     }
+    for (s, l) in &spec.labels {
+        b.label(*s, l)?;
+    }
+    for (structure, s, r) in &spec.state_rewards {
+        b.state_reward(structure, *s, RationalFunction::constant(g, *r))?;
+    }
+    Ok(b.build()?)
 }
 
 fn class_masses(dataset: &TraceDataset) -> Vec<f64> {
@@ -643,30 +462,10 @@ fn class_masses(dataset: &TraceDataset) -> Vec<f64> {
     m
 }
 
-fn sense_of(op: tml_logic::CmpOp) -> tml_optimizer::ConstraintSense {
-    if op.is_lower_bound() {
-        tml_optimizer::ConstraintSense::Ge
-    } else {
-        tml_optimizer::ConstraintSense::Le
-    }
-}
-
-fn top_level_bound(formula: &StateFormula) -> Result<(tml_logic::CmpOp, f64), RepairError> {
-    match formula {
-        StateFormula::Prob { op, bound, .. } | StateFormula::Reward { op, bound, .. } => {
-            Ok((*op, *bound))
-        }
-        other => Err(RepairError::UnsupportedProperty {
-            property: other.to_string(),
-            reason: "repair needs a top-level P or R operator with a bound".into(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RobustSpec;
+    use crate::RepairStrategy;
     use tml_logic::parse_formula;
     use tml_models::Path;
 

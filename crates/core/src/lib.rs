@@ -58,6 +58,7 @@
 mod bisimulation;
 mod constraint;
 mod data_repair;
+mod driver;
 mod error;
 mod model_repair;
 mod oracle;

@@ -1,24 +1,22 @@
 //! Model Repair (Definition 1): perturb transition probabilities so the
 //! model satisfies `φ`, minimizing the Frobenius cost `‖Z‖²_F`.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use tml_checker::Checker;
-use tml_logic::StateFormula;
+use tml_checker::CheckOptions;
+use tml_logic::{CmpOp, StateFormula};
 use tml_models::{Dtmc, IntervalDtmc, Mdp};
 use tml_numerics::{Budget, Diagnostics};
-use tml_optimizer::{BlockRow, ConstraintSense, Nlp, PenaltySolver, Solution};
-use tml_parametric::{
-    BoundSense, CompiledConstraintSet, LiftingOutcome, OptimalityCertificate, Polynomial,
-    RationalFunction, RegionProblem, RegionRow, RegionSolver,
-};
-use tml_telemetry::{counter, span};
+use tml_optimizer::Nlp;
+use tml_parametric::{OptimalityCertificate, ParametricDtmc, Polynomial};
+use tml_telemetry::span;
 
-use crate::constraint::compile_constraint;
-use crate::oracle::{instantiate_value, CompiledOracle};
-use crate::{
-    LinearExpr, PerturbationTemplate, RepairError, RepairOptions, RepairStrategy, RobustSpec,
+use crate::driver::{
+    affine, checked_value, conservative_end, drive, PropertyOracle, RepairProblem, RepairRun,
 };
+use crate::oracle::CompiledOracle;
+use crate::{LinearExpr, PerturbationTemplate, RepairError, RepairOptions, RobustSpec};
 
 /// How a repair attempt concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +75,11 @@ pub struct ModelRepairOutcome<M = Dtmc> {
 
 /// The Model Repair algorithm.
 ///
-/// Two constraint back-ends are used automatically:
+/// [`repair_dtmc`](Self::repair_dtmc) and [`repair_mdp`](Self::repair_mdp)
+/// describe their repair to the crate's one repair driver, which Data
+/// Repair shares: check the base model, compile the property into the NLP,
+/// lift regions when the strategy asks for it, solve, and re-verify the
+/// solver's point. Two constraint back-ends are used automatically:
 ///
 /// * **symbolic** — the property is compiled to a closed-form rational
 ///   function by parametric model checking (Proposition 2) and evaluated
@@ -152,239 +154,11 @@ impl ModelRepair {
         template: &PerturbationTemplate,
     ) -> Result<ModelRepairOutcome<Dtmc>, RepairError> {
         let _span = span!("model_repair", model = "dtmc", params = template.num_params());
-        let robust = self.opts.robust;
-        if let Some(rs) = &robust {
-            rs.validate()?;
-        }
-        let checker = Checker::with_options(self.opts.check).with_budget(self.budget.clone());
-        let mut diag = Diagnostics::new();
-        let initial_holds = {
-            let _s = span!("model_repair.verify_initial");
-            if let Some(rs) = robust {
-                let ball = IntervalDtmc::wilson_around(base, rs.confidence, rs.sample_size)?;
-                let r = checker.check_interval_dtmc(&ball, formula)?;
-                diag.absorb(r.diagnostics());
-                r.holds()
-            } else {
-                let r = checker.check_dtmc(base, formula)?;
-                diag.absorb(r.diagnostics());
-                r.holds()
-            }
-        };
-        if initial_holds {
-            return Ok(ModelRepairOutcome {
-                status: RepairStatus::AlreadySatisfied,
-                parameters: Vec::new(),
-                cost: 0.0,
-                model: Some(base.clone()),
-                verified: true,
-                verified_by_simulation: None,
-                evaluations: 0,
-                solver_point: None,
-                certificate: None,
-                diagnostics: diag,
-            });
-        }
-
-        let compile_span = span!("model_repair.compile");
-        let pdtmc = template.apply(base)?;
-        let mut nlp = Nlp::new(template.num_params(), template.bounds())?;
-        self.frobenius_objective(&mut nlp, template);
-
-        // Property constraint: symbolic when possible, oracle otherwise.
-        // Rational functions of non-trivial degree lose f64 precision when
-        // evaluated (state elimination without exact arithmetic leaves
-        // uncancelled common factors that cause catastrophic cancellation
-        // — PARAM avoids this with exact rationals), so beyond a small
-        // complexity threshold the exact oracle (compiled once per repair,
-        // bitwise equal to instantiate-and-check) is used instead. The
-        // symbolic path is cross-validated to machine precision below the
-        // threshold.
-        const MAX_SYMBOLIC_DEGREE: u32 = 16;
-        let mut lifted: Option<LiftingOutcome> = None;
-        let mut compiled_oracle: Option<Arc<CompiledOracle>> = None;
-        // Robust repair constrains the *worst-case* value over the
-        // uncertainty ball, which the symbolic rational function (a nominal
-        // value) cannot express — the oracle path is mandatory.
-        let compiled = if robust.is_some() {
-            if self.opts.strategy == RepairStrategy::Lifting {
-                diag.record_fallback("lifting: robust repair uses the oracle, penalty search used");
-            }
-            None
-        } else {
-            match compile_constraint(&pdtmc, formula) {
-                Ok(sc) => Some(sc),
-                Err(RepairError::UnsupportedProperty { .. }) => None,
-                Err(other) => return Err(other),
-            }
-        };
-        match &compiled {
-            Some(sc) if sc.function.complexity() <= MAX_SYMBOLIC_DEGREE => {
-                let (fns, rows) = self.symbolic_system(template, base, sc);
-                register_block(&mut nlp, &fns, &rows)?;
-                if self.opts.strategy != RepairStrategy::Penalty {
-                    lifted = Some(self.lift_regions(template, &fns, &rows)?);
-                }
-            }
-            _ => {
-                self.validity_constraints(&mut nlp, template, base);
-                let (op, bound) = top_level_bound(formula)?;
-                let margin = self.margin(op);
-                let pd = pdtmc.clone();
-                let phi = formula.clone();
-                let check_opts = self.opts.check;
-                let inner = self.budget.without_evaluation_cap();
-                if let Some(rs) = robust {
-                    // Worst-case oracle: the candidate's Wilson ball must
-                    // satisfy the bound at its conservative end.
-                    nlp.constraint_with_margin("property", sense_of(op), bound, margin, move |v| {
-                        match pd.instantiate(v) {
-                            Ok(m) => robust_value_dtmc(&m, &phi, op, rs, &check_opts, &inner),
-                            Err(_) => f64::NAN,
-                        }
-                    });
-                } else if let Some(oracle) =
-                    CompiledOracle::compile(base, &pd, &phi, check_opts, inner.clone())
-                {
-                    let oracle = Arc::new(oracle);
-                    compiled_oracle = Some(oracle.clone());
-                    nlp.constraint_with_margin("property", sense_of(op), bound, margin, move |v| {
-                        oracle.value(v)
-                    });
-                } else {
-                    nlp.constraint_with_margin("property", sense_of(op), bound, margin, move |v| {
-                        instantiate_value(&pd, &phi, v, &check_opts, &inner)
-                    });
-                }
-                if let Some(sc) = &compiled {
-                    // Interval enclosures stay sound at any degree (the
-                    // uncancelled factors only widen them into Unknown
-                    // verdicts), so region pruning and warm starts still
-                    // apply even though pointwise NLP evaluation does not.
-                    if self.opts.strategy != RepairStrategy::Penalty {
-                        let (fns, rows) = self.symbolic_system(template, base, sc);
-                        lifted = Some(self.lift_regions(template, &fns, &rows)?);
-                    }
-                } else if robust.is_none() && self.opts.strategy == RepairStrategy::Lifting {
-                    // Lifting was requested but needs the symbolic path.
-                    diag.record_fallback("lifting: property not symbolic, penalty search used");
-                }
-            }
-        }
-        drop(compile_span);
-
-        // Digest the region verdicts: a fully-violating box is a sound
-        // infeasibility proof; an exhausted refinement degrades to the
-        // full penalty search; surviving boxes warm-start a restart-free
-        // penalty solve.
-        let mut lifting_evals = 0usize;
-        let mut solver_opts = self.opts.solver;
-        let mut region_starts: Vec<Vec<f64>> = Vec::new();
-        if let Some(lift) = &lifted {
-            lifting_evals = lift.evaluations;
-            diag.evaluations += lift.evaluations as u64;
-            diag.telemetry.incr("parametric.lifting.evaluations", lift.evaluations as u64);
-            if lift.exhausted.is_some() {
-                diag.record_fallback(
-                    "lifting: budget exhausted mid-refinement, penalty search used",
-                );
-                lifted = None;
-            } else if lift.all_violating() {
-                return Ok(ModelRepairOutcome {
-                    status: RepairStatus::Infeasible,
-                    parameters: Vec::new(),
-                    cost: 0.0,
-                    model: None,
-                    verified: false,
-                    verified_by_simulation: None,
-                    evaluations: lifting_evals,
-                    solver_point: None,
-                    certificate: None,
-                    diagnostics: diag,
-                });
-            } else {
-                region_starts = lift.warm_starts(3);
-                solver_opts.restarts = 0;
-                if !lift.candidates.is_empty() && solver_opts.penalty_rounds > 3 {
-                    // The warm starts already passed a pointwise
-                    // feasibility screen, so the slow μ ramp-in rounds are
-                    // redundant: start the schedule at the μ it would have
-                    // reached, keeping the final μ identical.
-                    solver_opts.penalty_init *=
-                        solver_opts.penalty_growth.powi(solver_opts.penalty_rounds as i32 - 3);
-                    solver_opts.penalty_rounds = 3;
-                }
-            }
-        }
-
-        let mut solver = PenaltySolver::with_options(solver_opts).with_budget(self.budget.clone());
-        for w in region_starts {
-            solver.start_from(w);
-        }
-        for w in &self.warm_starts {
-            solver.start_from(w.clone());
-        }
-        let sol = {
-            let _s = span!("model_repair.solve");
-            solver.solve(&nlp)?
-        };
-        absorb_solution(&mut diag, &sol);
-        if let Some(oracle) = &compiled_oracle {
-            let (compiled, deferred) = oracle.counts();
-            counter!("model_repair.oracle.compiled", compiled);
-            counter!("model_repair.oracle.deferred", deferred);
-            diag.telemetry.incr("model_repair.oracle.compiled", compiled);
-            diag.telemetry.incr("model_repair.oracle.deferred", deferred);
-        }
-        if !sol.feasible {
-            return Ok(ModelRepairOutcome {
-                status: infeasible_status(&sol),
-                parameters: name_params(template, &sol.x),
-                cost: frobenius_cost(template, &sol.x),
-                model: None,
-                verified: false,
-                verified_by_simulation: None,
-                evaluations: sol.evaluations + lifting_evals,
-                solver_point: Some(sol.x.clone()),
-                certificate: None,
-                diagnostics: diag,
-            });
-        }
-        let _recheck = span!("model_repair.recheck");
-        let repaired = pdtmc.instantiate(&sol.x)?;
-        let verified = if let Some(rs) = robust {
-            let ball = IntervalDtmc::wilson_around(&repaired, rs.confidence, rs.sample_size)?;
-            let verdict = checker.check_interval_dtmc(&ball, formula)?;
-            diag.absorb(verdict.diagnostics());
-            verdict.holds()
-        } else {
-            let verdict = checker.check_dtmc(&repaired, formula)?;
-            diag.absorb(verdict.diagnostics());
-            verdict.holds()
-        };
-        let cost = frobenius_cost(template, &sol.x);
-        let certificate = lifted.as_ref().map(|lift| {
-            let lower_bound = lift.feasible_lower_bound();
-            let epsilon = self.opts.lifting.epsilon;
-            OptimalityCertificate {
-                lower_bound,
-                upper_bound: cost,
-                epsilon,
-                certified: verified && cost - lower_bound <= epsilon,
-            }
-        });
-        Ok(ModelRepairOutcome {
-            status: repaired_status(verified, &diag),
-            parameters: name_params(template, &sol.x),
-            cost,
-            model: Some(repaired),
-            verified,
-            verified_by_simulation: None,
-            evaluations: sol.evaluations + lifting_evals,
-            solver_point: Some(sol.x.clone()),
-            certificate,
-            diagnostics: diag,
-        })
+        let mut problem = DtmcRepair { base, template, pdtmc: None };
+        let run = drive(&mut problem, formula, &self.opts, &self.budget, &self.warm_starts)?;
+        Ok(ModelRepairOutcome::from_run(run, |x| {
+            template.param_names().into_iter().zip(x.iter().copied()).collect()
+        }))
     }
 
     /// Repairs an MDP through the instantiate-and-check oracle.
@@ -413,115 +187,60 @@ impl ModelRepair {
                 reason: "robust repair is only implemented for DTMC models".into(),
             });
         }
-        let checker = Checker::with_options(self.opts.check).with_budget(self.budget.clone());
-        let mut diag = Diagnostics::new();
-        let initial = {
-            let _s = span!("model_repair.verify_initial");
-            checker.check_mdp(base, formula)?
-        };
-        diag.absorb(initial.diagnostics());
-        if initial.holds() {
-            return Ok(ModelRepairOutcome {
-                status: RepairStatus::AlreadySatisfied,
-                parameters: Vec::new(),
-                cost: 0.0,
-                model: Some(base.clone()),
-                verified: true,
-                verified_by_simulation: None,
-                evaluations: 0,
-                solver_point: None,
-                certificate: None,
-                diagnostics: diag,
-            });
-        }
-        template.validate(base)?;
-        let compile_span = span!("model_repair.compile");
-        let (op, bound) = top_level_bound(formula)?;
-        let mut nlp = Nlp::new(template.num_params(), template.bounds())?;
-        {
-            let entries = template.entries.clone();
-            nlp.objective(move |v| entries.values().map(|e| e.eval(v).powi(2)).sum());
-        }
-        // Validity: perturbed probabilities stay inside (0, 1).
-        for (&(s, c, t), expr) in &template.entries {
-            let base_p = choice_prob(base, s, c, t);
-            let e1 = expr.clone();
-            let e2 = expr.clone();
-            let m = self.opts.support_margin;
-            nlp.constraint(&format!("p({s},{c}->{t})>=m"), ConstraintSense::Ge, m, move |v| {
-                base_p + e1.eval(v)
-            });
-            nlp.constraint(
-                &format!("p({s},{c}->{t})<=1-m"),
-                ConstraintSense::Le,
-                1.0 - m,
-                move |v| base_p + e2.eval(v),
-            );
-        }
-        {
-            let t = template.clone();
-            let b = base.clone();
-            let phi = formula.clone();
-            let check_opts = self.opts.check;
-            let margin = self.margin(op);
-            let inner = self.budget.without_evaluation_cap();
-            nlp.constraint_with_margin("property", sense_of(op), bound, margin, move |v| {
-                match t.instantiate(&b, v) {
-                    Ok(m) => Checker::with_options(check_opts)
-                        .with_budget(inner.clone())
-                        .check_mdp(&m, &phi)
-                        .ok()
-                        .and_then(|r| r.value_at_initial())
-                        .unwrap_or(f64::NAN),
-                    Err(_) => f64::NAN,
-                }
-            });
-        }
-        drop(compile_span);
-        let mut solver =
-            PenaltySolver::with_options(self.opts.solver).with_budget(self.budget.clone());
-        for w in &self.warm_starts {
-            solver.start_from(w.clone());
-        }
-        let sol = {
-            let _s = span!("model_repair.solve");
-            solver.solve(&nlp)?
-        };
-        absorb_solution(&mut diag, &sol);
-        if !sol.feasible {
-            return Ok(ModelRepairOutcome {
-                status: infeasible_status(&sol),
-                parameters: template.name_params(&sol.x),
-                cost: template.cost(&sol.x),
-                model: None,
-                verified: false,
-                verified_by_simulation: None,
-                evaluations: sol.evaluations,
-                solver_point: Some(sol.x.clone()),
-                certificate: None,
-                diagnostics: diag,
-            });
-        }
-        let _recheck = span!("model_repair.recheck");
-        let repaired = template.instantiate(base, &sol.x)?;
-        let verdict = checker.check_mdp(&repaired, formula)?;
-        diag.absorb(verdict.diagnostics());
-        let verified = verdict.holds();
-        Ok(ModelRepairOutcome {
-            status: repaired_status(verified, &diag),
-            parameters: template.name_params(&sol.x),
-            cost: template.cost(&sol.x),
-            model: Some(repaired),
-            verified,
+        let run = drive(
+            &mut MdpRepair { base, template },
+            formula,
+            &self.opts,
+            &self.budget,
+            &self.warm_starts,
+        )?;
+        Ok(ModelRepairOutcome::from_run(run, |x| template.name_params(x)))
+    }
+}
+
+impl<M> ModelRepairOutcome<M> {
+    fn from_run(run: RepairRun<M>, name: impl Fn(&[f64]) -> Vec<(String, f64)>) -> Self {
+        ModelRepairOutcome {
+            status: run.status,
+            parameters: run.point.as_deref().map(name).unwrap_or_default(),
+            cost: run.cost,
+            model: run.model,
+            verified: run.verified,
             verified_by_simulation: None,
-            evaluations: sol.evaluations,
-            solver_point: Some(sol.x.clone()),
-            certificate: None,
-            diagnostics: diag,
-        })
+            evaluations: run.evaluations,
+            solver_point: run.point,
+            certificate: run.certificate,
+            diagnostics: run.diagnostics,
+        }
+    }
+}
+
+/// DTMC model repair: the template applied to the base chain is the
+/// parametric chain; its property compiles symbolically, to the
+/// [`CompiledOracle`], or to instantiate-and-check.
+struct DtmcRepair<'a> {
+    base: &'a Dtmc,
+    template: &'a PerturbationTemplate,
+    /// The template applied to `base`, built by `prepare`.
+    pdtmc: Option<ParametricDtmc>,
+}
+
+impl DtmcRepair<'_> {
+    fn pdtmc(&self) -> &ParametricDtmc {
+        self.pdtmc.as_ref().expect("the driver prepares the problem before compiling it")
+    }
+}
+
+impl RepairProblem for DtmcRepair<'_> {
+    type Model = Dtmc;
+
+    fn prepare(&mut self) -> Result<Vec<(f64, f64)>, RepairError> {
+        self.pdtmc = Some(self.template.apply(self.base)?);
+        Ok(self.template.bounds())
     }
 
-    fn frobenius_objective(&self, nlp: &mut Nlp, template: &PerturbationTemplate) {
+    fn objective(&self, nlp: &mut Nlp) {
+        let template = self.template;
         let exprs: Vec<LinearExpr> = template.entries().map(|(_, e)| e.clone()).collect();
         // ∇‖Z‖²_F = Σ 2·e(v)·∇e, with ∇e the (constant) coefficient vector.
         let coeffs: Vec<Vec<f64>> =
@@ -540,82 +259,128 @@ impl ModelRepair {
         );
     }
 
-    /// Builds the symbolic constraint system: the property's rational
-    /// function plus every `[m, 1−m]` validity function, paired with the
-    /// [`BlockRow`] describing its sense, bound and margin. The same system
-    /// feeds both the penalty NLP ([`register_block`]) and the region
-    /// solver ([`Self::lift_regions`]), so the two strategies provably
-    /// optimize over the same feasible set.
-    fn symbolic_system(
-        &self,
-        template: &PerturbationTemplate,
-        base: &Dtmc,
-        sc: &crate::constraint::SymbolicConstraint,
-    ) -> (Vec<RationalFunction>, Vec<BlockRow>) {
-        let np = template.num_params();
-        let m = self.opts.support_margin;
-        let mut fns = vec![sc.function.clone()];
-        let mut rows =
-            vec![BlockRow::new("property", sense_of(sc.op), sc.bound, self.margin(sc.op))];
-        for (name, base_p, expr) in template.probability_exprs(base) {
-            let rf = affine_probability(np, base_p, &expr);
-            fns.push(rf.clone());
-            rows.push(BlockRow::new(&format!("{name}>=m"), ConstraintSense::Ge, m, 0.0));
-            fns.push(rf);
-            rows.push(BlockRow::new(&format!("{name}<=1-m"), ConstraintSense::Le, 1.0 - m, 0.0));
-        }
-        (fns, rows)
+    fn cost(&self, x: &[f64]) -> f64 {
+        self.template.entries().map(|(_, e)| e.eval(x).powi(2)).sum()
     }
 
-    /// Runs branch-and-refine region verification over the template's
-    /// parameter box: every NLP constraint row becomes a [`RegionRow`]
-    /// whose threshold *includes the margin* (so "all-sat" means
-    /// margin-feasible, matching what the penalty solver accepts), and the
-    /// Frobenius cost is interval-bounded alongside to order surviving
-    /// boxes and derive the certificate's lower bound.
-    fn lift_regions(
+    fn cost_polynomial(&self) -> Polynomial {
+        sum_of_squares(self.template.num_params(), self.template.entries().map(|(_, e)| e))
+    }
+
+    fn candidate(
         &self,
-        template: &PerturbationTemplate,
-        fns: &[RationalFunction],
-        rows: &[BlockRow],
-    ) -> Result<LiftingOutcome, RepairError> {
-        let set = CompiledConstraintSet::compile(fns)?;
-        let region_rows: Vec<RegionRow> = rows
-            .iter()
-            .map(|r| match r.sense() {
-                ConstraintSense::Ge => RegionRow::new(BoundSense::Ge, r.rhs() + r.margin()),
-                ConstraintSense::Le => RegionRow::new(BoundSense::Le, r.rhs() - r.margin()),
+        point: Option<&[f64]>,
+        robust: Option<RobustSpec>,
+    ) -> Result<(Cow<'_, Dtmc>, Option<IntervalDtmc>), RepairError> {
+        let model = match point {
+            None => Cow::Borrowed(self.base),
+            Some(x) => Cow::Owned(self.pdtmc().instantiate(x)?),
+        };
+        let ball = robust
+            .map(|rs| IntervalDtmc::wilson_around(&model, rs.confidence, rs.sample_size))
+            .transpose()?;
+        Ok((model, ball))
+    }
+
+    fn parametric(&self) -> Option<&ParametricDtmc> {
+        self.pdtmc.as_ref()
+    }
+
+    fn validity(&self) -> Vec<(String, f64, LinearExpr)> {
+        self.template.probability_exprs(self.base)
+    }
+
+    fn oracle(
+        &self,
+        formula: &StateFormula,
+        robust: Option<RobustSpec>,
+        op: CmpOp,
+        check: CheckOptions,
+        budget: Budget,
+    ) -> PropertyOracle {
+        let pd = self.pdtmc().clone();
+        let phi = formula.clone();
+        if let Some(rs) = robust {
+            // The candidate's Wilson ball must satisfy the bound at its
+            // conservative end.
+            return PropertyOracle::Closure(Box::new(move |v| {
+                let ball = pd.instantiate(v).ok().and_then(|m| {
+                    IntervalDtmc::wilson_around(&m, rs.confidence, rs.sample_size).ok()
+                });
+                conservative_end(ball, &phi, op, &check, &budget)
+            }));
+        }
+        match CompiledOracle::compile(self.base, &pd, &phi, check, budget.clone()) {
+            Some(oracle) => PropertyOracle::Compiled(Arc::new(oracle)),
+            None => PropertyOracle::Closure(Box::new(move |v| {
+                checked_value(pd.instantiate(v).ok(), &phi, &check, &budget)
+            })),
+        }
+    }
+}
+
+/// MDP model repair: no symbolic path (min/max elimination is not
+/// implemented), so the property is always instantiate-and-check.
+struct MdpRepair<'a> {
+    base: &'a Mdp,
+    template: &'a MdpPerturbationTemplate,
+}
+
+impl RepairProblem for MdpRepair<'_> {
+    type Model = Mdp;
+
+    fn prepare(&mut self) -> Result<Vec<(f64, f64)>, RepairError> {
+        self.template.validate(self.base)?;
+        Ok(self.template.bounds())
+    }
+
+    fn objective(&self, nlp: &mut Nlp) {
+        let entries = self.template.entries.clone();
+        nlp.objective(move |v| entries.values().map(|e| e.eval(v).powi(2)).sum());
+    }
+
+    fn cost(&self, x: &[f64]) -> f64 {
+        self.template.cost(x)
+    }
+
+    fn cost_polynomial(&self) -> Polynomial {
+        sum_of_squares(self.template.num_params(), self.template.entries.values())
+    }
+
+    /// `robust` is always `None`: robust MDP repair is rejected before the
+    /// driver runs.
+    fn candidate(
+        &self,
+        point: Option<&[f64]>,
+        _robust: Option<RobustSpec>,
+    ) -> Result<(Cow<'_, Mdp>, Option<IntervalDtmc>), RepairError> {
+        Ok(match point {
+            None => (Cow::Borrowed(self.base), None),
+            Some(x) => (Cow::Owned(self.template.instantiate(self.base, x)?), None),
+        })
+    }
+
+    fn validity(&self) -> Vec<(String, f64, LinearExpr)> {
+        let entries = self.template.entries.iter();
+        entries
+            .map(|(&(s, c, t), e)| {
+                (format!("p({s},{c}->{t})"), choice_prob(self.base, s, c, t), e.clone())
             })
-            .collect();
-        let objective = RationalFunction::from_poly(frobenius_polynomial(template)).compile();
-        let problem = RegionProblem::new(set, region_rows)?.with_objective(objective);
-        let solver = RegionSolver::with_options(self.opts.lifting).with_budget(self.budget.clone());
-        Ok(solver.solve(&problem, &template.bounds())?)
+            .collect()
     }
 
-    fn validity_constraints(&self, nlp: &mut Nlp, template: &PerturbationTemplate, base: &Dtmc) {
-        let m = self.opts.support_margin;
-        for (name, base_p, expr) in template.probability_exprs(base) {
-            let e1 = expr.clone();
-            nlp.constraint(&format!("{name}>=m"), ConstraintSense::Ge, m, move |v| {
-                base_p + e1.eval(v)
-            });
-            let e2 = expr;
-            nlp.constraint(&format!("{name}<=1-m"), ConstraintSense::Le, 1.0 - m, move |v| {
-                base_p + e2.eval(v)
-            });
-        }
-    }
-
-    fn margin(&self, op: tml_logic::CmpOp) -> f64 {
-        // The optimizer accepts points violating constraints by up to its
-        // feasibility tolerance; fold that slack into the margin so an
-        // "optimizer-feasible" point always verifies under the checker.
-        let slack = self.opts.solver.feasibility_tolerance + self.opts.check.bound_tolerance;
-        match op {
-            tml_logic::CmpOp::Gt | tml_logic::CmpOp::Lt => self.opts.strict_margin + slack,
-            _ => slack,
-        }
+    fn oracle(
+        &self,
+        formula: &StateFormula,
+        _robust: Option<RobustSpec>,
+        _op: CmpOp,
+        check: CheckOptions,
+        budget: Budget,
+    ) -> PropertyOracle {
+        let (t, b, phi) = (self.template.clone(), self.base.clone(), formula.clone());
+        PropertyOracle::Closure(Box::new(move |v| {
+            checked_value(t.instantiate(&b, v).ok(), &phi, &check, &budget)
+        }))
     }
 }
 
@@ -754,64 +519,16 @@ impl MdpPerturbationTemplate {
     }
 }
 
-/// Registers a symbolic constraint system as a single compiled block: all
-/// rational functions are flattened to evaluation tapes
-/// ([`CompiledConstraintSet`]) that share one power table per point, and
-/// the block carries an analytic Jacobian so the penalty solver never
-/// needs finite differences on the symbolic path.
-fn register_block(
-    nlp: &mut Nlp,
-    fns: &[RationalFunction],
-    rows: &[BlockRow],
-) -> Result<(), RepairError> {
-    let set = CompiledConstraintSet::compile(fns)?;
-    let set_jac = set.clone();
-    nlp.constraint_block_with_jacobian(
-        rows.to_vec(),
-        move |v, out| {
-            if set.eval_all(v, out).is_err() {
-                out.fill(f64::NAN);
-            }
-        },
-        move |v, out, jac| {
-            if set_jac.eval_all_grad(v, out, jac).is_err() {
-                out.fill(f64::NAN);
-                jac.fill(0.0);
-            }
-        },
-    );
-    Ok(())
-}
-
-/// The Frobenius cost `‖Z‖²_F = Σ (Σᵢ cᵢ·vᵢ)²` as a polynomial in the
-/// repair parameters, so the region solver can interval-bound the
-/// objective it shares with the penalty NLP.
-fn frobenius_polynomial(template: &PerturbationTemplate) -> Polynomial {
-    let np = template.num_params();
+/// The cost `Σ (Σᵢ cᵢ·vᵢ)²` as a polynomial in the repair parameters, so
+/// the region solver can interval-bound the objective it shares with the
+/// penalty NLP.
+fn sum_of_squares<'e>(np: usize, exprs: impl Iterator<Item = &'e LinearExpr>) -> Polynomial {
     let mut total = Polynomial::constant(np, 0.0);
-    for (_, expr) in template.entries() {
-        let mut lin = Polynomial::constant(np, 0.0);
-        for (i, c) in expr.coefficients(np).into_iter().enumerate() {
-            if c != 0.0 {
-                lin = lin.add(&Polynomial::var(np, i).scale(c));
-            }
-        }
+    for expr in exprs {
+        let lin = affine(np, 0.0, expr);
         total = total.add(&lin.mul(&lin));
     }
     total
-}
-
-/// The perturbed probability `base_p + Σᵢ cᵢ·vᵢ` as a (polynomial) rational
-/// function, so validity constraints compile into the same tape set as the
-/// symbolic property function.
-fn affine_probability(np: usize, base_p: f64, expr: &LinearExpr) -> RationalFunction {
-    let mut p = Polynomial::constant(np, base_p);
-    for (i, c) in expr.coefficients(np).into_iter().enumerate() {
-        if c != 0.0 {
-            p = p.add(&Polynomial::var(np, i).scale(c));
-        }
-    }
-    RationalFunction::from_poly(p)
 }
 
 fn choice_prob(mdp: &Mdp, s: usize, c: usize, t: usize) -> f64 {
@@ -822,93 +539,10 @@ fn choice_prob(mdp: &Mdp, s: usize, c: usize, t: usize) -> f64 {
         .unwrap_or(0.0)
 }
 
-fn sense_of(op: tml_logic::CmpOp) -> ConstraintSense {
-    if op.is_lower_bound() {
-        ConstraintSense::Ge
-    } else {
-        ConstraintSense::Le
-    }
-}
-
-fn top_level_bound(formula: &StateFormula) -> Result<(tml_logic::CmpOp, f64), RepairError> {
-    match formula {
-        StateFormula::Prob { op, bound, .. } | StateFormula::Reward { op, bound, .. } => {
-            Ok((*op, *bound))
-        }
-        other => Err(RepairError::UnsupportedProperty {
-            property: other.to_string(),
-            reason: "repair needs a top-level P or R operator with a bound".into(),
-        }),
-    }
-}
-
-/// The conservative end of the robust bracket for the candidate's Wilson
-/// uncertainty ball: pessimistic for lower-bound properties, optimistic for
-/// upper bounds — the value the robust repair constraint must push past the
-/// bound. `NaN` (treated as infeasible by the optimizer) when the ball is
-/// malformed or the robust solve fails.
-pub(crate) fn robust_value_dtmc(
-    model: &Dtmc,
-    formula: &StateFormula,
-    op: tml_logic::CmpOp,
-    rs: RobustSpec,
-    check_opts: &tml_checker::CheckOptions,
-    budget: &Budget,
-) -> f64 {
-    let Ok(ball) = IntervalDtmc::wilson_around(model, rs.confidence, rs.sample_size) else {
-        return f64::NAN;
-    };
-    Checker::with_options(*check_opts)
-        .with_budget(budget.clone())
-        .check_interval_dtmc(&ball, formula)
-        .ok()
-        .and_then(|r| r.bracket_at_initial())
-        .map(|(lo, hi)| if op.is_lower_bound() { lo } else { hi })
-        .unwrap_or(f64::NAN)
-}
-
-/// Folds an optimizer solution's spend and stop cause into the diagnostics.
-pub(crate) fn absorb_solution(diag: &mut Diagnostics, sol: &Solution) {
-    diag.evaluations += sol.evaluations as u64;
-    diag.telemetry.incr("solver.penalty.evaluations", sol.evaluations as u64);
-    if let Some(cause) = sol.stopped {
-        diag.mark_exhausted(cause);
-    }
-}
-
-/// Status of an optimizer-infeasible attempt: a full search proves
-/// infeasibility, a truncated one only reports budget exhaustion.
-pub(crate) fn infeasible_status(sol: &Solution) -> RepairStatus {
-    if sol.stopped.is_some() {
-        RepairStatus::BudgetExhausted
-    } else {
-        RepairStatus::Infeasible
-    }
-}
-
-/// Status of a feasible attempt: verified repairs are `Repaired` even if
-/// the budget ran out afterwards; an unverified repair under an exhausted
-/// budget is only `BudgetExhausted` (the verification itself may have been
-/// truncated).
-pub(crate) fn repaired_status(verified: bool, diag: &Diagnostics) -> RepairStatus {
-    if !verified && diag.exhausted.is_some() {
-        RepairStatus::BudgetExhausted
-    } else {
-        RepairStatus::Repaired
-    }
-}
-
-fn name_params(template: &PerturbationTemplate, v: &[f64]) -> Vec<(String, f64)> {
-    template.param_names().into_iter().zip(v.iter().copied()).collect()
-}
-
-fn frobenius_cost(template: &PerturbationTemplate, v: &[f64]) -> f64 {
-    template.entries().map(|(_, e)| e.eval(v).powi(2)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RepairStrategy;
     use tml_logic::parse_formula;
     use tml_models::{DtmcBuilder, MdpBuilder};
 

@@ -5,11 +5,13 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tml_checker::reach::{ReachScratch, ReachSystem};
-use tml_checker::{CheckOptions, Checker};
+use tml_checker::CheckOptions;
 use tml_logic::StateFormula;
 use tml_models::{Dtmc, STOCHASTIC_TOLERANCE};
 use tml_numerics::Budget;
 use tml_parametric::ParametricDtmc;
+
+use crate::driver::checked_value;
 
 /// A DTMC repair property compiled against the template's fixed support.
 ///
@@ -114,7 +116,8 @@ impl CompiledOracle {
     fn value_with(&self, point: &[f64], scratch: &mut Scratch) -> f64 {
         if !self.refill(point, &mut scratch.transitions) {
             self.deferred.fetch_add(1, Ordering::Relaxed);
-            return instantiate_value(&self.pdtmc, &self.formula, point, &self.check, &self.budget);
+            let model = self.pdtmc.instantiate(point).ok();
+            return checked_value(model, &self.formula, &self.check, &self.budget);
         }
         self.compiled.fetch_add(1, Ordering::Relaxed);
         let transitions = &scratch.transitions;
@@ -144,25 +147,5 @@ impl CompiledOracle {
             }
         }
         true
-    }
-}
-
-/// Instantiate-and-check: the property's value at the initial state of the
-/// chain at `point`, `NaN` when it cannot be instantiated or checked.
-pub(crate) fn instantiate_value(
-    pdtmc: &ParametricDtmc,
-    formula: &StateFormula,
-    point: &[f64],
-    check: &CheckOptions,
-    budget: &Budget,
-) -> f64 {
-    match pdtmc.instantiate(point) {
-        Ok(m) => Checker::with_options(*check)
-            .with_budget(budget.clone())
-            .check_dtmc(&m, formula)
-            .ok()
-            .and_then(|r| r.value_at_initial())
-            .unwrap_or(f64::NAN),
-        Err(_) => f64::NAN,
     }
 }

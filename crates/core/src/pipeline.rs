@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use tml_checker::Checker;
 use tml_logic::StateFormula;
-use tml_models::{learn, Dtmc, MlOptions, TraceDataset};
+use tml_models::{Dtmc, TraceDataset};
 use tml_numerics::{Budget, Diagnostics};
 use tml_telemetry::span;
 
@@ -322,15 +322,7 @@ impl TmlPipeline {
         let _span = span!("pipeline.run", states = self.spec.num_states);
         // 1. Learn.
         let learn_span = span!("pipeline.learn");
-        let mut b = learn::ml_dtmc(self.spec.num_states, dataset, None, MlOptions::default())?;
-        b.initial_state(self.spec.initial)?;
-        for (s, l) in &self.spec.labels {
-            b.label(*s, l)?;
-        }
-        for (structure, s, r) in &self.spec.state_rewards {
-            b.state_reward(structure, *s, *r)?;
-        }
-        let model = b.build()?;
+        let model = self.spec.learn(dataset, None)?;
         drop(learn_span);
         let checkpoint = |stage: PipelineStage, solver_point: Option<Vec<f64>>| {
             if let Some(hook) = &self.checkpoint_hook {

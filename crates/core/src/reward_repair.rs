@@ -19,7 +19,8 @@ use tml_numerics::{Budget, Diagnostics};
 use tml_optimizer::{ConstraintSense, Nlp, PenaltySolver};
 use tml_telemetry::span;
 
-use crate::model_repair::{absorb_solution, infeasible_status, RepairStatus};
+use crate::driver::{absorb_solution, infeasible_status};
+use crate::model_repair::RepairStatus;
 use crate::{RepairError, RepairOptions};
 
 /// A rule with its importance weight `λ` (paper Eq. 17–18; `λ → ∞` drives

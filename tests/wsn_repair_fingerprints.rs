@@ -98,6 +98,7 @@ fn options(strategy: RepairStrategy, robust: Option<RobustSpec>) -> RepairOption
     RepairOptions { strategy, robust, ..RepairOptions::default() }
 }
 
+const NOT_SYMBOLIC: &str = "lifting: property not symbolic, penalty search used";
 const ROBUST_ORACLE: &str = "lifting: robust repair uses the oracle, penalty search used";
 
 /// Paper E4: data repair of the WSN traces against `X = 19`, keeping the
@@ -237,5 +238,7 @@ fn wsn_mdp_repair_matches_its_fingerprints() {
         fallbacks: fallbacks.iter().map(|f| f.to_string()).collect(),
     };
     assert_eq!(wsn_mdp_repair(RepairStrategy::Penalty), repaired(&[]));
-    assert_eq!(wsn_mdp_repair(RepairStrategy::Lifting), repaired(&[]));
+    // MDP repair has no symbolic path, so lifting degrades to penalty
+    // search and says so, as DTMC repair does.
+    assert_eq!(wsn_mdp_repair(RepairStrategy::Lifting), repaired(&[NOT_SYMBOLIC]));
 }
