@@ -290,7 +290,8 @@ impl Checker {
         Ok((bracket, run.finish()))
     }
 
-    /// The robust bracket of a numeric query on an interval MDP.
+    /// The robust bracket of a numeric query on an interval MDP, with the
+    /// [`Diagnostics`] of the robust solve.
     ///
     /// # Errors
     ///
@@ -299,10 +300,11 @@ impl Checker {
         &self,
         model: &IntervalMdp,
         query: &Query,
-    ) -> Result<RobustBracket, CheckError> {
+    ) -> Result<(RobustBracket, Diagnostics), CheckError> {
         let _span = span!("checker.query", model = "imdp", states = model.num_states());
         let run = CheckRun::new(&self.opts, &self.budget);
-        robust::query_mdp_run(model, query, &run)
+        let bracket = robust::query_mdp_run(model, query, &run)?;
+        Ok((bracket, run.finish()))
     }
 }
 

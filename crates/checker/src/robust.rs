@@ -44,10 +44,11 @@
 //! qualitative machinery this checker does not carry); cumulative rewards
 //! work on both model kinds.
 //!
-//! Every solve is budget-aware (it charges the shared [`Budget`] in
-//! sweep-equivalents: backups divided by the state count, rounded up) and
-//! telemetry-instrumented: `checker.robust.solves` / `.sweeps` / `.blocks`
-//! counters plus the `checker.backend.robust.{ok,fail}` pair.
+//! Every solve is budget-aware (it charges the shared
+//! [`Budget`](tml_numerics::Budget) in sweep-equivalents: backups divided
+//! by the state count, rounded up) and telemetry-instrumented:
+//! `checker.robust.solves` / `.sweeps` / `.blocks` counters plus the
+//! `checker.backend.robust.{ok,fail}` pair.
 //! An interval model is always checked over its whole uncertainty set:
 //! there is no fallback to the nominal (midpoint) chain.
 
@@ -55,7 +56,7 @@ use tml_logic::{PathFormula, Query, RewardKind, StateFormula};
 use tml_models::interval::{IntervalChoice, IntervalDtmc, IntervalMdp, IntervalTransition};
 use tml_models::{Labeling, RewardStructure};
 use tml_numerics::scc::{condensation_from, Condensation};
-use tml_numerics::{Budget, Diagnostics};
+use tml_numerics::Diagnostics;
 
 use crate::run::CheckRun;
 use crate::{lookup_rewards, CheckError, CheckOptions};
@@ -1056,42 +1057,6 @@ fn query_any(
     }
 }
 
-/// Robustly checks a formula on an interval DTMC with explicit options and
-/// an unlimited budget (the [`crate::Checker`] facade threads a budget).
-///
-/// # Errors
-///
-/// * [`CheckError::InvalidInterval`] for malformed uncertainty sets.
-/// * [`CheckError::Unsupported`] for nested `P`/`R` operators.
-pub fn check_interval_dtmc(
-    model: &IntervalDtmc,
-    formula: &StateFormula,
-    opts: &CheckOptions,
-) -> Result<RobustCheckResult, CheckError> {
-    let budget = Budget::unlimited();
-    let run = CheckRun::new(opts, &budget);
-    let result = check_any(&AnyInterval::Dtmc(model), formula, &run)?;
-    Ok(result.with_diagnostics(run.finish()))
-}
-
-/// Robustly checks a formula on an interval MDP (bracketing over schedulers
-/// *and* members).
-///
-/// # Errors
-///
-/// Same as [`check_interval_dtmc`], plus [`CheckError::Unsupported`] for
-/// reach rewards (see the module docs).
-pub fn check_interval_mdp(
-    model: &IntervalMdp,
-    formula: &StateFormula,
-    opts: &CheckOptions,
-) -> Result<RobustCheckResult, CheckError> {
-    let budget = Budget::unlimited();
-    let run = CheckRun::new(opts, &budget);
-    let result = check_any(&AnyInterval::Mdp(model), formula, &run)?;
-    Ok(result.with_diagnostics(run.finish()))
-}
-
 pub(crate) fn check_dtmc_run(
     model: &IntervalDtmc,
     formula: &StateFormula,
@@ -1124,43 +1089,14 @@ pub(crate) fn query_mdp_run(
     query_any(&AnyInterval::Mdp(model), query, run)
 }
 
-/// The robust bracket of a numeric query on an interval DTMC.
-///
-/// # Errors
-///
-/// Same conditions as [`check_interval_dtmc`].
-pub fn query_interval_dtmc(
-    model: &IntervalDtmc,
-    query: &Query,
-    opts: &CheckOptions,
-) -> Result<RobustBracket, CheckError> {
-    let budget = Budget::unlimited();
-    let run = CheckRun::new(opts, &budget);
-    query_any(&AnyInterval::Dtmc(model), query, &run)
-}
-
-/// The robust bracket of a numeric query on an interval MDP.
-///
-/// # Errors
-///
-/// Same conditions as [`check_interval_mdp`].
-pub fn query_interval_mdp(
-    model: &IntervalMdp,
-    query: &Query,
-    opts: &CheckOptions,
-) -> Result<RobustBracket, CheckError> {
-    let budget = Budget::unlimited();
-    let run = CheckRun::new(opts, &budget);
-    query_any(&AnyInterval::Mdp(model), query, &run)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LinearSolver;
+    use crate::{Checker, LinearSolver};
     use tml_logic::parse_formula;
     use tml_models::interval::IntervalDtmcBuilder;
     use tml_models::{Dtmc, DtmcBuilder};
+    use tml_numerics::Budget;
 
     fn gambler() -> Dtmc {
         let mut b = DtmcBuilder::new(3);
@@ -1178,7 +1114,7 @@ mod tests {
         let d = gambler();
         let m = IntervalDtmc::degenerate(&d);
         let phi = parse_formula("P>=0.25 [ F \"rich\" ]").unwrap();
-        let r = check_interval_dtmc(&m, &phi, &CheckOptions::default()).unwrap();
+        let r = Checker::new().check_interval_dtmc(&m, &phi).unwrap();
         let (lo, hi) = r.bracket_at_initial().unwrap();
         assert!((lo - 0.3).abs() < 1e-10 && (hi - 0.3).abs() < 1e-10);
         assert!(r.holds());
@@ -1190,8 +1126,8 @@ mod tests {
         let phi = parse_formula("P>=0.25 [ F \"rich\" ]").unwrap();
         let narrow = IntervalDtmc::from_dtmc(&d, 0.01);
         let wide = IntervalDtmc::from_dtmc(&d, 0.2);
-        let rn = check_interval_dtmc(&narrow, &phi, &CheckOptions::default()).unwrap();
-        let rw = check_interval_dtmc(&wide, &phi, &CheckOptions::default()).unwrap();
+        let rn = Checker::new().check_interval_dtmc(&narrow, &phi).unwrap();
+        let rw = Checker::new().check_interval_dtmc(&wide, &phi).unwrap();
         let (nlo, nhi) = rn.bracket_at_initial().unwrap();
         let (wlo, whi) = rw.bracket_at_initial().unwrap();
         assert!(wlo <= nlo && whi >= nhi, "wider set, wider bracket");
@@ -1209,7 +1145,7 @@ mod tests {
         let m = IntervalDtmc::from_dtmc(&d, 0.05);
         // Expected steps until absorption: exactly one step from state 0.
         let phi = parse_formula("R{\"steps\"}<=1.5 [ F \"rich\" ]").unwrap();
-        let r = check_interval_dtmc(&m, &phi, &CheckOptions::default()).unwrap();
+        let r = Checker::new().check_interval_dtmc(&m, &phi).unwrap();
         let (lo, hi) = r.bracket_at_initial().unwrap();
         // "rich" is not reached a.s. (the loser loop absorbs), so the
         // reward is infinite on every side.
@@ -1225,7 +1161,7 @@ mod tests {
         let line = b.build().unwrap();
         let m = IntervalDtmc::degenerate(&line);
         let phi = parse_formula("R{\"steps\"}<=1.0 [ F \"done\" ]").unwrap();
-        let r = check_interval_dtmc(&m, &phi, &CheckOptions::default()).unwrap();
+        let r = Checker::new().check_interval_dtmc(&m, &phi).unwrap();
         let (lo, hi) = r.bracket_at_initial().unwrap();
         assert!((lo - 1.0).abs() < 1e-9 && (hi - 1.0).abs() < 1e-9);
         assert!(r.holds());
@@ -1238,13 +1174,13 @@ mod tests {
         b.transition(1, 1, 1.0, 1.0).unwrap();
         let inverted = b.build().unwrap();
         let phi = parse_formula("P>=0.5 [ F \"x\" ]").unwrap();
-        let err = check_interval_dtmc(&inverted, &phi, &CheckOptions::default()).unwrap_err();
+        let err = Checker::new().check_interval_dtmc(&inverted, &phi).unwrap_err();
         assert!(matches!(err, CheckError::InvalidInterval { state: 0, .. }), "{err}");
 
         let mut b = IntervalDtmcBuilder::unchecked(1);
         b.transition(0, 0, f64::NAN, 1.0).unwrap();
         let nan = b.build().unwrap();
-        let err = check_interval_dtmc(&nan, &phi, &CheckOptions::default()).unwrap_err();
+        let err = Checker::new().check_interval_dtmc(&nan, &phi).unwrap_err();
         assert!(matches!(err, CheckError::InvalidInterval { .. }), "{err}");
         assert!(err.to_string().contains("state 0"), "{err}");
     }
@@ -1254,7 +1190,7 @@ mod tests {
         let d = gambler();
         let m = IntervalDtmc::degenerate(&d);
         let nested = parse_formula("P>=0.5 [ F P>=0.5 [ F \"rich\" ] ]").unwrap();
-        let err = check_interval_dtmc(&m, &nested, &CheckOptions::default()).unwrap_err();
+        let err = Checker::new().check_interval_dtmc(&m, &nested).unwrap_err();
         assert!(matches!(err, CheckError::Unsupported { .. }), "{err}");
     }
 
@@ -1264,7 +1200,8 @@ mod tests {
         let m = IntervalDtmc::from_dtmc(&d, 0.1);
         let phi = parse_formula("P>=0.25 [ F \"rich\" ]").unwrap();
         for solver in [LinearSolver::Auto, LinearSolver::GaussSeidel] {
-            let r = check_interval_dtmc(&m, &phi, &CheckOptions { solver, ..Default::default() })
+            let r = Checker::with_options(CheckOptions { solver, ..Default::default() })
+                .check_interval_dtmc(&m, &phi)
                 .unwrap();
             let (lo, hi) = r.bracket_at_initial().unwrap();
             assert!(hi - lo > 0.01, "{solver:?}: real bracket, not the nominal point");
@@ -1282,14 +1219,14 @@ mod tests {
         b.label(1, "goal").unwrap();
         let m = b.build().unwrap();
         let q = tml_logic::parse_query("P=? [ F \"goal\" ]").unwrap();
-        let bracket = query_interval_mdp(&m, &q, &CheckOptions::default()).unwrap();
+        let (bracket, _) = Checker::new().query_interval_mdp(&m, &q).unwrap();
         let (lo, hi) = bracket.at(0);
         // Worst scheduler+member: risky with p(goal)=0.2; best: risky with 0.9.
         assert!((lo - 0.2).abs() < 1e-9, "pessimistic {lo}");
         assert!((hi - 0.9).abs() < 1e-9, "optimistic {hi}");
         // Reach rewards are unsupported on interval MDPs.
         let phi = parse_formula("R<=1.0 [ F \"goal\" ]").unwrap();
-        let err = check_interval_mdp(&m, &phi, &CheckOptions::default()).unwrap_err();
+        let err = Checker::new().check_interval_mdp(&m, &phi).unwrap_err();
         assert!(matches!(err, CheckError::Unsupported { .. }));
     }
 
@@ -1310,21 +1247,40 @@ mod tests {
     }
 
     #[test]
+    fn budget_stopped_interval_mdp_query_reports_exhaustion() {
+        let mut b = tml_models::interval::IntervalMdpBuilder::new(4);
+        b.choice(0, "a", &[(0, 0.3, 0.5), (1, 0.2, 0.4), (3, 0.1, 0.3)]).unwrap();
+        b.choice(0, "b", &[(1, 0.4, 0.6), (3, 0.4, 0.6)]).unwrap();
+        b.choice(1, "a", &[(0, 0.2, 0.4), (2, 0.3, 0.5), (3, 0.2, 0.4)]).unwrap();
+        b.choice(2, "a", &[(2, 1.0, 1.0)]).unwrap();
+        b.choice(3, "a", &[(3, 1.0, 1.0)]).unwrap();
+        b.label(2, "goal").unwrap();
+        let m = b.build().unwrap();
+        let q = tml_logic::parse_query("Pmin=? [ F \"goal\" ]").unwrap();
+        let (_, full) = Checker::new().query_interval_mdp(&m, &q).unwrap();
+        assert!(full.exhausted.is_none());
+        let starved = Checker::new().with_budget(Budget::unlimited().with_max_evaluations(1));
+        let (_, diag) = starved.query_interval_mdp(&m, &q).unwrap();
+        assert!(diag.exhausted.is_some(), "{diag:?}");
+        assert!(diag.degraded());
+    }
+
+    #[test]
     fn bounded_and_next_and_globally() {
         let d = gambler();
         let m = IntervalDtmc::from_dtmc(&d, 0.1);
-        let o = CheckOptions::default();
+        let checker = Checker::with_options(CheckOptions::default());
         let q = tml_logic::parse_query("P=? [ X \"rich\" ]").unwrap();
-        let b = query_interval_dtmc(&m, &q, &o).unwrap();
+        let b = checker.query_interval_dtmc(&m, &q).unwrap();
         let (lo, hi) = b.at(0);
         assert!((lo - 0.2).abs() < 1e-9 && (hi - 0.4).abs() < 1e-9);
 
         let q = tml_logic::parse_query("P=? [ F<=1 \"rich\" ]").unwrap();
-        let b2 = query_interval_dtmc(&m, &q, &o).unwrap();
+        let b2 = checker.query_interval_dtmc(&m, &q).unwrap();
         assert_eq!(b2.at(0), (lo, hi), "one-step eventually equals next here");
 
         let q = tml_logic::parse_query("P=? [ G !\"rich\" ]").unwrap();
-        let g = query_interval_dtmc(&m, &q, &o).unwrap();
+        let g = checker.query_interval_dtmc(&m, &q).unwrap();
         let (glo, ghi) = g.at(0);
         // P(G ¬rich) = 1 − P(F rich): bracket [1−0.4, 1−0.2].
         assert!((glo - 0.6).abs() < 1e-9 && (ghi - 0.8).abs() < 1e-9);

@@ -135,12 +135,12 @@ options (check):
                      trajectories (DTMC models; prints the confidence
                      interval and whether it corroborates the checker)
 
-options (check/repair; robust semantics):
+options (check/query/repair; robust semantics):
   --robust           interpret a point dtmc as the Wilson confidence ball
                      around it and require the property for EVERY member:
-                     check prints the [pessimistic, optimistic] bracket,
-                     repair searches for the cheapest perturbation whose
-                     whole ball satisfies the property (and prints the
+                     check and query print the [pessimistic, optimistic]
+                     bracket, repair searches for the cheapest perturbation
+                     whose whole ball satisfies the property (and prints the
                      non-robust cost next to it). Interval models (written
                      with lo..hi probabilities) take the robust path
                      without the flag.
@@ -325,7 +325,7 @@ fn dispatch(args: &[String], opts: &CliOptions) -> Result<u8, UsageError> {
     match cmd.as_str() {
         "info" => info(arg(args, 1, "MODEL")?).map(|()| 0),
         "check" => check(arg(args, 1, "MODEL")?, arg(args, 2, "PROPERTY")?, opts),
-        "query" => query(arg(args, 1, "MODEL")?, arg(args, 2, "QUERY")?, &opts.budget).map(|()| 0),
+        "query" => query(arg(args, 1, "MODEL")?, arg(args, 2, "QUERY")?, opts).map(|()| 0),
         "repair" => repair(arg(args, 1, "MODEL")?, arg(args, 2, "PROPERTY")?, opts),
         "simulate" => simulate(
             arg(args, 1, "MODEL")?,
@@ -585,23 +585,11 @@ fn check(path: &str, property: &str, opts: &CliOptions) -> Result<u8, UsageError
     // Interval models (and --robust point chains, wrapped in their Wilson
     // confidence ball) take the robust path: a [pessimistic, optimistic]
     // bracket over every member of the uncertainty set.
-    let robust = match &model {
-        ModelFile::IntervalDtmc(m) => Some(checker.check_interval_dtmc(m, &phi)),
-        ModelFile::IntervalMdp(m) => Some(checker.check_interval_mdp(m, &phi)),
-        ModelFile::Dtmc(m) if opts.robust.enabled => {
-            let (confidence, samples) = opts.robust.spec()?;
-            let ball = tml_models::IntervalDtmc::wilson_around(m, confidence, samples)
-                .map_err(|e| UsageError(e.to_string()))?;
-            outln!("robust: Wilson ball at {confidence} confidence, sample size {samples}");
-            Some(checker.check_interval_dtmc(&ball, &phi))
-        }
-        ModelFile::Mdp(_) if opts.robust.enabled => {
-            return Err(UsageError(
-                "--robust needs per-transition confidence intervals; point MDPs have none \
-                 (write an interval mdp model with lo..hi probabilities instead)"
-                    .into(),
-            ));
-        }
+    let ball = robust_ball(&model, &opts.robust)?;
+    let robust = match (&model, &ball) {
+        (_, Some(ball)) => Some(checker.check_interval_dtmc(ball, &phi)),
+        (ModelFile::IntervalDtmc(m), _) => Some(checker.check_interval_dtmc(m, &phi)),
+        (ModelFile::IntervalMdp(m), _) => Some(checker.check_interval_mdp(m, &phi)),
         _ => None,
     };
     if let Some(result) = robust {
@@ -671,26 +659,50 @@ fn simulate_cross_check(
     Ok(())
 }
 
-fn query(path: &str, q: &str, budget: &Budget) -> Result<(), UsageError> {
+/// The Wilson confidence ball `--robust` wraps a point dtmc in (`None`
+/// without the flag or for interval models); point MDPs have none.
+fn robust_ball(
+    model: &ModelFile,
+    flags: &RobustFlags,
+) -> Result<Option<tml_models::IntervalDtmc>, UsageError> {
+    match model {
+        ModelFile::Dtmc(m) if flags.enabled => {
+            let (confidence, samples) = flags.spec()?;
+            let ball = tml_models::IntervalDtmc::wilson_around(m, confidence, samples)
+                .map_err(|e| UsageError(e.to_string()))?;
+            outln!("robust: Wilson ball at {confidence} confidence, sample size {samples}");
+            Ok(Some(ball))
+        }
+        ModelFile::Mdp(_) if flags.enabled => Err(UsageError(
+            "--robust needs per-transition confidence intervals; point MDPs have none \
+             (write an interval mdp model with lo..hi probabilities instead)"
+                .into(),
+        )),
+        _ => Ok(None),
+    }
+}
+
+fn query(path: &str, q: &str, opts: &CliOptions) -> Result<(), UsageError> {
     let model = load(path)?;
     let parsed = parse_query(q).map_err(|e| UsageError(e.to_string()))?;
-    let checker = Checker::new().with_budget(budget.clone());
-    // Interval models answer with a robust bracket per state, not a value.
-    let robust = match &model {
-        ModelFile::IntervalDtmc(m) => Some((
-            checker.query_interval_dtmc_diag(m, &parsed).map_err(|e| UsageError(e.to_string()))?,
-            m.initial_state(),
-        )),
-        ModelFile::IntervalMdp(m) => Some((
-            checker
-                .query_interval_mdp(m, &parsed)
-                .map(|b| (b, tml_checker::Diagnostics::default()))
-                .map_err(|e| UsageError(e.to_string()))?,
-            m.initial_state(),
-        )),
+    let checker = Checker::new().with_budget(opts.budget.clone());
+    // Interval models (and --robust point chains, wrapped in their Wilson
+    // confidence ball) answer with a robust bracket per state, not a value.
+    let ball = robust_ball(&model, &opts.robust)?;
+    let robust = match (&model, &ball) {
+        (_, Some(ball)) => {
+            Some((checker.query_interval_dtmc_diag(ball, &parsed), ball.initial_state()))
+        }
+        (ModelFile::IntervalDtmc(m), _) => {
+            Some((checker.query_interval_dtmc_diag(m, &parsed), m.initial_state()))
+        }
+        (ModelFile::IntervalMdp(m), _) => {
+            Some((checker.query_interval_mdp(m, &parsed), m.initial_state()))
+        }
         _ => None,
     };
-    if let Some(((bracket, diag), initial)) = robust {
+    if let Some((result, initial)) = robust {
+        let (bracket, diag) = result.map_err(|e| UsageError(e.to_string()))?;
         outln!("query: {parsed}");
         for s in 0..model.num_states() {
             let (lo, hi) = bracket.at(s);

@@ -17,8 +17,7 @@
 
 use std::borrow::Cow;
 
-use tml_checker::CheckOptions;
-use tml_logic::{CmpOp, StateFormula};
+use tml_logic::StateFormula;
 use tml_models::{
     learn, Dtmc, DtmcBuilder, IntervalDtmc, IntervalDtmcBuilder, MlOptions, TraceDataset,
 };
@@ -27,7 +26,9 @@ use tml_optimizer::Nlp;
 use tml_parametric::{OptimalityCertificate, ParametricDtmc, Polynomial, RationalFunction};
 use tml_telemetry::span;
 
-use crate::driver::{checked_value, conservative_end, drive, PropertyOracle, RepairProblem};
+use crate::driver::{
+    checked_value, conservative_end, drive, OracleSpec, PropertyOracle, RepairProblem,
+};
 use crate::model_repair::RepairStatus;
 use crate::{RepairError, RepairOptions, RobustSpec};
 
@@ -340,10 +341,6 @@ impl RepairProblem for DataProblem<'_> {
         );
     }
 
-    fn cost(&self, w: &[f64]) -> f64 {
-        w.iter().zip(&self.masses).map(|(&w, &m)| m * (1.0 - w).powi(2)).sum()
-    }
-
     /// The teaching effort `Σ_g m_g·(1 − w_g)²` as a polynomial in `w`.
     fn cost_polynomial(&self) -> Polynomial {
         let g = self.masses.len();
@@ -375,23 +372,15 @@ impl RepairProblem for DataProblem<'_> {
         self.pdtmc.as_ref()
     }
 
-    fn oracle(
-        &self,
-        formula: &StateFormula,
-        robust: Option<RobustSpec>,
-        op: CmpOp,
-        check: CheckOptions,
-        budget: Budget,
-    ) -> PropertyOracle {
-        let (ds, sp, phi) = (self.dataset.clone(), self.spec.clone(), formula.clone());
-        PropertyOracle::Closure(match robust {
+    fn oracle(&self, o: OracleSpec) -> PropertyOracle {
+        let (ds, sp) = (self.dataset.clone(), self.spec.clone());
+        PropertyOracle::Closure(match o.robust {
             Some(rs) => Box::new(move |w| {
-                let ball = sp.learn_interval(&ds, Some(w), rs.confidence).ok();
-                conservative_end(ball, &phi, op, &check, &budget)
+                conservative_end(sp.learn_interval(&ds, Some(w), rs.confidence).ok(), &o)
             }),
-            None => {
-                Box::new(move |w| checked_value(sp.learn(&ds, Some(w)).ok(), &phi, &check, &budget))
-            }
+            None => Box::new(move |w| {
+                checked_value(sp.learn(&ds, Some(w)).ok(), &o.formula, &o.check, &o.budget)
+            }),
         })
     }
 

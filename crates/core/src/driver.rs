@@ -65,6 +65,17 @@ pub(crate) enum PropertyOracle {
     Closure(Box<ValueFn>),
 }
 
+/// What a property oracle checks at each point.
+pub(crate) struct OracleSpec {
+    pub formula: StateFormula,
+    /// The property's top-level operator.
+    pub op: CmpOp,
+    pub robust: Option<RobustSpec>,
+    pub check: CheckOptions,
+    /// The repair budget without its evaluation cap.
+    pub budget: Budget,
+}
+
 /// One repair as the driver sees it.
 pub(crate) trait RepairProblem {
     /// The model the repair returns.
@@ -79,9 +90,6 @@ pub(crate) trait RepairProblem {
 
     /// Registers the repair cost as the NLP objective.
     fn objective(&self, nlp: &mut Nlp);
-
-    /// The repair cost at `x`.
-    fn cost(&self, x: &[f64]) -> f64;
 
     /// The repair cost as a polynomial, which the region solver bounds.
     fn cost_polynomial(&self) -> Polynomial;
@@ -106,17 +114,10 @@ pub(crate) trait RepairProblem {
         Vec::new()
     }
 
-    /// The property oracle at a point: compiled or instantiate-and-check
+    /// The property oracle: compiled or instantiate-and-check
     /// (relearn-and-check for data), or the [`conservative_end`] of the
-    /// candidate's ball when `robust` is set.
-    fn oracle(
-        &self,
-        formula: &StateFormula,
-        robust: Option<RobustSpec>,
-        op: CmpOp,
-        check: CheckOptions,
-        budget: Budget,
-    ) -> PropertyOracle;
+    /// candidate's ball when robust.
+    fn oracle(&self, spec: OracleSpec) -> PropertyOracle;
 
     /// Points the penalty solver tries before any other.
     fn start_points(&self) -> Vec<Vec<f64>> {
@@ -200,26 +201,21 @@ pub(crate) fn drive<P: RepairProblem>(
         None => None,
     };
     let lifting = opts.strategy != RepairStrategy::Penalty;
+    let pointwise = |sc: &SymbolicConstraint| sc.function.complexity() <= MAX_SYMBOLIC_DEGREE;
     let validity = problem.validity();
-    let system = |sc: &SymbolicConstraint| {
+    let system = symbolic.as_ref().filter(|sc| lifting || pointwise(sc)).map(|sc| {
         symbolic_system(sc, margin(opts, sc.op), &validity, bounds.len(), opts.support_margin)
-    };
-    let mut lifted = None;
+    });
     let mut compiled_oracle = None;
-    match &symbolic {
-        Some(sc) if sc.function.complexity() <= MAX_SYMBOLIC_DEGREE => {
-            let (fns, rows) = system(sc);
-            register_symbolic(&mut nlp, &fns, &rows)?;
-            if lifting {
-                lifted = Some(lift(&fns, &rows, problem.cost_polynomial(), &bounds, opts, budget)?);
-            }
-        }
+    match (&symbolic, &system) {
+        (Some(sc), Some((fns, rows))) if pointwise(sc) => register_symbolic(&mut nlp, fns, rows)?,
         _ => {
             register_validity(&mut nlp, &validity, opts.support_margin);
             let (op, bound) = top_level_bound(formula)?;
             let (sense, margin) = (sense_of(op), margin(opts, op));
-            let inner = budget.without_evaluation_cap();
-            match problem.oracle(formula, robust, op, opts.check, inner) {
+            let (check, budget) = (opts.check, budget.without_evaluation_cap());
+            match problem.oracle(OracleSpec { formula: formula.clone(), op, robust, check, budget })
+            {
                 PropertyOracle::Compiled(oracle) => {
                     compiled_oracle = Some(oracle.clone());
                     nlp.constraint_with_margin("property", sense, bound, margin, move |v| {
@@ -230,22 +226,20 @@ pub(crate) fn drive<P: RepairProblem>(
                     nlp.constraint_with_margin("property", sense, bound, margin, f);
                 }
             }
-            if let Some(sc) = &symbolic {
-                // Interval enclosures stay sound at any degree (the
-                // uncancelled factors only widen them into Unknown
-                // verdicts), so region pruning and warm starts still apply
-                // even though pointwise NLP evaluation does not.
-                if lifting {
-                    let (fns, rows) = system(sc);
-                    lifted =
-                        Some(lift(&fns, &rows, problem.cost_polynomial(), &bounds, opts, budget)?);
-                }
-            } else if robust.is_none() && opts.strategy == RepairStrategy::Lifting {
-                // Lifting was requested but needs the symbolic path.
+            if symbolic.is_none() && robust.is_none() && opts.strategy == RepairStrategy::Lifting {
                 diag.record_fallback("lifting: property not symbolic, penalty search used");
             }
         }
     }
+    // Interval enclosures stay sound at any degree (the uncancelled factors
+    // only widen them into Unknown verdicts), so region pruning and warm
+    // starts apply even where pointwise NLP evaluation does not.
+    let mut lifted = match &system {
+        Some((fns, rows)) if lifting => {
+            Some(lift(fns, rows, problem.cost_polynomial(), &bounds, opts, budget)?)
+        }
+        _ => None,
+    };
     drop(compile_span);
 
     // Digest the region verdicts: a fully-violating box is a sound
@@ -308,40 +302,31 @@ pub(crate) fn drive<P: RepairProblem>(
         diag.telemetry.incr("model_repair.oracle.compiled", compiled);
         diag.telemetry.incr("model_repair.oracle.deferred", deferred);
     }
-    let cost = problem.cost(&sol.x);
-    let evaluations = sol.evaluations + lifting_evals;
-    if !sol.feasible {
-        return Ok(RepairRun {
-            status: infeasible_status(&sol),
-            point: Some(sol.x),
-            cost,
-            model: None,
-            verified: false,
-            evaluations,
-            certificate: None,
-            diagnostics: diag,
+    let cost = nlp.objective_value(&sol.x);
+    let (status, model, verified, certificate) = if sol.feasible {
+        let _recheck = phase::<P>("model_repair.recheck");
+        let (model, verified) =
+            verify(problem, &checker, formula, robust, Some(&sol.x), &mut diag)?;
+        let certificate = lifted.map(|lift| {
+            let (lower_bound, epsilon) = (lift.feasible_lower_bound(), opts.lifting.epsilon);
+            OptimalityCertificate {
+                lower_bound,
+                upper_bound: cost,
+                epsilon,
+                certified: verified && cost - lower_bound <= epsilon,
+            }
         });
-    }
-    let _recheck = phase::<P>("model_repair.recheck");
-    let (model, verified) = verify(problem, &checker, formula, robust, Some(&sol.x), &mut diag)?;
-    let model = model.into_owned();
-    let certificate = lifted.map(|lift| {
-        let lower_bound = lift.feasible_lower_bound();
-        let epsilon = opts.lifting.epsilon;
-        OptimalityCertificate {
-            lower_bound,
-            upper_bound: cost,
-            epsilon,
-            certified: verified && cost - lower_bound <= epsilon,
-        }
-    });
+        (repaired_status(verified, &diag), Some(model.into_owned()), verified, certificate)
+    } else {
+        (infeasible_status(&sol), None, false, None)
+    };
     Ok(RepairRun {
-        status: repaired_status(verified, &diag),
+        status,
         point: Some(sol.x),
         cost,
-        model: Some(model),
+        model,
         verified,
-        evaluations,
+        evaluations: sol.evaluations + lifting_evals,
         certificate,
         diagnostics: diag,
     })
@@ -382,10 +367,9 @@ pub(crate) fn checked_value<M: Checkable>(
     check: &CheckOptions,
     budget: &Budget,
 ) -> f64 {
+    let checker = Checker::with_options(*check).with_budget(budget.clone());
     model
-        .and_then(|m| {
-            m.check(&Checker::with_options(*check).with_budget(budget.clone()), formula).ok()
-        })
+        .and_then(|m| m.check(&checker, formula).ok())
         .and_then(|r| r.value_at_initial())
         .unwrap_or(f64::NAN)
 }
@@ -395,22 +379,12 @@ pub(crate) fn checked_value<M: Checkable>(
 /// bounds — the value the robust property constraint must push past the
 /// bound. `NaN` (infeasible to the optimizer) when there is no ball or the
 /// robust solve fails.
-pub(crate) fn conservative_end(
-    ball: Option<IntervalDtmc>,
-    formula: &StateFormula,
-    op: CmpOp,
-    check: &CheckOptions,
-    budget: &Budget,
-) -> f64 {
-    ball.and_then(|ball| {
-        Checker::with_options(*check)
-            .with_budget(budget.clone())
-            .check_interval_dtmc(&ball, formula)
-            .ok()
-    })
-    .and_then(|r| r.bracket_at_initial())
-    .map(|(lo, hi)| if op.is_lower_bound() { lo } else { hi })
-    .unwrap_or(f64::NAN)
+pub(crate) fn conservative_end(ball: Option<IntervalDtmc>, o: &OracleSpec) -> f64 {
+    let checker = Checker::with_options(o.check).with_budget(o.budget.clone());
+    ball.and_then(|ball| checker.check_interval_dtmc(&ball, &o.formula).ok())
+        .and_then(|r| r.bracket_at_initial())
+        .map(|(lo, hi)| if o.op.is_lower_bound() { lo } else { hi })
+        .unwrap_or(f64::NAN)
 }
 
 /// The `model_repair.*` phase span `name`, or a disabled guard for

@@ -4,8 +4,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use tml_checker::CheckOptions;
-use tml_logic::{CmpOp, StateFormula};
+use tml_logic::StateFormula;
 use tml_models::{Dtmc, IntervalDtmc, Mdp};
 use tml_numerics::{Budget, Diagnostics};
 use tml_optimizer::Nlp;
@@ -13,7 +12,8 @@ use tml_parametric::{OptimalityCertificate, ParametricDtmc, Polynomial};
 use tml_telemetry::span;
 
 use crate::driver::{
-    affine, checked_value, conservative_end, drive, PropertyOracle, RepairProblem, RepairRun,
+    affine, checked_value, conservative_end, drive, OracleSpec, PropertyOracle, RepairProblem,
+    RepairRun,
 };
 use crate::oracle::CompiledOracle;
 use crate::{LinearExpr, PerturbationTemplate, RepairError, RepairOptions, RobustSpec};
@@ -240,27 +240,8 @@ impl RepairProblem for DtmcRepair<'_> {
     }
 
     fn objective(&self, nlp: &mut Nlp) {
-        let template = self.template;
-        let exprs: Vec<LinearExpr> = template.entries().map(|(_, e)| e.clone()).collect();
-        // ∇‖Z‖²_F = Σ 2·e(v)·∇e, with ∇e the (constant) coefficient vector.
-        let coeffs: Vec<Vec<f64>> =
-            exprs.iter().map(|e| e.coefficients(template.num_params())).collect();
-        let exprs_g = exprs.clone();
-        nlp.objective_with_grad(
-            move |v| exprs.iter().map(|e| e.eval(v).powi(2)).sum(),
-            move |v, g| {
-                for (e, cs) in exprs_g.iter().zip(&coeffs) {
-                    let scale = 2.0 * e.eval(v);
-                    for (gi, c) in g.iter_mut().zip(cs) {
-                        *gi += scale * c;
-                    }
-                }
-            },
-        );
-    }
-
-    fn cost(&self, x: &[f64]) -> f64 {
-        self.template.entries().map(|(_, e)| e.eval(x).powi(2)).sum()
+        let exprs = self.template.entries().map(|(_, e)| e.clone()).collect();
+        frobenius_objective(nlp, self.template.num_params(), exprs);
     }
 
     fn cost_polynomial(&self) -> Polynomial {
@@ -290,30 +271,22 @@ impl RepairProblem for DtmcRepair<'_> {
         self.template.probability_exprs(self.base)
     }
 
-    fn oracle(
-        &self,
-        formula: &StateFormula,
-        robust: Option<RobustSpec>,
-        op: CmpOp,
-        check: CheckOptions,
-        budget: Budget,
-    ) -> PropertyOracle {
+    fn oracle(&self, o: OracleSpec) -> PropertyOracle {
         let pd = self.pdtmc().clone();
-        let phi = formula.clone();
-        if let Some(rs) = robust {
+        if let Some(rs) = o.robust {
             // The candidate's Wilson ball must satisfy the bound at its
             // conservative end.
             return PropertyOracle::Closure(Box::new(move |v| {
                 let ball = pd.instantiate(v).ok().and_then(|m| {
                     IntervalDtmc::wilson_around(&m, rs.confidence, rs.sample_size).ok()
                 });
-                conservative_end(ball, &phi, op, &check, &budget)
+                conservative_end(ball, &o)
             }));
         }
-        match CompiledOracle::compile(self.base, &pd, &phi, check, budget.clone()) {
+        match CompiledOracle::compile(self.base, &pd, &o.formula, o.check, o.budget.clone()) {
             Some(oracle) => PropertyOracle::Compiled(Arc::new(oracle)),
             None => PropertyOracle::Closure(Box::new(move |v| {
-                checked_value(pd.instantiate(v).ok(), &phi, &check, &budget)
+                checked_value(pd.instantiate(v).ok(), &o.formula, &o.check, &o.budget)
             })),
         }
     }
@@ -335,12 +308,8 @@ impl RepairProblem for MdpRepair<'_> {
     }
 
     fn objective(&self, nlp: &mut Nlp) {
-        let entries = self.template.entries.clone();
-        nlp.objective(move |v| entries.values().map(|e| e.eval(v).powi(2)).sum());
-    }
-
-    fn cost(&self, x: &[f64]) -> f64 {
-        self.template.cost(x)
+        let exprs = self.template.entries.values().cloned().collect();
+        frobenius_objective(nlp, self.template.num_params(), exprs);
     }
 
     fn cost_polynomial(&self) -> Polynomial {
@@ -369,17 +338,10 @@ impl RepairProblem for MdpRepair<'_> {
             .collect()
     }
 
-    fn oracle(
-        &self,
-        formula: &StateFormula,
-        _robust: Option<RobustSpec>,
-        _op: CmpOp,
-        check: CheckOptions,
-        budget: Budget,
-    ) -> PropertyOracle {
-        let (t, b, phi) = (self.template.clone(), self.base.clone(), formula.clone());
+    fn oracle(&self, o: OracleSpec) -> PropertyOracle {
+        let (t, b) = (self.template.clone(), self.base.clone());
         PropertyOracle::Closure(Box::new(move |v| {
-            checked_value(t.instantiate(&b, v).ok(), &phi, &check, &budget)
+            checked_value(t.instantiate(&b, v).ok(), &o.formula, &o.check, &o.budget)
         }))
     }
 }
@@ -439,10 +401,6 @@ impl MdpPerturbationTemplate {
 
     fn name_params(&self, v: &[f64]) -> Vec<(String, f64)> {
         self.params.iter().zip(v).map(|((n, _, _), &x)| (n.clone(), x)).collect()
-    }
-
-    fn cost(&self, v: &[f64]) -> f64 {
-        self.entries.values().map(|e| e.eval(v).powi(2)).sum()
     }
 
     /// Checks support preservation and per-distribution cancellation.
@@ -517,6 +475,25 @@ impl MdpPerturbationTemplate {
         }
         Ok(b.build()?)
     }
+}
+
+/// Registers the Frobenius cost `‖Z‖²_F = Σ e(v)²` of the perturbations
+/// `exprs` with its gradient `Σ 2·e(v)·∇e` (∇e is the constant coefficient
+/// vector).
+fn frobenius_objective(nlp: &mut Nlp, np: usize, exprs: Vec<LinearExpr>) {
+    let coeffs: Vec<Vec<f64>> = exprs.iter().map(|e| e.coefficients(np)).collect();
+    let exprs_g = exprs.clone();
+    nlp.objective_with_grad(
+        move |v| exprs.iter().map(|e| e.eval(v).powi(2)).sum(),
+        move |v, g| {
+            for (e, cs) in exprs_g.iter().zip(&coeffs) {
+                let scale = 2.0 * e.eval(v);
+                for (gi, c) in g.iter_mut().zip(cs) {
+                    *gi += scale * c;
+                }
+            }
+        },
+    );
 }
 
 /// The cost `Σ (Σᵢ cᵢ·vᵢ)²` as a polynomial in the repair parameters, so

@@ -457,7 +457,7 @@ fn bracket_ends_at_exactly_one_are_the_brute_force_prob1_sets() {
         let bracket = if choices == 1 {
             checker.query_interval_dtmc(&dtmc.build().unwrap(), &q).unwrap()
         } else {
-            checker.query_interval_mdp(&mdp.build().unwrap(), &q).unwrap()
+            checker.query_interval_mdp(&mdp.build().unwrap(), &q).unwrap().0
         };
         assert_eq!(ones(&bracket.pessimistic), want_pess, "case {case}: {rows:?} {phi:?}");
         assert_eq!(ones(&bracket.optimistic), want_opt, "case {case}: {rows:?} {phi:?}");
