@@ -214,8 +214,8 @@ pub(crate) fn drive<P: RepairProblem>(
             let (op, bound) = top_level_bound(formula)?;
             let (sense, margin) = (sense_of(op), margin(opts, op));
             let (check, budget) = (opts.check, budget.without_evaluation_cap());
-            match problem.oracle(OracleSpec { formula: formula.clone(), op, robust, check, budget })
-            {
+            let spec = OracleSpec { formula: formula.clone(), op, robust, check, budget };
+            match problem.oracle(spec) {
                 PropertyOracle::Compiled(oracle) => {
                     compiled_oracle = Some(oracle.clone());
                     nlp.constraint_with_margin("property", sense, bound, margin, move |v| {
@@ -424,10 +424,12 @@ fn symbolic_system(
 
 /// Registers a symbolic constraint system with analytic derivatives, so
 /// the penalty solver never needs finite differences on the symbolic path.
-/// A lone property row is a scalar constraint with its quotient-rule
-/// gradient; with validity rows, every rational function is flattened into
-/// one tape set ([`CompiledConstraintSet`]) sharing one power table per
-/// point, registered as a block with its Jacobian.
+/// With validity rows, every rational function is flattened into one tape
+/// set ([`CompiledConstraintSet`]) sharing one power table per point,
+/// registered as a block with its Jacobian. A lone property row (data
+/// repair) is a scalar constraint with its quotient-rule gradient instead:
+/// its value pass rounds differently from the block's value-and-gradient
+/// pass, and data repair's pinned results rest on it.
 fn register_symbolic(
     nlp: &mut Nlp,
     fns: &[RationalFunction],
