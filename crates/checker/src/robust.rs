@@ -28,7 +28,11 @@
 //! Gauss–Seidel from below on a monotone operator reaches the same least
 //! fixed point as a synchronous (Jacobi) sweep, so the brackets converge
 //! to the values of whole-model iteration at a fraction of the backups.
-//! A fixed block order and in-block order keep them bitwise repeatable.
+//! Inside a block states run in the order the condensation lists them,
+//! the one in-block order rule the nominal SCC solver shares (descending
+//! index, see `tml_numerics::scc::Condensation`). A fixed block order and
+//! in-block order keep the brackets bitwise repeatable, and a budget cut
+//! raises the optimistic side's unsolved states to its sound upper bound.
 //! Iteration from below only approaches 1, so an unbounded until first
 //! fixes each side's qualitative Prob1 states at exactly 1 (see `prob1`).
 //! Step-bounded operators (`U<=k`, `C<=k`) keep synchronous sweeps, which
@@ -515,18 +519,38 @@ const BUDGET_POLL_STRIDE: u64 = 4096;
 /// Work is charged to the run's budget in sweep-equivalents — backups
 /// divided by the state count, rounded up — so evaluation caps keep the
 /// meaning they had for whole-model sweeps. On exhaustion the iterate so
-/// far is returned: every value is then a bound from below.
+/// far is a bound from below. A pessimistic side returns it as it stands;
+/// an optimistic side passes its sound upper bound as `ceiling` (1 for a
+/// probability, `+∞` for a reward), and every live state the solve did not
+/// finish takes that value instead, so the bracket never inverts.
 fn robust_vi(
     run: &CheckRun<'_>,
     x: Vec<f64>,
     frozen: &[bool],
     horizon: &Horizon<'_>,
+    ceiling: Option<f64>,
     step: impl Fn(usize, &[f64]) -> f64,
 ) -> Vec<f64> {
     tml_telemetry::counter!("checker.robust.solves", 1);
     match horizon {
-        Horizon::Steps(k) => robust_vi_steps(run, x, frozen, *k, step),
-        Horizon::Unbounded(blocks) => robust_vi_blocks(run, x, frozen, blocks, step),
+        Horizon::Steps(k) => robust_vi_steps(run, x, frozen, *k, ceiling, step),
+        Horizon::Unbounded(blocks) => robust_vi_blocks(run, x, frozen, blocks, ceiling, step),
+    }
+}
+
+/// Raises the live states of `states` to `ceiling`, when there is one.
+fn raise_unsolved(
+    x: &mut [f64],
+    frozen: &[bool],
+    states: impl IntoIterator<Item = usize>,
+    ceiling: Option<f64>,
+) {
+    if let Some(top) = ceiling {
+        for s in states {
+            if !frozen[s] {
+                x[s] = top;
+            }
+        }
     }
 }
 
@@ -535,6 +559,7 @@ fn robust_vi_steps(
     mut x: Vec<f64>,
     frozen: &[bool],
     k: u64,
+    ceiling: Option<f64>,
     step: impl Fn(usize, &[f64]) -> f64,
 ) -> Vec<f64> {
     // Frozen entries are never written, so they stay equal in both buffers.
@@ -543,6 +568,7 @@ fn robust_vi_steps(
     while sweeps < k {
         if let Some(cause) = run.exhausted_after(sweeps) {
             run.mark_exhausted(cause);
+            raise_unsolved(&mut x, frozen, 0..frozen.len(), ceiling);
             break;
         }
         for (s, &f) in frozen.iter().enumerate() {
@@ -564,6 +590,7 @@ fn robust_vi_blocks(
     mut x: Vec<f64>,
     frozen: &[bool],
     blocks: &SupportBlocks,
+    ceiling: Option<f64>,
     step: impl Fn(usize, &[f64]) -> f64,
 ) -> Vec<f64> {
     let n = x.len().max(1) as u64;
@@ -574,7 +601,7 @@ fn robust_vi_blocks(
     let mut iterated = 0u64;
     let mut converged = true;
     let mut residual = 0.0_f64;
-    'blocks: for (comp, &cyclic) in blocks.cond.components().zip(&blocks.cyclic) {
+    'blocks: for (b, (comp, &cyclic)) in blocks.cond.components().zip(&blocks.cyclic).enumerate() {
         if comp.iter().all(|&s| frozen[s]) {
             continue;
         }
@@ -585,16 +612,17 @@ fn robust_vi_blocks(
                 if let Some(cause) = run.exhausted_after(backups / n) {
                     run.mark_exhausted(cause);
                     converged = false;
+                    let unsolved = blocks.cond.components().skip(b).flatten().copied();
+                    raise_unsolved(&mut x, frozen, unsolved, ceiling);
                     break 'blocks;
                 }
                 next_poll = backups + poll_every;
             }
             let mut diff = 0.0_f64;
-            // Descending order: models number states in flow order, so a
-            // cycle's successors mostly come later, and this order carries
-            // a fresh value once around a cycle per sweep (ascending order
-            // needs about twice the sweeps).
-            for &s in comp.iter().rev() {
+            // The component's listed order is flow order (see
+            // `Condensation`), which carries a fresh value once around a
+            // cycle per sweep.
+            for &s in comp {
                 if frozen[s] {
                     continue;
                 }
@@ -642,7 +670,7 @@ fn robust_until<M: RobustModel>(
 ) -> Vec<f64> {
     let x: Vec<f64> = one.iter().map(|&t| if t { 1.0 } else { 0.0 }).collect();
     let zero = |_: usize, _: usize| 0.0;
-    robust_vi(run, x, frozen, horizon, |s, vals| {
+    robust_vi(run, x, frozen, horizon, maximize.then_some(1.0), |s, vals| {
         model.backup(s, vals, maximize, minimize_outer, &zero).clamp(0.0, 1.0)
     })
 }
@@ -854,7 +882,7 @@ fn reach_reward_bracket(
             .collect();
         let frozen: Vec<bool> = target.iter().zip(&finite).map(|(&t, &f)| t || !f).collect();
         let zero = |_: usize, _: usize| 0.0;
-        robust_vi(run, x, &frozen, &horizon, |s, vals| {
+        robust_vi(run, x, &frozen, &horizon, maximize.then_some(f64::INFINITY), |s, vals| {
             rewards.state_reward(s) + RobustModel::backup(model, s, vals, maximize, false, &zero)
         })
     };
@@ -874,7 +902,8 @@ fn robust_cumulative_rewards<M: RobustModel>(
     let x = vec![0.0; n];
     let frozen = vec![false; n];
     let extra = |s: usize, c: usize| rewards.state_reward(s) + rewards.choice_reward(s, c);
-    robust_vi(run, x, &frozen, &Horizon::Steps(k), |s, vals| {
+    let ceiling = maximize.then_some(f64::INFINITY);
+    robust_vi(run, x, &frozen, &Horizon::Steps(k), ceiling, |s, vals| {
         model.backup(s, vals, maximize, minimize_outer, &extra)
     })
 }
@@ -1263,6 +1292,45 @@ mod tests {
         let (_, diag) = starved.query_interval_mdp(&m, &q).unwrap();
         assert!(diag.exhausted.is_some(), "{diag:?}");
         assert!(diag.degraded());
+    }
+
+    #[test]
+    fn budget_stopped_brackets_never_invert() {
+        // The sensor of assets/sensor.tml: a 0 ⇄ 1 cycle, "delivered" (2)
+        // and "lost" (3) absorbing, one step of cost per live state.
+        let mut b = IntervalDtmcBuilder::new(4);
+        b.transition(0, 1, 0.55, 0.75).unwrap();
+        b.transition(0, 3, 0.25, 0.45).unwrap();
+        b.transition(1, 2, 0.8, 0.95).unwrap();
+        b.transition(1, 0, 0.05, 0.2).unwrap();
+        b.transition(2, 2, 1.0, 1.0).unwrap();
+        b.transition(3, 3, 1.0, 1.0).unwrap();
+        b.label(2, "delivered").unwrap();
+        b.label(3, "lost").unwrap();
+        b.state_reward("steps", 0, 1.0).unwrap();
+        b.state_reward("steps", 1, 1.0).unwrap();
+        let m = b.build().unwrap();
+        for text in [
+            "P=? [ F \"delivered\" ]",
+            "P=? [ F<=20 \"delivered\" ]",
+            "P=? [ G !\"lost\" ]",
+            "R{\"steps\"}=? [ F (\"delivered\" | \"lost\") ]",
+            "R{\"steps\"}=? [ C<=20 ]",
+        ] {
+            let q = tml_logic::parse_query(text).unwrap();
+            let exact = Checker::new().query_interval_dtmc(&m, &q).unwrap();
+            for cap in 0..8 {
+                let starved =
+                    Checker::new().with_budget(Budget::unlimited().with_max_evaluations(cap));
+                let (capped, diag) = starved.query_interval_dtmc_diag(&m, &q).unwrap();
+                for s in 0..4 {
+                    let ((lo, hi), (x_lo, x_hi)) = (capped.at(s), exact.at(s));
+                    let at = format!("{text} --max-evals {cap}, state {s} ({diag:?})");
+                    assert!(lo <= hi, "{at}: [{lo}, {hi}]");
+                    assert!(lo <= x_lo && x_hi <= hi, "{at}: [{x_lo}, {x_hi}] ⊄ [{lo}, {hi}]");
+                }
+            }
+        }
     }
 
     #[test]

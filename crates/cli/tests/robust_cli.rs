@@ -49,23 +49,82 @@ fn robust_query_rejects_a_point_mdp() {
     assert!(err.contains("point MDPs have none"), "{err}");
 }
 
+/// A 4-state interval MDP written to a temporary file, removed on drop.
+struct TempModel(std::path::PathBuf);
+
+impl TempModel {
+    fn imdp(tag: &str) -> Self {
+        let path =
+            std::env::temp_dir().join(format!("tml-robust-cli-{tag}-{}.tml", std::process::id()));
+        std::fs::write(
+            &path,
+            "imdp\nstates 4\ninitial 0\nlabel \"goal\" = 2\n\
+             0 [a] -> 0: 0.3..0.5, 1: 0.2..0.4, 3: 0.1..0.3\n\
+             0 [b] -> 1: 0.4..0.6, 3: 0.4..0.6\n\
+             1 [a] -> 0: 0.2..0.4, 2: 0.3..0.5, 3: 0.2..0.4\n\
+             2 [a] -> 2: 1.0..1.0\n3 [a] -> 3: 1.0..1.0\n",
+        )
+        .expect("write model");
+        TempModel(path)
+    }
+
+    fn path(&self) -> &str {
+        self.0.to_str().expect("utf-8 temp path")
+    }
+}
+
+impl Drop for TempModel {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 #[test]
 fn budget_stopped_interval_mdp_query_reports_exhaustion() {
-    let model = std::env::temp_dir().join(format!("tml-robust-cli-{}.tml", std::process::id()));
-    std::fs::write(
-        &model,
-        "imdp\nstates 4\ninitial 0\nlabel \"goal\" = 2\n\
-         0 [a] -> 0: 0.3..0.5, 1: 0.2..0.4, 3: 0.1..0.3\n\
-         0 [b] -> 1: 0.4..0.6, 3: 0.4..0.6\n\
-         1 [a] -> 0: 0.2..0.4, 2: 0.3..0.5, 3: 0.2..0.4\n\
-         2 [a] -> 2: 1.0..1.0\n3 [a] -> 3: 1.0..1.0\n",
-    )
-    .expect("write model");
-    let model = model.to_str().expect("utf-8 temp path");
-    let out = tml(&["query", model, "Pmin=? [ F \"goal\" ]", "--max-evals", "1"]);
-    let _ = std::fs::remove_file(model);
+    let model = TempModel::imdp("report");
+    let out = tml(&["query", model.path(), "Pmin=? [ F \"goal\" ]", "--max-evals", "1"]);
     assert_eq!(out.status.code(), Some(0));
     let text = stdout(&out);
     assert!(text.contains("degraded: result is best-effort, not exact"), "{text}");
     assert!(text.contains("stopped early: evaluation cap reached"), "{text}");
+}
+
+/// The per-state `[lo, hi]` brackets of a `tml query` on an interval model.
+fn state_brackets(text: &str) -> Vec<(f64, f64)> {
+    text.lines()
+        .filter_map(|l| l.trim_start().strip_prefix("state "))
+        .map(|l| {
+            let inner = l.split_once('[').unwrap().1.trim_end_matches(']');
+            let (lo, hi) = inner.split_once(", ").unwrap();
+            (lo.parse().unwrap(), hi.parse().unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn budget_stopped_brackets_stay_sound() {
+    let imdp = TempModel::imdp("sound");
+    let sensor = asset("sensor.tml");
+    for (model, query) in
+        [(sensor.as_str(), "P=? [ F \"delivered\" ]"), (imdp.path(), "Pmin=? [ F \"goal\" ]")]
+    {
+        let exact = state_brackets(&stdout(&tml(&["query", model, query])));
+        assert_eq!(exact.len(), 4, "{model}");
+        for cap in ["1", "2"] {
+            let out = tml(&["query", model, query, "--max-evals", cap]);
+            assert_eq!(out.status.code(), Some(0));
+            let text = stdout(&out);
+            assert!(text.contains("stopped early: evaluation cap reached"), "{text}");
+            let capped = state_brackets(&text);
+            assert_eq!(capped.len(), exact.len(), "{text}");
+            for (s, (&(lo, hi), &(x_lo, x_hi))) in capped.iter().zip(&exact).enumerate() {
+                assert!(lo <= hi, "{model} --max-evals {cap}, state {s}: [{lo}, {hi}]");
+                assert!(
+                    lo <= x_lo && x_hi <= hi,
+                    "{model} --max-evals {cap}, state {s}: uncapped [{x_lo}, {x_hi}] \
+                     outside [{lo}, {hi}]"
+                );
+            }
+        }
+    }
 }

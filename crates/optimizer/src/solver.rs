@@ -30,9 +30,11 @@ pub struct PenaltyOptions {
     /// RNG seed for the restarts (the solver is deterministic given a seed).
     pub seed: u64,
     /// Run the restarts on parallel threads. Restarts are independent and
-    /// merged in start order, so with an unlimited evaluation budget the
-    /// parallel solve returns **exactly** the serial solution; under a
-    /// finite budget the exhaustion point depends on thread scheduling.
+    /// merged in start order, so without an evaluation cap the parallel
+    /// solve returns **exactly** the serial solution. A budget with an
+    /// evaluation cap runs the restarts serially, in start order, so a
+    /// capped solve repeats too; a deadline's stopping point depends on
+    /// timing either way.
     pub parallel: bool,
 }
 
@@ -170,11 +172,15 @@ impl PenaltySolver {
             );
         }
 
+        // Under an evaluation cap, which start spends the evaluations would
+        // depend on thread timing, so capped solves run their starts
+        // serially, in start order.
+        let parallel = self.opts.parallel && self.budget.max_evaluations().is_none();
         let _span = span!(
             "solver.solve",
             starts = starts.len(),
             vars = nlp.num_vars(),
-            parallel = self.opts.parallel
+            parallel = parallel
         );
 
         // Fork the caller's budget: every solve gets the full evaluation
@@ -183,7 +189,7 @@ impl PenaltySolver {
         // tml_numerics::budget).
         let run_budget = self.budget.fork();
         let indexed: Vec<(usize, Vec<f64>)> = starts.into_iter().enumerate().collect();
-        let outcomes: Vec<StartOutcome> = if self.opts.parallel && indexed.len() > 1 {
+        let outcomes: Vec<StartOutcome> = if parallel && indexed.len() > 1 {
             use rayon::prelude::*;
             indexed.into_par_iter().map(|(i, s)| self.run_start(nlp, i, s, &run_budget)).collect()
         } else {
@@ -582,6 +588,34 @@ mod tests {
         assert_eq!(serial.feasible, parallel.feasible);
         assert_eq!(serial.evaluations, parallel.evaluations);
         assert_eq!(serial.stopped, parallel.stopped);
+    }
+
+    #[test]
+    fn capped_parallel_solve_repeats_the_serial_one() {
+        // Under an evaluation cap the starts run in start order whatever
+        // `parallel` says, so the cap stops the same start at the same
+        // evaluation every time.
+        let build = || {
+            let mut nlp = Nlp::new(3, vec![(-1.0, 1.0), (-1.0, 1.0), (0.0, 2.0)]).unwrap();
+            nlp.minimize_norm2();
+            nlp.constraint("c1", ConstraintSense::Ge, 0.5, |x| x[0] * x[1] + x[2]);
+            nlp
+        };
+        let solve = |parallel: bool| {
+            PenaltySolver::with_options(PenaltyOptions { parallel, ..Default::default() })
+                .with_budget(Budget::unlimited().with_max_evaluations(40))
+                .solve(&build())
+                .unwrap()
+        };
+        let serial = solve(false);
+        assert!(serial.stopped.is_some(), "the cap must bite");
+        for _ in 0..8 {
+            let parallel = solve(true);
+            assert_eq!(serial.x, parallel.x);
+            assert_eq!(serial.objective.to_bits(), parallel.objective.to_bits());
+            assert_eq!(serial.evaluations, parallel.evaluations);
+            assert_eq!(serial.stopped, parallel.stopped);
+        }
     }
 
     #[test]
