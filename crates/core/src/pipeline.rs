@@ -63,6 +63,9 @@ pub enum TmlOutcome {
         model_repair_status: Option<RepairStatus>,
         /// Status of the data-repair attempt, if configured.
         data_repair_status: Option<RepairStatus>,
+        /// Optimizer evaluations spent by the last repair stage that ran
+        /// (0 when none ran).
+        evaluations: usize,
         /// Aggregated spend across every stage that ran.
         diagnostics: Diagnostics,
     },
@@ -362,6 +365,7 @@ impl TmlPipeline {
 
         // 3. Model Repair.
         let mut model_repair_status = None;
+        let mut evaluations = 0;
         if let Some(template) = &self.template {
             let _s = span!("pipeline.model_repair");
             let mut repair = ModelRepair::with_options(self.opts).with_budget(self.budget.clone());
@@ -372,6 +376,7 @@ impl TmlPipeline {
             }
             let mut out = repair.repair_dtmc(&model, &self.formula, template)?;
             model_repair_status = Some(out.status);
+            evaluations = out.evaluations;
             checkpoint(PipelineStage::ModelRepair, out.solver_point.clone());
             if concludes(out.status) {
                 out.verified_by_simulation = out.model.as_ref().and_then(&cross_check);
@@ -392,6 +397,7 @@ impl TmlPipeline {
             }
             let mut out = repair.repair(dataset, &self.spec, &self.formula)?;
             data_repair_status = Some(out.status);
+            evaluations = out.evaluations;
             checkpoint(PipelineStage::DataRepair, out.solver_point.clone());
             if concludes(out.status) {
                 out.verified_by_simulation = out.model.as_ref().and_then(&cross_check);
@@ -400,7 +406,12 @@ impl TmlPipeline {
             diag.absorb(&out.diagnostics);
         }
 
-        Ok(TmlOutcome::Unrepairable { model_repair_status, data_repair_status, diagnostics: diag })
+        Ok(TmlOutcome::Unrepairable {
+            model_repair_status,
+            data_repair_status,
+            evaluations,
+            diagnostics: diag,
+        })
     }
 }
 
@@ -491,15 +502,22 @@ mod tests {
         let out =
             TmlPipeline::new(spec(), phi).with_model_repair(t).run(&dataset(1.0, 99.0)).unwrap();
         match out {
-            TmlOutcome::Unrepairable { model_repair_status, data_repair_status, .. } => {
+            TmlOutcome::Unrepairable {
+                model_repair_status,
+                data_repair_status,
+                evaluations,
+                ..
+            } => {
                 assert_eq!(model_repair_status, Some(RepairStatus::Infeasible));
                 assert_eq!(data_repair_status, None); // not configured
+                assert!(evaluations > 0, "the model repair's search is reported");
             }
             other => panic!("expected unrepairable, got {other:?}"),
         }
         assert!(!TmlOutcome::Unrepairable {
             model_repair_status: None,
             data_repair_status: None,
+            evaluations: 0,
             diagnostics: Diagnostics::new(),
         }
         .is_trusted());

@@ -241,10 +241,10 @@ fn run_attempt(
                     "data repair produced a trusted model".into(),
                     outcome.evaluations as u64,
                 ),
-                TmlOutcome::Unrepairable { .. } => (
+                TmlOutcome::Unrepairable { evaluations, .. } => (
                     JobStatus::Unrepairable,
                     "no configured repair satisfies the property".into(),
-                    0,
+                    *evaluations as u64,
                 ),
             };
             Ok(AttemptSuccess { status, detail, fingerprint, evaluations })
@@ -625,6 +625,29 @@ mod tests {
             !text.contains("\"type\":\"attempt\""),
             "no attempt record for a job that never ran"
         );
+    }
+
+    #[test]
+    fn unrepairable_jobs_report_the_evaluations_their_repair_spent() {
+        // Job 1 of corpus 0 asks for more than any reweighting reaches: its
+        // data repair searches the whole keep-weight box and concludes
+        // unrepairable, and the outcome (hence journal, report and serve
+        // result) carries that search's evaluations.
+        let opts = batch(0, 2);
+        let ctx = JobContext {
+            corpus_seed: opts.corpus_seed,
+            retry: opts.retry,
+            chaos: None,
+            budget: None,
+            started: Instant::now(),
+            deadline: None,
+        };
+        let journal = Journal::create(Vec::new(), &opts.config()).unwrap();
+        let out = run_corpus_job(&journal, &ctx, 1, 1, 1, Vec::new(), None).unwrap();
+        assert_eq!(out.status, JobStatus::Unrepairable);
+        assert!(out.evaluations > 0, "an unrepairable job ran a full data repair");
+        let report = render_report(&opts.config(), std::slice::from_ref(&out));
+        assert!(report.contains(&format!("\"evaluations\":{}", out.evaluations)), "{report}");
     }
 
     #[test]
