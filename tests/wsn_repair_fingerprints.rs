@@ -18,6 +18,7 @@ use trusted_ml::repair::{
     DataRepair, DataRepairOutcome, MdpPerturbationTemplate, ModelRepair, ModelRepairOutcome,
     ModelSpec, PerturbationTemplate, RepairOptions, RepairStatus, RepairStrategy, RobustSpec,
 };
+use trusted_ml::runtime::corpus::{build_job, job_spec};
 use trusted_ml::wsn::{
     attempts_property, build_dtmc, build_mdp, classes, generate_traces, model_spec,
     repair_template, WsnConfig,
@@ -241,4 +242,37 @@ fn wsn_mdp_repair_matches_its_fingerprints() {
     // MDP repair has no symbolic path, so lifting degrades to penalty
     // search and says so, as DTMC repair does.
     assert_eq!(wsn_mdp_repair(RepairStrategy::Lifting), repaired(&[NOT_SYMBOLIC]));
+}
+
+/// Data repair of batch job `id` of corpus 0: a step-bounded
+/// `P>=θ [ F<=k "goal" ]` over `hit`/`miss` trace classes, which the
+/// driver answers through its property oracle at every candidate.
+fn corpus_data_repair(id: u64) -> Fingerprint {
+    let input = build_job(&job_spec(0, id)).unwrap();
+    let out = DataRepair::new().repair(&input.dataset, &input.spec, &input.formula).unwrap();
+    Fingerprint::of_data(&out)
+}
+
+#[test]
+fn bounded_corpus_data_repairs_match_their_fingerprints() {
+    assert_eq!(
+        corpus_data_repair(7),
+        Fingerprint {
+            status: RepairStatus::Repaired,
+            evaluations: 17_826,
+            cost: 0x3fcb_9b69_c3eb_7b14,
+            point: vec![0x3ff0_0000_0000_0000, 0x3fe5_7dd3_b2b9_3af9],
+            fallbacks: vec![],
+        }
+    );
+    assert_eq!(
+        corpus_data_repair(1),
+        Fingerprint {
+            status: RepairStatus::Infeasible,
+            evaluations: 10_418,
+            cost: 0x4029_f2b1_d4f9_c1f9,
+            point: vec![0x3ff0_0000_0000_0000, 0x3f50_624d_d2f1_a9fc],
+            fallbacks: vec![],
+        }
+    );
 }
