@@ -11,7 +11,7 @@ use tml_numerics::iterative::IterOptions;
 use tml_numerics::solve::solve_dense;
 use tml_numerics::{Budget, CsrMatrix, DenseMatrix, Diagnostics, NumericsError};
 
-use crate::reach::ReachSystem;
+use crate::reach::{bounded_until_sweeps, ReachSystem};
 use crate::run::CheckRun;
 use crate::{lookup_rewards, CheckError, CheckOptions, CheckResult};
 
@@ -191,21 +191,8 @@ pub fn bounded_until_probabilities(
     target: &[bool],
     k: u64,
 ) -> Vec<f64> {
-    let n = model.num_states();
-    let mut x: Vec<f64> = target.iter().map(|&t| if t { 1.0 } else { 0.0 }).collect();
-    for _ in 0..k {
-        let mut next = vec![0.0; n];
-        for s in 0..n {
-            next[s] = if target[s] {
-                1.0
-            } else if phi[s] {
-                model.successors(s).map(|(t, p)| p * x[t]).sum()
-            } else {
-                0.0
-            };
-        }
-        x = next;
-    }
+    let (mut x, mut next) = (Vec::new(), Vec::new());
+    bounded_until_sweeps(|s| model.successors(s), phi, target, k, &mut x, &mut next);
     x
 }
 

@@ -1,5 +1,4 @@
-//! The maybe-state linear systems of unbounded reachability, compiled once
-//! per support.
+//! Reachability operators compiled once per support.
 //!
 //! A [`ReachSystem`] holds everything about `P[φ U ψ]`, `P[F ψ]` or
 //! `R[F ψ]` on a DTMC that depends only on which transitions exist, not on
@@ -7,11 +6,15 @@
 //! and the maybe states with their index, that is, for every state whether
 //! a transition into it feeds the matrix `A` of `x = A·x + b`, the
 //! right-hand side `b`, or nothing. The checker builds one per unbounded
-//! `P`/`R` operator and solves it once. Model repair builds one per repair
-//! and refills it at every candidate point with
-//! [`ReachSystem::value_at_initial`]: as long as the support does not
-//! change, the refilled system is exactly the one the checker would build
-//! for the instantiated chain, so the value is bitwise the checker's.
+//! `P`/`R` operator and solves it once.
+//!
+//! A repair compiles its property once ([`CompiledReach::compile`]) and
+//! evaluates it at every candidate point with
+//! [`CompiledReach::value_at_initial`]: an unbounded operator refills its
+//! [`ReachSystem`], a step-bounded `P[φ U≤k ψ]` or `P[F≤k ψ]` runs the
+//! checker's own `k` backward sweeps ([`BoundedUntil`]) over the
+//! candidate's rows. As long as the support does not change, the value is
+//! bitwise the checker's on the candidate chain.
 
 use tml_logic::{PathFormula, RewardKind, StateFormula};
 use tml_models::{graph, Dtmc, RewardStructure};
@@ -75,23 +78,47 @@ pub struct ReachSystem {
     pub(crate) b: Vec<f64>,
 }
 
-/// Caller-owned buffers for [`ReachSystem::value_at_initial`], reused from
-/// one candidate to the next so a refill-and-solve allocates nothing once
-/// they have grown to the system's size.
+/// Caller-owned buffers for [`CompiledReach::value_at_initial`], reused
+/// from one candidate to the next so an evaluation allocates nothing once
+/// they have grown to the property's size.
 #[derive(Debug, Clone, Default)]
 pub struct ReachScratch {
     /// Row-major `I − A` of the dense branch.
     dense: Vec<f64>,
     b: Vec<f64>,
+    /// The solution of the dense branch; the current sweep of a bounded
+    /// until.
     x: Vec<f64>,
+    /// The other sweep buffer of a bounded until.
+    next: Vec<f64>,
     triplets: Vec<Triplet>,
 }
 
-impl ReachSystem {
-    /// Compiles the system of `formula` on `model`'s support: `P⋈b[φ U ψ]`
-    /// and `P⋈b[F ψ]` without a step bound, and `R{r}⋈b[F ψ]`, with
-    /// propositional `φ` and `ψ`. `None` for any other formula (bounded,
-    /// nested, `X`, `G`, cumulative rewards, no operator at all).
+/// A reachability operator compiled against a fixed support. See the
+/// [module docs](self).
+#[derive(Debug, Clone)]
+pub enum CompiledReach {
+    /// `P[φ U ψ]`, `P[F ψ]` or `R[F ψ]`: the maybe-state system.
+    Unbounded(ReachSystem),
+    /// `P[φ U≤k ψ]` or `P[F≤k ψ]`: the operand masks and the step bound.
+    Bounded(BoundedUntil),
+}
+
+/// The step-bounded `P[φ U≤k ψ]` of a [`CompiledReach`]: its operand masks
+/// and bound, which do not depend on the chain's probabilities.
+#[derive(Debug, Clone)]
+pub struct BoundedUntil {
+    phi: Vec<bool>,
+    target: Vec<bool>,
+    steps: u64,
+    initial: usize,
+}
+
+impl CompiledReach {
+    /// Compiles `formula` on `model`'s support: `P⋈b[φ U ψ]` and
+    /// `P⋈b[F ψ]`, with or without a step bound, and `R{r}⋈b[F ψ]`, all
+    /// with propositional `φ` and `ψ`. `None` for any other formula
+    /// (nested, `X`, `G`, cumulative rewards, no operator at all).
     ///
     /// # Errors
     ///
@@ -101,15 +128,24 @@ impl ReachSystem {
         let budget = Budget::unlimited();
         let run = CheckRun::new(&opts, &budget);
         let mask = |f: &StateFormula| crate::dtmc::evaluate_run(model, f, &run);
+        let until = |phi: Vec<bool>, target: Vec<bool>, bound: Option<u64>| match bound {
+            None => CompiledReach::Unbounded(ReachSystem::until(model, &phi, &target)),
+            Some(steps) => CompiledReach::Bounded(BoundedUntil {
+                phi,
+                target,
+                steps,
+                initial: model.initial_state(),
+            }),
+        };
         Ok(match formula {
             StateFormula::Prob { path, .. } => match path {
-                PathFormula::Until { lhs, rhs, bound: None }
+                PathFormula::Until { lhs, rhs, bound }
                     if propositional(lhs) && propositional(rhs) =>
                 {
-                    Some(Self::until(model, &mask(lhs)?, &mask(rhs)?))
+                    Some(until(mask(lhs)?, mask(rhs)?, *bound))
                 }
-                PathFormula::Eventually { sub, bound: None } if propositional(sub) => {
-                    Some(Self::until(model, &vec![true; model.num_states()], &mask(sub)?))
+                PathFormula::Eventually { sub, bound } if propositional(sub) => {
+                    Some(until(vec![true; model.num_states()], mask(sub)?, *bound))
                 }
                 _ => None,
             },
@@ -121,12 +157,46 @@ impl ReachSystem {
                     |n| model.reward_structure(n).ok(),
                     model.default_reward_structure(),
                 )?;
-                Some(Self::reward(model, rewards, &mask(target)?))
+                Some(CompiledReach::Unbounded(ReachSystem::reward(model, rewards, &mask(target)?)))
             }
             _ => None,
         })
     }
 
+    /// The operator's value at the initial state of the chain with this
+    /// support whose transitions out of state `s` are `successors(s)`,
+    /// listed as [`Dtmc::successors`] lists them.
+    ///
+    /// It is bitwise `Checker::check_dtmc(..).value_at_initial()` on that
+    /// chain under `opts` and `budget`, provided the chain has exactly this
+    /// support. A bounded until runs its sweeps in `scratch`; an unbounded
+    /// operator refills and solves its [`ReachSystem`].
+    ///
+    /// # Errors
+    ///
+    /// The errors of an unbounded solve (e.g. a singular system), as the
+    /// checker would report them.
+    pub fn value_at_initial<I: IntoIterator<Item = (usize, f64)>>(
+        &self,
+        successors: impl Fn(usize) -> I,
+        scratch: &mut ReachScratch,
+        opts: &CheckOptions,
+        budget: &Budget,
+    ) -> Result<f64, CheckError> {
+        match self {
+            CompiledReach::Unbounded(system) => {
+                system.value_at_initial(successors, scratch, opts, budget)
+            }
+            CompiledReach::Bounded(b) => {
+                let ReachScratch { x, next, .. } = scratch;
+                bounded_until_sweeps(successors, &b.phi, &b.target, b.steps, x, next);
+                Ok(x[b.initial])
+            }
+        }
+    }
+}
+
+impl ReachSystem {
     /// The system of `P(φ U ψ)`: prob0/prob1 states resolved, `b` the
     /// one-step probability into prob1 states, `A` the restriction to the
     /// maybe states.
@@ -193,21 +263,11 @@ impl ReachSystem {
         Ok(x)
     }
 
-    /// The operator's value at the initial state of the chain with this
-    /// support whose transitions out of state `s` are `successors(s)`,
-    /// listed as [`Dtmc::successors`] lists them.
-    ///
-    /// It is bitwise `Checker::check_dtmc(..).value_at_initial()` on that
-    /// chain under `opts` and `budget`, provided the chain has exactly this
-    /// support. A system that fits the direct solver is refilled into
-    /// `scratch` and eliminated there, without allocating, opening spans or
-    /// counting; a larger one goes through the checker's solver ladder.
-    ///
-    /// # Errors
-    ///
-    /// The errors of the solve (e.g. a singular system), as the checker
-    /// would report them.
-    pub fn value_at_initial<I: IntoIterator<Item = (usize, f64)>>(
+    /// [`CompiledReach::value_at_initial`] of an unbounded operator. A
+    /// system that fits the direct solver is refilled into `scratch` and
+    /// eliminated there, without allocating, opening spans or counting; a
+    /// larger one goes through the checker's solver ladder.
+    fn value_at_initial<I: IntoIterator<Item = (usize, f64)>>(
         &self,
         successors: impl Fn(usize) -> I,
         scratch: &mut ReachScratch,
@@ -261,6 +321,37 @@ fn fill<I: IntoIterator<Item = (usize, f64)>>(
                 Class::Skip => {}
             }
         }
+    }
+}
+
+/// `P(φ U≤k ψ)` of every state into `x`, by `k` backward sweeps over the
+/// rows `successors(s)`; `next` is the buffer each sweep writes before the
+/// two swap. The checker's bounded until and [`BoundedUntil`] both run
+/// this one routine, so their values agree bitwise.
+pub(crate) fn bounded_until_sweeps<I: IntoIterator<Item = (usize, f64)>>(
+    successors: impl Fn(usize) -> I,
+    phi: &[bool],
+    target: &[bool],
+    k: u64,
+    x: &mut Vec<f64>,
+    next: &mut Vec<f64>,
+) {
+    let n = target.len();
+    x.clear();
+    x.extend(target.iter().map(|&t| if t { 1.0 } else { 0.0 }));
+    next.clear();
+    next.resize(n, 0.0);
+    for _ in 0..k {
+        for s in 0..n {
+            next[s] = if target[s] {
+                1.0
+            } else if phi[s] {
+                successors(s).into_iter().map(|(t, p)| p * x[t]).sum()
+            } else {
+                0.0
+            };
+        }
+        std::mem::swap(x, next);
     }
 }
 

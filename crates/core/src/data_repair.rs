@@ -16,6 +16,7 @@
 //! matching `E_T = ‖D − D'‖²`.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use tml_logic::StateFormula;
 use tml_models::{
@@ -30,6 +31,7 @@ use crate::driver::{
     checked_value, conservative_end, drive, OracleSpec, PropertyOracle, RepairProblem,
 };
 use crate::model_repair::RepairStatus;
+use crate::oracle::CompiledOracle;
 use crate::{RepairError, RepairOptions, RobustSpec};
 
 /// Static decoration applied to learned models: labels, rewards and the
@@ -72,7 +74,12 @@ impl ModelSpec {
 
     /// Learns the decorated ML model from `dataset`, with class `weights`
     /// when given.
-    pub(crate) fn learn(
+    ///
+    /// # Errors
+    ///
+    /// Learning errors (a trace out of range, an invalid class weight) and
+    /// decoration errors (a label, reward or initial state out of range).
+    pub fn learn(
         &self,
         dataset: &TraceDataset,
         weights: Option<&[f64]>,
@@ -166,9 +173,10 @@ pub struct DataRepairOutcome {
 /// driver, which Model Repair shares: the parameters are the class
 /// keep-weights, the cost is the teaching effort, the parametric chain is
 /// the ML estimate as rational functions of the weights, and the oracle
-/// re-learns the chain (or, when robust, its Wilson ball) from the
-/// re-weighted traces and checks it. The solver starts from "keep
-/// everything".
+/// re-learns the chain from the re-weighted traces and checks it: through
+/// the [`CompiledOracle`]'s trace-count tape when the property compiles,
+/// and by relearning its Wilson ball when robust. The solver starts from
+/// "keep everything".
 #[derive(Debug, Clone)]
 pub struct DataRepair {
     opts: RepairOptions,
@@ -372,7 +380,18 @@ impl RepairProblem for DataProblem<'_> {
         self.pdtmc.as_ref()
     }
 
+    /// The [`CompiledOracle`] over the trace counts when the property
+    /// compiles; relearn-and-check otherwise, or the conservative end of
+    /// the relearned ball when robust.
     fn oracle(&self, o: OracleSpec) -> PropertyOracle {
+        if o.robust.is_none() {
+            let (check, budget) = (o.check, o.budget.clone());
+            if let Some(oracle) =
+                CompiledOracle::compile_data(self.dataset, self.spec, &o.formula, check, budget)
+            {
+                return PropertyOracle::Compiled(Arc::new(oracle));
+            }
+        }
         let (ds, sp) = (self.dataset.clone(), self.spec.clone());
         PropertyOracle::Closure(match o.robust {
             Some(rs) => Box::new(move |w| {

@@ -114,9 +114,9 @@ pub(crate) trait RepairProblem {
         Vec::new()
     }
 
-    /// The property oracle: compiled or instantiate-and-check
-    /// (relearn-and-check for data), or the [`conservative_end`] of the
-    /// candidate's ball when robust.
+    /// The property oracle: compiled (from template entries or trace
+    /// counts) or instantiate-and-check (relearn-and-check for data), or
+    /// the [`conservative_end`] of the candidate's ball when robust.
     fn oracle(&self, spec: OracleSpec) -> PropertyOracle;
 
     /// Points the penalty solver tries before any other.

@@ -87,11 +87,12 @@ pub struct ModelRepairOutcome<M = Dtmc> {
 /// * **oracle** — when the property shape is outside the symbolic fragment
 ///   (bounded operators, nested `P`) or its rational function is too large
 ///   to evaluate in `f64`, each optimizer step asks an oracle for the
-///   property's value at the candidate point. For unbounded `P[φ U ψ]`,
-///   `P[F ψ]` and `R[F ψ]` with propositional operands the oracle is a
-///   [`CompiledOracle`]: the maybe-state system is built once per repair
-///   and each step only refills and solves it, bitwise equal to checking
-///   the instantiated candidate. Any other property, a candidate that
+///   property's value at the candidate point. For `P[φ U ψ]`, `P[F ψ]`
+///   (with or without a step bound) and `R[F ψ]` with propositional
+///   operands the oracle is a [`CompiledOracle`]: the maybe-state system
+///   (or the bounded sweeps' masks) is built once per repair and each step
+///   only refills and solves it, bitwise equal to checking the
+///   instantiated candidate. Any other property, a candidate that
 ///   would change the support, robust repair and MDP repair (where
 ///   symbolic min/max elimination is not implemented) instantiate the
 ///   candidate model and run the full checker.

@@ -282,6 +282,147 @@ pub fn ml_dtmc(
     Ok(b)
 }
 
+/// The chain [`ml_dtmc`] learns under default [`MlOptions`], compiled
+/// against a fixed support so that re-learning it at new class weights is
+/// one pass over the trace steps.
+///
+/// Data repair re-learns the chain at every candidate keep-weight vector,
+/// but as long as every observed transition keeps a positive count, the
+/// support of the learned chain is that of the base chain. The tape lists
+/// the slot of every trace step in that support, trace by trace in dataset
+/// order, with each trace's weight and class. [`refill`](Self::refill)
+/// adds the weighted counts slot by slot in that order and normalizes each
+/// row in ascending target order, so every probability is bitwise the one
+/// [`ml_dtmc`] computes. Rows of states no trace leaves keep their
+/// constant self-loop.
+#[derive(Debug, Clone)]
+pub struct TraceCountTape {
+    /// Per state, the first slot of its row; one more entry closes the
+    /// last row.
+    row_starts: Vec<usize>,
+    /// The successor of every slot, row by row in ascending order.
+    targets: Vec<usize>,
+    /// Whether some trace step leaves the state.
+    visited: Vec<bool>,
+    /// The slot of every step of every trace of non-zero weight.
+    steps: Vec<usize>,
+    /// Per such trace: the end of its steps, its weight and its class.
+    traces: Vec<(usize, f64, usize)>,
+    num_classes: usize,
+}
+
+impl TraceCountTape {
+    /// Compiles `dataset` against `base`, the chain [`ml_dtmc`] learns from
+    /// it with no class weights under default options. `None` when a trace
+    /// step is not a transition of `base`, or a state no trace leaves does
+    /// not have the self-loop `ml_dtmc` gives it.
+    pub fn compile(base: &crate::Dtmc, dataset: &TraceDataset) -> Option<Self> {
+        let n = base.num_states();
+        let mut row_starts = Vec::with_capacity(n + 1);
+        row_starts.push(0);
+        let mut targets = Vec::with_capacity(base.num_transitions());
+        for s in 0..n {
+            targets.extend(base.successors(s).map(|(t, _)| t));
+            row_starts.push(targets.len());
+        }
+        let mut visited = vec![false; n];
+        let (mut steps, mut traces) = (Vec::new(), Vec::new());
+        for tr in dataset.iter() {
+            // A zero-weight trace adds nothing at any finite class weight.
+            if tr.weight == 0.0 {
+                continue;
+            }
+            for win in tr.path.states.windows(2) {
+                let (s, t) = (win[0], win[1]);
+                if s >= n {
+                    return None;
+                }
+                let row = &targets[row_starts[s]..row_starts[s + 1]];
+                steps.push(row_starts[s] + row.binary_search(&t).ok()?);
+                visited[s] = true;
+            }
+            traces.push((steps.len(), tr.weight, tr.class));
+        }
+        let self_loop = |s: usize| base.successors(s).eq([(s, 1.0)]);
+        if (0..n).any(|s| !visited[s] && !self_loop(s)) {
+            return None;
+        }
+        Some(TraceCountTape {
+            row_starts,
+            targets,
+            visited,
+            steps,
+            traces,
+            num_classes: dataset.num_classes(),
+        })
+    }
+
+    /// Writes the `(successor, probability)` transitions of the chain
+    /// learned at `class_weights` into `out`, state by state as
+    /// [`Dtmc::successors`](crate::Dtmc::successors) lists them, using
+    /// `counts` for the per-slot counts. Allocates nothing once the buffers
+    /// have grown.
+    ///
+    /// Returns `false`, leaving `out` unspecified, when the learned chain
+    /// would not have the base support or could not be built: a class
+    /// weight is non-finite or negative (or there are not as many as
+    /// classes), a slot's count is not positive, a probability is not in
+    /// `(0, 1]`, or a row does not sum to 1 within
+    /// [`STOCHASTIC_TOLERANCE`](crate::STOCHASTIC_TOLERANCE).
+    pub fn refill(
+        &self,
+        class_weights: &[f64],
+        counts: &mut Vec<f64>,
+        out: &mut Vec<(usize, f64)>,
+    ) -> bool {
+        if class_weights.len() != self.num_classes
+            || class_weights.iter().any(|w| !w.is_finite() || *w < 0.0)
+        {
+            return false;
+        }
+        counts.clear();
+        counts.resize(self.targets.len(), 0.0);
+        let mut start = 0;
+        for &(end, weight, class) in &self.traces {
+            // As `transition_counts` computes and skips it.
+            let w = weight * class_weights[class];
+            if w != 0.0 {
+                for &slot in &self.steps[start..end] {
+                    counts[slot] += w;
+                }
+            }
+            start = end;
+        }
+        out.clear();
+        for (s, &visited) in self.visited.iter().enumerate() {
+            if !visited {
+                out.push((s, 1.0));
+                continue;
+            }
+            let slots = self.row_starts[s]..self.row_starts[s + 1];
+            let row = &counts[slots.clone()];
+            // Counts are sums of non-negative products, never `NaN`.
+            if row.iter().any(|&c| c <= 0.0) {
+                return false;
+            }
+            let total: f64 = row.iter().sum();
+            let first = out.len();
+            for (&t, &c) in self.targets[slots].iter().zip(row) {
+                let p = c / total;
+                if !(p > 0.0 && p <= 1.0) {
+                    return false;
+                }
+                out.push((t, p));
+            }
+            let sum: f64 = out[first..].iter().map(|&(_, p)| p).sum();
+            if (sum - 1.0).abs() > crate::STOCHASTIC_TOLERANCE {
+                return false;
+            }
+        }
+        true
+    }
+}
+
 /// Learns an **interval DTMC** from a trace dataset: the point estimate of
 /// each transition is replaced by its per-row Wilson score interval at the
 /// given `confidence` (e.g. `0.95`), so the resulting uncertainty set is
@@ -566,5 +707,63 @@ mod tests {
         assert_eq!(ds.num_traces(), 2);
         assert_eq!(ds.total_weight(), 3.0);
         assert_eq!(ds.iter().count(), 2);
+    }
+
+    /// Three classes over five states: repeated transitions within a
+    /// trace, a zero-weight trace out of state 3 and no trace out of 4.
+    fn tape_dataset() -> TraceDataset {
+        let mut ds = TraceDataset::new();
+        let (a, b, c) = (ds.add_class("a"), ds.add_class("b"), ds.add_class("c"));
+        ds.push(a, Path::from_states(vec![0, 1, 0, 1, 2]), 1.5).unwrap();
+        ds.push(b, Path::from_states(vec![0, 0, 0, 3]), 0.7).unwrap();
+        ds.push(c, Path::from_states(vec![1, 2, 2, 1]), 2.0).unwrap();
+        ds.push(a, Path::from_states(vec![3, 4]), 0.0).unwrap();
+        ds.push(c, Path::from_states(vec![2, 0]), 0.3).unwrap();
+        ds
+    }
+
+    #[test]
+    fn count_tape_refills_the_relearned_chain_bitwise() {
+        let ds = tape_dataset();
+        let learn =
+            |w: Option<&[f64]>| ml_dtmc(5, &ds, w, MlOptions::default()).unwrap().build().unwrap();
+        let tape = TraceCountTape::compile(&learn(None), &ds).expect("compiles");
+        let (mut counts, mut out) = (Vec::new(), Vec::new());
+        for w in [
+            [1.0, 1.0, 1.0],
+            [0.3, 1e-3, 0.9],
+            [1e-3, 1e-3, 1e-3],
+            [0.1, 0.7, 1.0 / 3.0],
+            [7.0, 0.2, 1e-9],
+        ] {
+            assert!(tape.refill(&w, &mut counts, &mut out), "{w:?}");
+            let chain = learn(Some(&w));
+            let expected: Vec<(usize, u64)> =
+                (0..5).flat_map(|s| chain.successors(s)).map(|(t, p)| (t, p.to_bits())).collect();
+            let refilled: Vec<(usize, u64)> = out.iter().map(|&(t, p)| (t, p.to_bits())).collect();
+            assert_eq!(refilled, expected, "{w:?}");
+        }
+        // Unvisited states (3, left only by a zero-weight trace, and 4)
+        // keep the self-loop.
+        assert_eq!(&out[out.len() - 2..], &[(3, 1.0), (4, 1.0)]);
+    }
+
+    #[test]
+    fn count_tape_refuses_weights_that_change_or_break_the_chain() {
+        let ds = tape_dataset();
+        let base = ml_dtmc(5, &ds, None, MlOptions::default()).unwrap().build().unwrap();
+        let tape = TraceCountTape::compile(&base, &ds).unwrap();
+        let (mut counts, mut out) = (Vec::new(), Vec::new());
+        // Dropping class b removes 0 → 0 and 0 → 3 from the support.
+        assert!(!tape.refill(&[1.0, 0.0, 1.0], &mut counts, &mut out));
+        for bad in [[1.0, -0.5, 1.0], [1.0, f64::NAN, 1.0], [f64::INFINITY, 1.0, 1.0]] {
+            assert!(!tape.refill(&bad, &mut counts, &mut out), "{bad:?}");
+        }
+        assert!(!tape.refill(&[1.0, 1.0], &mut counts, &mut out), "one weight per class");
+        // A trace step outside the chain's support does not compile.
+        let mut other = ds.clone();
+        let a = other.add_class("a");
+        other.push(a, Path::from_states(vec![4, 0]), 1.0).unwrap();
+        assert!(TraceCountTape::compile(&base, &other).is_none());
     }
 }
