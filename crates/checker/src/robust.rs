@@ -677,8 +677,10 @@ fn robust_until<M: RobustModel>(
 
 /// The `(pessimistic, optimistic)` pair of `P(φ U ψ)`. Both sides start
 /// from the frozen mask `ψ ∨ ¬φ` and, when unbounded, share one
-/// condensation of it; an unbounded side also fixes its [`prob1`] states
-/// at exactly 1, which value iteration from below only approaches.
+/// condensation of it. Both also freeze the [`prob0`] states at exactly 0,
+/// so a budget cut never raises them; an unbounded side also fixes its
+/// [`prob1`] states at exactly 1, which value iteration from below only
+/// approaches.
 fn until_bracket<M: RobustModel>(
     model: &M,
     phi: &[bool],
@@ -686,7 +688,10 @@ fn until_bracket<M: RobustModel>(
     bound: Option<u64>,
     run: &CheckRun<'_>,
 ) -> (Vec<f64>, Vec<f64>) {
-    let frozen: Vec<bool> = target.iter().zip(phi).map(|(&t, &p)| t || !p).collect();
+    let preds = SupportPreds::new(model, |s| phi[s] && !target[s]);
+    let zero = prob0(&preds, target);
+    let frozen: Vec<bool> =
+        target.iter().zip(phi).zip(&zero).map(|((&t, &p), &z)| t || !p || z).collect();
     if let Some(k) = bound {
         let horizon = Horizon::Steps(k);
         return (
@@ -697,11 +702,29 @@ fn until_bracket<M: RobustModel>(
     let blocks = SupportBlocks::new(model, &frozen);
     let horizon = Horizon::Unbounded(&blocks);
     let side = |optimistic: bool| {
-        let one = prob1(model, phi, target, optimistic);
+        let one = prob1(model, &preds, phi, target, optimistic);
         let frozen: Vec<bool> = frozen.iter().zip(&one).map(|(&f, &o)| f || o).collect();
         robust_until(model, &one, &frozen, &horizon, run, optimistic, !optimistic)
     };
     (side(false), side(true))
+}
+
+/// The states whose robust `P(φ U ψ)` is 0 on both sides: no member and no
+/// scheduler reaches ψ from them through φ-states, that is, no path of
+/// support edges (`hi > 0`, [`SupportPreds`] out of `φ ∧ ¬ψ` states)
+/// leads from them into ψ.
+fn prob0(preds: &SupportPreds, target: &[bool]) -> Vec<bool> {
+    let mut reach = target.to_vec();
+    let mut stack: Vec<usize> = (0..target.len()).filter(|&s| target[s]).collect();
+    while let Some(t) = stack.pop() {
+        for &s in preds.of(t) {
+            if !reach[s] {
+                reach[s] = true;
+                stack.push(s);
+            }
+        }
+    }
+    reach.iter().map(|&r| !r).collect()
 }
 
 /// The states whose robust `P(φ U ψ)` is exactly 1 on one side: for some
@@ -721,9 +744,14 @@ fn until_bracket<M: RobustModel>(
 /// States that can no longer stay in `Z` leave it at once, and their
 /// predecessors are rechecked, so the outer loop ends after a few rounds
 /// instead of one round per step of the longest path out of `Z`.
-fn prob1<M: RobustModel>(model: &M, phi: &[bool], target: &[bool], optimistic: bool) -> Vec<bool> {
+fn prob1<M: RobustModel>(
+    model: &M,
+    preds: &SupportPreds,
+    phi: &[bool],
+    target: &[bool],
+    optimistic: bool,
+) -> Vec<bool> {
     let n = model.num_states();
-    let preds = SupportPreds::new(model, |s| phi[s] && !target[s]);
     let quantify = |s: usize, ok: &dyn Fn(&[IntervalTransition]) -> bool| {
         let mut rows = model.rows(s);
         if optimistic {

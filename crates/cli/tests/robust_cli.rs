@@ -128,3 +128,20 @@ fn budget_stopped_brackets_stay_sound() {
         }
     }
 }
+
+#[test]
+fn budget_stopped_brackets_keep_states_that_cannot_reach_the_target_at_zero() {
+    // State 3 of the sensor ("lost") is absorbing: no member ever reaches
+    // "delivered" from it, so a cut solve knows it exactly, on both sides
+    // and for both horizons.
+    let sensor = asset("sensor.tml");
+    for query in ["P=? [ F \"delivered\" ]", "P=? [ F<=3 \"delivered\" ]"] {
+        let text = stdout(&tml(&["query", &sensor, query, "--max-evals", "1"]));
+        assert!(text.contains("stopped early: evaluation cap reached"), "{text}");
+        assert!(text.contains("state 3: [0, 0]"), "{query}: {text}");
+    }
+    // The imdp's sink 3 cannot reach the goal under any action either.
+    let imdp = TempModel::imdp("prob0");
+    let text = stdout(&tml(&["query", imdp.path(), "Pmax=? [ F \"goal\" ]", "--max-evals", "1"]));
+    assert!(text.contains("state 3: [0, 0]"), "{text}");
+}
