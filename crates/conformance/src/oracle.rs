@@ -18,6 +18,7 @@
 //! | `robust-contains-nominal` | robust VI bracket on the Wilson ball | dense LU on the nominal chain (must lie inside) |
 //! | `robust-vs-sampled` | robust VI bracket on the Wilson ball | dense LU on sampled members of the ball (must lie inside) |
 //! | `compiled-vs-instantiate` | the repair oracle's compiled reach system | instantiate + concrete checker (must be bitwise equal) |
+//! | `compiled-data-vs-relearn` | the data repair oracle's trace-count tape and compiled reach | relearn + concrete checker (must be bitwise equal) |
 //!
 //! On disagreement the harness *shrinks* the model while the pair still
 //! disagrees — halving the state space (out-of-range transitions are
@@ -31,7 +32,7 @@
 use tml_checker::dtmc as checker_dtmc;
 use tml_checker::{Budget, CheckOptions, Checker, LinearSolver};
 use tml_logic::{CmpOp, PathFormula, Query, StateFormula};
-use tml_models::{Dtmc, DtmcBuilder, IntervalDtmc};
+use tml_models::{Dtmc, DtmcBuilder, IntervalDtmc, Path, TraceDataset};
 use tml_parametric::CompiledRatFn;
 use tml_telemetry::{counter, span};
 
@@ -39,7 +40,8 @@ use crate::gen::{self, ModelFamily, GOAL_LABEL};
 use crate::sim::{SimOptions, Simulator};
 use crate::stats::{hoeffding_half_width, Verdict};
 use tml_core::{
-    CompiledOracle, ModelRepair, PerturbationTemplate, RepairOptions, RepairStatus, RepairStrategy,
+    CompiledOracle, ModelRepair, ModelSpec, PerturbationTemplate, RepairOptions, RepairStatus,
+    RepairStrategy,
 };
 
 /// A deliberate fault for validating the harness end-to-end: one engine's
@@ -125,6 +127,13 @@ pub enum EnginePair {
     /// and on its faces: the values must be bitwise equal (`NaN` where the
     /// candidate cannot be instantiated).
     CompiledVsInstantiate,
+    /// The data repair oracle compiled once per dataset (trace-count tape
+    /// plus compiled reach) vs relearn-and-check, on a dataset sampled
+    /// from the model at interior, `min_keep` and zero keep-weights: the
+    /// values must be bitwise equal (`NaN` where the chain cannot be
+    /// learned), and every candidate whose learned support differs from
+    /// the base chain's must have been deferred.
+    CompiledDataVsRelearn,
 }
 
 impl EnginePair {
@@ -143,6 +152,7 @@ impl EnginePair {
             EnginePair::RobustContainsNominal,
             EnginePair::RobustVsSampled,
             EnginePair::CompiledVsInstantiate,
+            EnginePair::CompiledDataVsRelearn,
         ]
     }
 
@@ -161,6 +171,7 @@ impl EnginePair {
             EnginePair::RobustContainsNominal => "robust-contains-nominal",
             EnginePair::RobustVsSampled => "robust-vs-sampled",
             EnginePair::CompiledVsInstantiate => "compiled-vs-instantiate",
+            EnginePair::CompiledDataVsRelearn => "compiled-data-vs-relearn",
         }
     }
 
@@ -277,6 +288,13 @@ impl Oracle {
                 &mut out,
             );
             self.run_pair_on_model(EnginePair::RobustVsSampled, family, seed, &model, &mut out);
+            self.run_pair_on_model(
+                EnginePair::CompiledDataVsRelearn,
+                family,
+                seed,
+                &model,
+                &mut out,
+            );
         }
         self.run_parametric_pairs(seed, &mut out);
         let n = 7 + (seed as usize % 5) * 3;
@@ -306,6 +324,7 @@ impl Oracle {
                 EnginePair::LiftingVsPenalty => self.eval_lifting_vs_penalty(d),
                 EnginePair::RobustContainsNominal => self.eval_robust_contains_nominal(d),
                 EnginePair::RobustVsSampled => self.eval_robust_vs_sampled(d, seed),
+                EnginePair::CompiledDataVsRelearn => compiled_data_vs_relearn(d, seed).0,
                 _ => None,
             }
         };
@@ -786,8 +805,8 @@ impl Oracle {
 }
 
 /// The repair oracle compiled once per template vs instantiate-and-check
-/// at every candidate point, for the three compiled property shapes, under
-/// the direct solver and under the SCC-first ladder. Also returns how many
+/// at every candidate point, for the compiled property shapes, under the
+/// direct solver and under the SCC-first ladder. Also returns how many
 /// values the compiled oracles answered and how many they deferred.
 fn compiled_vs_instantiate(seed: u64, n: usize) -> (PairEval, (u64, u64)) {
     const FAILED: PairEval = Some((f64::NAN, f64::NAN, f64::INFINITY));
@@ -800,6 +819,8 @@ fn compiled_vs_instantiate(seed: u64, n: usize) -> (PairEval, (u64, u64)) {
         "P>=0.5 [ F \"goal\" ]",
         "P>=0.5 [ \"safe\" U \"goal\" ]",
         "R{\"cost\"}<=10 [ F \"goal\" ]",
+        "P>=0.5 [ F<=6 \"goal\" ]",
+        "P>=0.5 [ \"safe\" U<=4 \"goal\" ]",
     ] {
         let phi = tml_logic::parse_formula(phi).expect("fixed formula");
         for opts in [CheckOptions::default(), scc] {
@@ -830,6 +851,111 @@ fn compiled_vs_instantiate(seed: u64, n: usize) -> (PairEval, (u64, u64)) {
         }
     }
     (None, counts)
+}
+
+/// The data repair oracle compiled once per dataset vs relearn-and-check,
+/// for bounded and unbounded `F` and `U`, under the direct solver and the
+/// SCC-first ladder. The dataset is sampled from `model`; the points put
+/// every class at an interior keep-weight, then each class in turn at the
+/// `min_keep` floor and at 0. Also returns how many values the compiled
+/// oracles answered and how many they deferred.
+fn compiled_data_vs_relearn(model: &Dtmc, seed: u64) -> (PairEval, (u64, u64)) {
+    const FAILED: PairEval = Some((f64::NAN, f64::NAN, f64::INFINITY));
+    let (dataset, spec) = trace_dataset(model, seed);
+    let Ok(base) = spec.learn(&dataset, None) else { return (FAILED, (0, 0)) };
+    let support = |m: &Dtmc| -> Vec<(usize, usize)> {
+        (0..m.num_states()).flat_map(|s| m.successors(s).map(move |(t, _)| (s, t))).collect()
+    };
+    let base_support = support(&base);
+    let mut frac = unit_stream(seed ^ 0xDA7A_0000_0000_0002);
+    let g = dataset.num_classes();
+    let mut interior = || -> Vec<f64> { (0..g).map(|_| 1e-3 + frac() * (1.0 - 1e-3)).collect() };
+    let mut points: Vec<Vec<f64>> = (0..2).map(|_| interior()).collect();
+    for class in 0..g {
+        for floor in [1e-3, 0.0] {
+            let mut p = interior();
+            p[class] = floor;
+            points.push(p);
+        }
+    }
+    let scc = CheckOptions { direct_solver_limit: 0, ..CheckOptions::default() };
+    let mut counts = (0, 0);
+    for phi in [
+        "P>=0.5 [ F<=6 \"goal\" ]",
+        "P>=0.5 [ \"safe\" U<=4 \"goal\" ]",
+        "P>=0.5 [ F \"goal\" ]",
+        "P>=0.5 [ \"safe\" U \"goal\" ]",
+    ] {
+        let phi = tml_logic::parse_formula(phi).expect("fixed formula");
+        for opts in [CheckOptions::default(), scc] {
+            let Some(oracle) =
+                CompiledOracle::compile_data(&dataset, &spec, &phi, opts, Budget::unlimited())
+            else {
+                return (FAILED, counts);
+            };
+            let checker = Checker::with_options(opts);
+            for point in &points {
+                let deferred = oracle.counts().1;
+                let compiled = oracle.value(point);
+                let relearned = spec.learn(&dataset, Some(point)).ok();
+                let moved = relearned.as_ref().is_none_or(|m| support(m) != base_support);
+                if moved && oracle.counts().1 == deferred {
+                    // A candidate off the base support answered from it.
+                    return (Some((compiled, f64::NAN, f64::INFINITY)), counts);
+                }
+                let checked = relearned
+                    .and_then(|m| checker.check_dtmc(&m, &phi).ok())
+                    .and_then(|r| r.value_at_initial())
+                    .unwrap_or(f64::NAN);
+                if compiled.to_bits() != checked.to_bits()
+                    && !(compiled.is_nan() && checked.is_nan())
+                {
+                    let delta = (compiled - checked).abs();
+                    let delta = if delta.is_nan() { f64::INFINITY } else { delta };
+                    return (Some((compiled, checked, delta)), counts);
+                }
+            }
+            let (c, d) = oracle.counts();
+            counts = (counts.0 + c, counts.1 + d);
+        }
+    }
+    (None, counts)
+}
+
+/// A dataset of 32 paths sampled from `model` (at most 8 steps, stopping
+/// at the goal) in three classes, `hit` and `miss` by whether the path
+/// reached the goal and every fifth path `noise`; every seventh path has
+/// weight 0, the rest a weight in `[0.5, 2)`. The spec labels the model's
+/// goal states and, at random, most others `"safe"`.
+fn trace_dataset(model: &Dtmc, seed: u64) -> (TraceDataset, ModelSpec) {
+    use rand::SeedableRng;
+    let n = model.num_states();
+    let goal = model.labeling().mask(GOAL_LABEL);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xDA7A_5EED);
+    let mut frac = unit_stream(seed ^ 0xDA7A_0000_0000_0001);
+    let mut ds = TraceDataset::new();
+    let (hit, miss, noise) = (ds.add_class("hit"), ds.add_class("miss"), ds.add_class("noise"));
+    for i in 0..32 {
+        let states = model.sample_path(&mut rng, 8, |s| goal[s]);
+        let class = if i % 5 == 4 {
+            noise
+        } else if states.iter().any(|&s| goal[s]) {
+            hit
+        } else {
+            miss
+        };
+        let weight = if i % 7 == 6 { 0.0 } else { 0.5 + 1.5 * frac() };
+        ds.push(class, Path::from_states(states), weight).expect("valid trace");
+    }
+    let mut spec = ModelSpec::new(n).initial(model.initial_state());
+    for (s, &g) in goal.iter().enumerate() {
+        if g {
+            spec = spec.label(s, GOAL_LABEL);
+        } else if frac() < 0.8 {
+            spec = spec.label(s, "safe");
+        }
+    }
+    (ds, spec)
 }
 
 /// A chain and a random cancelling affine template for
@@ -1083,9 +1209,12 @@ mod tests {
         let oracle = Oracle::new(OracleOptions { trajectories: 4_000, ..Default::default() });
         let out = oracle.run_seed(7, ModelFamily::all());
         assert!(out.disagreements.is_empty(), "unexpected disagreements: {:?}", out.disagreements);
-        // Every family ran the eight model pairs, plus the three parametric
+        // Every family ran the nine model pairs, plus the four parametric
         // pairs.
-        assert!(out.checks.len() >= ModelFamily::all().len() * 8);
+        assert!(out.checks.len() >= ModelFamily::all().len() * 9 + 4);
+        for &pair in EnginePair::all() {
+            assert!(out.checks.iter().any(|c| c.pair == pair), "{} did not run", pair.name());
+        }
     }
 
     #[test]
@@ -1102,6 +1231,25 @@ mod tests {
         // path.
         assert!(compiled > deferred, "{compiled} compiled, {deferred} deferred");
         assert!(deferred > 0, "no face left the support");
+    }
+
+    #[test]
+    fn compiled_data_oracle_agrees_bitwise_and_defers_dropped_support() {
+        let (mut compiled, mut deferred) = (0, 0);
+        for seed in 0..8 {
+            for &family in ModelFamily::all() {
+                let model = family.generate(seed);
+                let (eval, (c, d)) = compiled_data_vs_relearn(&model, seed);
+                assert_eq!(eval, None, "{} seed {seed}", family.name());
+                compiled += c;
+                deferred += d;
+            }
+        }
+        // Interior and floor weights keep every observed transition; a
+        // class at 0 drops those only it observed, and such a candidate
+        // must have been relearned.
+        assert!(compiled > deferred, "{compiled} compiled, {deferred} deferred");
+        assert!(deferred > 0, "no zero weight left the support");
     }
 
     #[test]
