@@ -25,9 +25,10 @@ const USAGE: &str = "usage: conformance [options]
 differentially tests the trusted-ml engines over seeded random models:
 dense vs Gauss-Seidel, SCC and interval solves, robust brackets vs the
 nominal chain and sampled members, compiled tapes vs interpreted
-rational functions vs instantiate-and-check, the compiled repair oracle vs
-instantiate-and-check, checker values vs Monte Carlo confidence
-intervals, and repaired models re-verified by simulation.
+rational functions vs instantiate-and-check, the compiled repair oracles
+vs instantiate-and-check and relearn-and-check, checker values vs Monte
+Carlo confidence intervals, and repaired models re-verified by
+simulation.
 Disagreeing models are shrunk to a minimal reproducer.
 
 options:
