@@ -1,8 +1,8 @@
 //! Ablations over the workspace's design choices:
 //!
-//! 1. **Constraint back-end** — symbolic rational function vs.
-//!    instantiate-and-check oracle for Model Repair (same outcome, very
-//!    different evaluation cost profile).
+//! 1. **Property evaluation** — the symbolic rational function (which
+//!    feeds region lifting only), instantiate-and-check, and the compiled
+//!    oracle that Model Repair constrains (bitwise instantiate-and-check).
 //! 2. **Linear solver** — direct Gaussian elimination vs. Gauss–Seidel for
 //!    DTMC reachability rewards as the model grows.
 //! 3. **MDP solver** — value iteration vs. Howard's policy iteration for
@@ -14,8 +14,10 @@ use std::time::Instant;
 
 use tml_bench::{fmt, print_table};
 use tml_checker::{CheckOptions, Checker, LinearSolver};
+use tml_core::CompiledOracle;
 use tml_irl::{policy_iteration, value_iteration, ViOptions};
-use tml_logic::parse_query;
+use tml_logic::{parse_formula, parse_query};
+use tml_numerics::Budget;
 use tml_wsn::{build_dtmc, repair_template, WsnConfig};
 
 fn main() {
@@ -24,12 +26,13 @@ fn main() {
     planner_ablation();
 }
 
-/// Symbolic vs. oracle constraint evaluation cost: what the optimizer pays
-/// per step on each back-end, on grids below and above the symbolic degree
-/// threshold.
+/// The cost of one property evaluation three ways: the closed form, the
+/// full checker on the instantiated chain, and the compiled oracle, which
+/// is what every repair's penalty solver pays per constraint evaluation.
 fn backend_ablation() {
-    println!("— constraint back-end ablation (cost per optimizer evaluation) —");
+    println!("— property evaluation ablation (cost per evaluation) —");
     let q = parse_query("R{\"attempts\"}=? [ F \"delivered\" ]").expect("query");
+    let phi = parse_formula("R{\"attempts\"}<=40 [ F \"delivered\" ]").expect("formula");
     let mut rows = Vec::new();
     for n in [2, 3] {
         let config = WsnConfig { n, ..Default::default() };
@@ -56,20 +59,30 @@ fn backend_ablation() {
         }
         let t_oracle = t1.elapsed() / 200;
 
+        let compiled = CompiledOracle::compile(
+            &chain,
+            &pdtmc,
+            &phi,
+            CheckOptions::default(),
+            Budget::unlimited(),
+        )
+        .expect("compiled fragment");
+        let t2 = Instant::now();
+        for _ in 0..reps {
+            std::hint::black_box(compiled.value(&point));
+        }
+        let t_compiled = t2.elapsed() / reps;
+
         rows.push(vec![
             format!("{n}x{n}"),
             format!("{}", f.complexity()),
             format!("{t_symbolic:.2?}"),
             format!("{t_oracle:.2?}"),
-            if f.complexity() <= 16 {
-                "symbolic (exact)".into()
-            } else {
-                "oracle (f64-fragile symbolic)".into()
-            },
+            format!("{t_compiled:.2?}"),
         ]);
     }
     print_table(
-        &["grid", "rational degree", "symbolic eval", "oracle eval", "repair default"],
+        &["grid", "rational degree", "symbolic eval", "instantiate+check", "compiled oracle"],
         &rows,
     );
     println!();

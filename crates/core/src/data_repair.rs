@@ -277,7 +277,7 @@ impl DataRepair {
         let _span =
             span!("data_repair", traces = dataset.num_traces(), classes = dataset.num_classes());
         let mut problem =
-            DataProblem { repair: self, dataset, spec, masses: class_masses(dataset), pdtmc: None };
+            DataProblem { repair: self, dataset, spec, masses: class_masses(dataset) };
         let run = drive(&mut problem, formula, &self.opts, &self.budget, &self.warm_starts)?;
         let names = dataset.class_names();
         let (keep_weights, dropped_mass) = match &run.point {
@@ -310,9 +310,6 @@ struct DataProblem<'a> {
     spec: &'a ModelSpec,
     /// Trace mass per class, `m_g`.
     masses: Vec<f64>,
-    /// The ML estimate as rational functions of the weights, built by
-    /// `prepare`.
-    pdtmc: Option<ParametricDtmc>,
 }
 
 impl RepairProblem for DataProblem<'_> {
@@ -320,7 +317,6 @@ impl RepairProblem for DataProblem<'_> {
     const PHASE_SPANS: bool = false;
 
     fn prepare(&mut self) -> Result<Vec<(f64, f64)>, RepairError> {
-        self.pdtmc = Some(parametric_model(self.dataset, self.spec)?);
         let mut boxes = vec![(self.repair.min_keep, 1.0); self.dataset.num_classes()];
         for (class, lo, hi) in &self.repair.class_bounds {
             match self.dataset.class_names().iter().position(|c| c == class) {
@@ -337,16 +333,7 @@ impl RepairProblem for DataProblem<'_> {
 
     fn objective(&self, nlp: &mut Nlp) {
         let m = self.masses.clone();
-        let m_grad = self.masses.clone();
-        // ∂/∂w_g Σ m·(1−w)² = −2·m_g·(1−w_g).
-        nlp.objective_with_grad(
-            move |w| w.iter().zip(&m).map(|(&wg, &mg)| mg * (1.0 - wg).powi(2)).sum(),
-            move |w, grad| {
-                for ((gi, &wg), &mg) in grad.iter_mut().zip(w).zip(&m_grad) {
-                    *gi = -2.0 * mg * (1.0 - wg);
-                }
-            },
-        );
+        nlp.objective(move |w| w.iter().zip(&m).map(|(&wg, &mg)| mg * (1.0 - wg).powi(2)).sum());
     }
 
     /// The teaching effort `Σ_g m_g·(1 − w_g)²` as a polynomial in `w`.
@@ -376,8 +363,9 @@ impl RepairProblem for DataProblem<'_> {
         Ok((Cow::Owned(model), ball))
     }
 
-    fn parametric(&self) -> Option<&ParametricDtmc> {
-        self.pdtmc.as_ref()
+    /// The ML estimate as rational functions of the weights.
+    fn parametric(&self) -> Result<Option<Cow<'_, ParametricDtmc>>, RepairError> {
+        Ok(Some(Cow::Owned(parametric_model(self.dataset, self.spec)?)))
     }
 
     /// The [`CompiledOracle`] over the trace counts when the property

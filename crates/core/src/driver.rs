@@ -5,10 +5,15 @@
 //! and cost, the model (and, when robust, the uncertainty ball) at a point,
 //! the parametric chain its property compiles against, its validity rows,
 //! its property oracle and any fixed starting points. [`drive`] owns the
-//! rest: the initial check, the symbolic-or-oracle choice with its degree
-//! gate, margin and bound, the robust and lifting fallbacks, the lifting
-//! digest, the solver's start order, the re-verify, the certificate and
-//! the status.
+//! rest: the initial check, the property constraint with its margin and
+//! bound, the symbolic region system, the robust and lifting fallbacks,
+//! the lifting digest, the solver's start order, the re-verify, the
+//! certificate and the status.
+//!
+//! The property constraint is always the problem's [`PropertyOracle`]. The
+//! property's rational function, where the chain is parametric and the
+//! property symbolic, only feeds region lifting: interval enclosures, warm
+//! starts and the certificate's lower bound.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -17,7 +22,7 @@ use tml_checker::{CheckError, CheckOptions, CheckResult, Checker};
 use tml_logic::{CmpOp, StateFormula};
 use tml_models::{Dtmc, IntervalDtmc, Mdp};
 use tml_numerics::{Budget, Diagnostics};
-use tml_optimizer::{BlockRow, ConstraintSense, Nlp, PenaltySolver, Solution};
+use tml_optimizer::{ConstraintSense, Nlp, PenaltySolver, Solution};
 use tml_parametric::{
     BoundSense, CompiledConstraintSet, LiftingOutcome, OptimalityCertificate, ParametricDtmc,
     Polynomial, RationalFunction, RegionProblem, RegionRow, RegionSolver,
@@ -27,14 +32,6 @@ use tml_telemetry::{counter, span, SpanGuard};
 use crate::constraint::{compile_constraint, SymbolicConstraint};
 use crate::oracle::CompiledOracle;
 use crate::{LinearExpr, RepairError, RepairOptions, RepairStatus, RepairStrategy, RobustSpec};
-
-/// Rational functions of non-trivial degree lose f64 precision when
-/// evaluated (state elimination without exact arithmetic leaves uncancelled
-/// common factors that cause catastrophic cancellation — PARAM avoids this
-/// with exact rationals), so above this complexity the property constraint
-/// is the exact oracle instead. The symbolic path is cross-validated to
-/// machine precision below it.
-const MAX_SYMBOLIC_DEGREE: u32 = 16;
 
 /// A model the driver checks nominally.
 pub(crate) trait Checkable: Clone {
@@ -57,7 +54,7 @@ impl Checkable for Mdp {
 /// built or checked.
 type ValueFn = dyn Fn(&[f64]) -> f64 + Send + Sync;
 
-/// The property constraint of a non-symbolic repair.
+/// The property constraint of a repair.
 pub(crate) enum PropertyOracle {
     /// The compiled reach system; the driver records its use counts.
     Compiled(Arc<CompiledOracle>),
@@ -102,10 +99,11 @@ pub(crate) trait RepairProblem {
         robust: Option<RobustSpec>,
     ) -> Result<(Cow<'_, Self::Model>, Option<IntervalDtmc>), RepairError>;
 
-    /// The parametric chain the property may compile against
-    /// symbolically; `None` for MDPs.
-    fn parametric(&self) -> Option<&ParametricDtmc> {
-        None
+    /// The parametric chain the property compiles against symbolically
+    /// for region lifting, asked for only when the strategy lifts; `None`
+    /// for MDPs.
+    fn parametric(&self) -> Result<Option<Cow<'_, ParametricDtmc>>, RepairError> {
+        Ok(None)
     }
 
     /// `(name, base probability, perturbation)` of every perturbed
@@ -139,10 +137,9 @@ pub(crate) struct RepairRun<M> {
     pub diagnostics: Diagnostics,
 }
 
-/// Runs one repair: checks the base model, compiles the property into the
-/// NLP (symbolic below [`MAX_SYMBOLIC_DEGREE`], the problem's oracle
-/// otherwise), lifts regions when the strategy asks for it, solves, and
-/// re-verifies the solver's point.
+/// Runs one repair: checks the base model, registers the problem's
+/// property oracle in the NLP, lifts regions when the strategy asks for it,
+/// solves, and re-verifies the solver's point.
 ///
 /// # Errors
 ///
@@ -183,62 +180,63 @@ pub(crate) fn drive<P: RepairProblem>(
     let bounds = problem.prepare()?;
     let mut nlp = Nlp::new(bounds.len(), bounds.clone())?;
     problem.objective(&mut nlp);
-    // Robust repair constrains the *worst-case* value over the uncertainty
-    // ball, which the symbolic rational function (a nominal value) cannot
-    // express, so the oracle path is mandatory.
-    let symbolic = match problem.parametric() {
-        _ if robust.is_some() => {
-            if opts.strategy == RepairStrategy::Lifting {
-                diag.record_fallback("lifting: robust repair uses the oracle, penalty search used");
-            }
-            None
-        }
-        Some(pdtmc) => match compile_constraint(pdtmc, formula) {
-            Ok(sc) => Some(sc),
-            Err(RepairError::UnsupportedProperty { .. }) => None,
-            Err(other) => return Err(other),
-        },
-        None => None,
-    };
+    // The property's rational function only feeds region lifting. Robust
+    // repair constrains the *worst-case* value over the uncertainty ball,
+    // which that function (a nominal value) cannot express.
     let lifting = opts.strategy != RepairStrategy::Penalty;
-    let pointwise = |sc: &SymbolicConstraint| sc.function.complexity() <= MAX_SYMBOLIC_DEGREE;
+    let symbolic = if !lifting {
+        None
+    } else if robust.is_some() {
+        if opts.strategy == RepairStrategy::Lifting {
+            diag.record_fallback("lifting: robust repair uses the oracle, penalty search used");
+        }
+        None
+    } else {
+        match problem.parametric()? {
+            Some(pdtmc) => match compile_constraint(&pdtmc, formula) {
+                Ok(sc) => Some(sc),
+                Err(RepairError::UnsupportedProperty { .. }) => None,
+                Err(other) => return Err(other),
+            },
+            None => None,
+        }
+    };
     let validity = problem.validity();
-    let system = symbolic.as_ref().filter(|sc| lifting || pointwise(sc)).map(|sc| {
-        symbolic_system(sc, margin(opts, sc.op), &validity, bounds.len(), opts.support_margin)
-    });
+    register_validity(&mut nlp, &validity, opts.support_margin);
+    let (op, bound) = top_level_bound(formula)?;
+    let (sense, margin) = (sense_of(op), margin(opts, op));
+    let spec = OracleSpec {
+        formula: formula.clone(),
+        op,
+        robust,
+        check: opts.check,
+        budget: budget.without_evaluation_cap(),
+    };
     let mut compiled_oracle = None;
-    match (&symbolic, &system) {
-        (Some(sc), Some((fns, rows))) if pointwise(sc) => register_symbolic(&mut nlp, fns, rows)?,
-        _ => {
-            register_validity(&mut nlp, &validity, opts.support_margin);
-            let (op, bound) = top_level_bound(formula)?;
-            let (sense, margin) = (sense_of(op), margin(opts, op));
-            let (check, budget) = (opts.check, budget.without_evaluation_cap());
-            let spec = OracleSpec { formula: formula.clone(), op, robust, check, budget };
-            match problem.oracle(spec) {
-                PropertyOracle::Compiled(oracle) => {
-                    compiled_oracle = Some(oracle.clone());
-                    nlp.constraint_with_margin("property", sense, bound, margin, move |v| {
-                        oracle.value(v)
-                    });
-                }
-                PropertyOracle::Closure(f) => {
-                    nlp.constraint_with_margin("property", sense, bound, margin, f);
-                }
-            }
-            if symbolic.is_none() && robust.is_none() && opts.strategy == RepairStrategy::Lifting {
-                diag.record_fallback("lifting: property not symbolic, penalty search used");
-            }
+    match problem.oracle(spec) {
+        PropertyOracle::Compiled(oracle) => {
+            compiled_oracle = Some(oracle.clone());
+            nlp.constraint_with_margin("property", sense, bound, margin, move |v| oracle.value(v));
+        }
+        PropertyOracle::Closure(f) => {
+            nlp.constraint_with_margin("property", sense, bound, margin, f);
         }
     }
-    // Interval enclosures stay sound at any degree (the uncancelled factors
-    // only widen them into Unknown verdicts), so region pruning and warm
-    // starts apply even where pointwise NLP evaluation does not.
-    let mut lifted = match &system {
-        Some((fns, rows)) if lifting => {
-            Some(lift(fns, rows, problem.cost_polynomial(), &bounds, opts, budget)?)
+    if symbolic.is_none() && robust.is_none() && opts.strategy == RepairStrategy::Lifting {
+        diag.record_fallback("lifting: property not symbolic, penalty search used");
+    }
+    // Interval enclosures stay sound at any degree (f64 elimination's
+    // uncancelled factors only widen them into Unknown verdicts), so region
+    // pruning and warm starts apply to every symbolic property. `G`
+    // properties flip the operator but keep its strictness, so the margin
+    // is the same.
+    let mut lifted = match &symbolic {
+        Some(sc) => {
+            let (fns, rows) =
+                symbolic_system(sc, margin, &validity, bounds.len(), opts.support_margin);
+            Some(lift(&fns, rows, problem.cost_polynomial(), &bounds, opts, budget)?)
         }
-        _ => None,
+        None => None,
     };
     drop(compile_span);
 
@@ -397,81 +395,36 @@ fn phase<P: RepairProblem>(name: &'static str) -> SpanGuard {
     }
 }
 
-/// The symbolic constraint system: the property's rational function, then
-/// each validity row's affine probability twice (`≥ m` and `≤ 1 − m`),
-/// paired with the [`BlockRow`] of its sense, bound and margin. The same
-/// system feeds the penalty NLP ([`register_symbolic`]) and the region
-/// solver ([`lift`]), so both strategies optimize over the same feasible
-/// set.
+/// The region system [`lift`] verifies: the property's rational function,
+/// then each validity row's affine probability twice (`≥ m` and `≤ 1 − m`),
+/// each with a [`RegionRow`] whose threshold *includes the margin* (so
+/// "all-sat" means margin-feasible, matching what the penalty solver
+/// accepts of the NLP's property and validity rows).
 fn symbolic_system(
     sc: &SymbolicConstraint,
     margin: f64,
     validity: &[(String, f64, LinearExpr)],
     np: usize,
     m: f64,
-) -> (Vec<RationalFunction>, Vec<BlockRow>) {
+) -> (Vec<RationalFunction>, Vec<RegionRow>) {
+    let property = if sc.op.is_lower_bound() {
+        RegionRow::new(BoundSense::Ge, sc.bound + margin)
+    } else {
+        RegionRow::new(BoundSense::Le, sc.bound - margin)
+    };
     let mut fns = vec![sc.function.clone()];
-    let mut rows = vec![BlockRow::new("property", sense_of(sc.op), sc.bound, margin)];
-    for (name, base_p, expr) in validity {
+    let mut rows = vec![property];
+    for (_, base_p, expr) in validity {
         let rf = RationalFunction::from_poly(affine(np, *base_p, expr));
         fns.push(rf.clone());
-        rows.push(BlockRow::new(&format!("{name}>=m"), ConstraintSense::Ge, m, 0.0));
+        rows.push(RegionRow::new(BoundSense::Ge, m));
         fns.push(rf);
-        rows.push(BlockRow::new(&format!("{name}<=1-m"), ConstraintSense::Le, 1.0 - m, 0.0));
+        rows.push(RegionRow::new(BoundSense::Le, 1.0 - m));
     }
     (fns, rows)
 }
 
-/// Registers a symbolic constraint system with analytic derivatives, so
-/// the penalty solver never needs finite differences on the symbolic path.
-/// With validity rows, every rational function is flattened into one tape
-/// set ([`CompiledConstraintSet`]) sharing one power table per point,
-/// registered as a block with its Jacobian. A lone property row (data
-/// repair) is a scalar constraint with its quotient-rule gradient instead:
-/// its value pass rounds differently from the block's value-and-gradient
-/// pass, and data repair's pinned results rest on it.
-fn register_symbolic(
-    nlp: &mut Nlp,
-    fns: &[RationalFunction],
-    rows: &[BlockRow],
-) -> Result<(), RepairError> {
-    if let ([f], [row]) = (fns, rows) {
-        let f = f.compile();
-        let f_grad = f.clone();
-        nlp.constraint_with_grad(
-            row.name(),
-            row.sense(),
-            row.rhs(),
-            row.margin(),
-            move |v| f.eval(v).unwrap_or(f64::NAN),
-            move |v, grad| {
-                if f_grad.eval_grad(v, grad).is_err() {
-                    grad.fill(0.0);
-                }
-            },
-        );
-        return Ok(());
-    }
-    let set = CompiledConstraintSet::compile(fns)?;
-    let set_jac = set.clone();
-    nlp.constraint_block_with_jacobian(
-        rows.to_vec(),
-        move |v, out| {
-            if set.eval_all(v, out).is_err() {
-                out.fill(f64::NAN);
-            }
-        },
-        move |v, out, jac| {
-            if set_jac.eval_all_grad(v, out, jac).is_err() {
-                out.fill(f64::NAN);
-                jac.fill(0.0);
-            }
-        },
-    );
-    Ok(())
-}
-
-/// Registers the validity rows as scalar constraints (the oracle path).
+/// Registers the validity rows as scalar constraints.
 fn register_validity(nlp: &mut Nlp, validity: &[(String, f64, LinearExpr)], m: f64) {
     for (name, base_p, expr) in validity {
         let (base_p, e1, e2) = (*base_p, expr.clone(), expr.clone());
@@ -482,29 +435,20 @@ fn register_validity(nlp: &mut Nlp, validity: &[(String, f64, LinearExpr)], m: f
     }
 }
 
-/// Runs branch-and-refine region verification over the parameter box:
-/// every constraint row becomes a [`RegionRow`] whose threshold *includes
-/// the margin* (so "all-sat" means margin-feasible, matching what the
-/// penalty solver accepts), and the cost is interval-bounded alongside to
-/// order surviving boxes and derive the certificate's lower bound.
+/// Runs branch-and-refine region verification of `rows` over the parameter
+/// box, with the cost interval-bounded alongside to order surviving boxes
+/// and derive the certificate's lower bound.
 fn lift(
     fns: &[RationalFunction],
-    rows: &[BlockRow],
+    rows: Vec<RegionRow>,
     cost: Polynomial,
     bounds: &[(f64, f64)],
     opts: &RepairOptions,
     budget: &Budget,
 ) -> Result<LiftingOutcome, RepairError> {
     let set = CompiledConstraintSet::compile(fns)?;
-    let region_rows: Vec<RegionRow> = rows
-        .iter()
-        .map(|r| match r.sense() {
-            ConstraintSense::Ge => RegionRow::new(BoundSense::Ge, r.rhs() + r.margin()),
-            ConstraintSense::Le => RegionRow::new(BoundSense::Le, r.rhs() - r.margin()),
-        })
-        .collect();
     let objective = RationalFunction::from_poly(cost).compile();
-    let problem = RegionProblem::new(set, region_rows)?.with_objective(objective);
+    let problem = RegionProblem::new(set, rows)?.with_objective(objective);
     let solver = RegionSolver::with_options(opts.lifting).with_budget(budget.clone());
     Ok(solver.solve(&problem, bounds)?)
 }

@@ -170,10 +170,11 @@ pub struct RepairOptions {
     pub lifting: LiftingOptions,
     /// When set, repairs are *robust*: the property must hold for every
     /// member of the confidence-calibrated uncertainty ball around the
-    /// candidate model, verified by robust value iteration. Forces the
-    /// instantiate-and-check oracle (the symbolic path computes nominal,
-    /// not worst-case, values); [`RepairStrategy::Lifting`] degrades to
-    /// penalty search with a recorded fallback.
+    /// candidate model, verified by robust value iteration. The property
+    /// oracle then checks the candidate's ball; region lifting (whose
+    /// rational function gives nominal, not worst-case, values) is skipped,
+    /// so [`RepairStrategy::Lifting`] degrades to penalty search with a
+    /// recorded fallback.
     pub robust: Option<RobustSpec>,
 }
 

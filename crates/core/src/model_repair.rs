@@ -79,23 +79,20 @@ pub struct ModelRepairOutcome<M = Dtmc> {
 /// describe their repair to the crate's one repair driver, which Data
 /// Repair shares: check the base model, compile the property into the NLP,
 /// lift regions when the strategy asks for it, solve, and re-verify the
-/// solver's point. Two constraint back-ends are used automatically:
+/// solver's point. Each optimizer step asks an oracle for the property's
+/// value at the candidate point. For `P[φ U ψ]`, `P[F ψ]` (with or without
+/// a step bound) and `R[F ψ]` with propositional operands the oracle is a
+/// [`CompiledOracle`]: the maybe-state system (or the bounded sweeps'
+/// masks) is built once per repair and each step only refills and solves
+/// it, bitwise equal to checking the instantiated candidate. Any other
+/// property, a candidate that would change the support, robust repair and
+/// MDP repair instantiate the candidate model and run the full checker.
 ///
-/// * **symbolic** — the property is compiled to a closed-form rational
-///   function by parametric model checking (Proposition 2) and evaluated
-///   in microseconds per optimizer step;
-/// * **oracle** — when the property shape is outside the symbolic fragment
-///   (bounded operators, nested `P`) or its rational function is too large
-///   to evaluate in `f64`, each optimizer step asks an oracle for the
-///   property's value at the candidate point. For `P[φ U ψ]`, `P[F ψ]`
-///   (with or without a step bound) and `R[F ψ]` with propositional
-///   operands the oracle is a [`CompiledOracle`]: the maybe-state system
-///   (or the bounded sweeps' masks) is built once per repair and each step
-///   only refills and solves it, bitwise equal to checking the
-///   instantiated candidate. Any other property, a candidate that
-///   would change the support, robust repair and MDP repair (where
-///   symbolic min/max elimination is not implemented) instantiate the
-///   candidate model and run the full checker.
+/// The property's closed-form rational function from parametric model
+/// checking (Proposition 2) is computed only for region lifting
+/// ([`RepairStrategy::Lifting`](crate::RepairStrategy::Lifting)), whose
+/// interval enclosures prune the parameter box, seed the solver and bound
+/// the certificate; its `f64` value at a point is never a constraint value.
 #[derive(Debug, Clone, Default)]
 pub struct ModelRepair {
     opts: RepairOptions,
@@ -217,8 +214,9 @@ impl<M> ModelRepairOutcome<M> {
 }
 
 /// DTMC model repair: the template applied to the base chain is the
-/// parametric chain; its property compiles symbolically, to the
-/// [`CompiledOracle`], or to instantiate-and-check.
+/// parametric chain, which lifting compiles the property against
+/// symbolically; the property constraint is the [`CompiledOracle`] or
+/// instantiate-and-check.
 struct DtmcRepair<'a> {
     base: &'a Dtmc,
     template: &'a PerturbationTemplate,
@@ -242,7 +240,7 @@ impl RepairProblem for DtmcRepair<'_> {
 
     fn objective(&self, nlp: &mut Nlp) {
         let exprs = self.template.entries().map(|(_, e)| e.clone()).collect();
-        frobenius_objective(nlp, self.template.num_params(), exprs);
+        frobenius_objective(nlp, exprs);
     }
 
     fn cost_polynomial(&self) -> Polynomial {
@@ -264,8 +262,8 @@ impl RepairProblem for DtmcRepair<'_> {
         Ok((model, ball))
     }
 
-    fn parametric(&self) -> Option<&ParametricDtmc> {
-        self.pdtmc.as_ref()
+    fn parametric(&self) -> Result<Option<Cow<'_, ParametricDtmc>>, RepairError> {
+        Ok(Some(Cow::Borrowed(self.pdtmc())))
     }
 
     fn validity(&self) -> Vec<(String, f64, LinearExpr)> {
@@ -293,8 +291,9 @@ impl RepairProblem for DtmcRepair<'_> {
     }
 }
 
-/// MDP model repair: no symbolic path (min/max elimination is not
-/// implemented), so the property is always instantiate-and-check.
+/// MDP model repair: no parametric chain (min/max elimination is not
+/// implemented), so no lifting, and the property is always
+/// instantiate-and-check.
 struct MdpRepair<'a> {
     base: &'a Mdp,
     template: &'a MdpPerturbationTemplate,
@@ -310,7 +309,7 @@ impl RepairProblem for MdpRepair<'_> {
 
     fn objective(&self, nlp: &mut Nlp) {
         let exprs = self.template.entries.values().cloned().collect();
-        frobenius_objective(nlp, self.template.num_params(), exprs);
+        frobenius_objective(nlp, exprs);
     }
 
     fn cost_polynomial(&self) -> Polynomial {
@@ -479,22 +478,9 @@ impl MdpPerturbationTemplate {
 }
 
 /// Registers the Frobenius cost `‖Z‖²_F = Σ e(v)²` of the perturbations
-/// `exprs` with its gradient `Σ 2·e(v)·∇e` (∇e is the constant coefficient
-/// vector).
-fn frobenius_objective(nlp: &mut Nlp, np: usize, exprs: Vec<LinearExpr>) {
-    let coeffs: Vec<Vec<f64>> = exprs.iter().map(|e| e.coefficients(np)).collect();
-    let exprs_g = exprs.clone();
-    nlp.objective_with_grad(
-        move |v| exprs.iter().map(|e| e.eval(v).powi(2)).sum(),
-        move |v, g| {
-            for (e, cs) in exprs_g.iter().zip(&coeffs) {
-                let scale = 2.0 * e.eval(v);
-                for (gi, c) in g.iter_mut().zip(cs) {
-                    *gi += scale * c;
-                }
-            }
-        },
-    );
+/// `exprs`.
+fn frobenius_objective(nlp: &mut Nlp, exprs: Vec<LinearExpr>) {
+    nlp.objective(move |v| exprs.iter().map(|e| e.eval(v).powi(2)).sum());
 }
 
 /// The cost `Σ (Σᵢ cᵢ·vᵢ)²` as a polynomial in the repair parameters, so

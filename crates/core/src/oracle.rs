@@ -1,5 +1,5 @@
-//! The property oracle of non-symbolic DTMC and data repair, compiled once
-//! per repair (see [`CompiledOracle`]).
+//! The property oracle of nominal DTMC and data repair, compiled once per
+//! repair (see [`CompiledOracle`]).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,12 +16,11 @@ use crate::ModelSpec;
 
 /// A repair property compiled against the candidate chains' fixed support.
 ///
-/// When a repair property is outside the symbolic fragment (or its rational
-/// function is too large to evaluate in `f64`), every optimizer merit asks
-/// for the property's value at a candidate point. Building the candidate
-/// chain and running the full checker answers it, but the support is the
-/// same at every candidate: a model repair template keeps it fixed, and
-/// data repair re-learns from the same traces. So prob0/prob1, the maybe
+/// Every optimizer merit asks for the repair property's value at a
+/// candidate point. Building the candidate chain and running the full
+/// checker answers it, but the support is the same at every candidate: a
+/// model repair template keeps it fixed, and data repair re-learns from the
+/// same traces. So prob0/prob1, the maybe
 /// states, the sparsity pattern and the operand masks of a step-bounded
 /// until are the same too. The oracle builds that structure once
 /// ([`CompiledReach`]) and, per candidate, only fills in the transition

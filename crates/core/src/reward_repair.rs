@@ -384,18 +384,8 @@ impl RewardRepair {
         let d = theta0.len();
         let bounds: Vec<(f64, f64)> = theta0.iter().map(|&t| (t - radius, t + radius)).collect();
         let mut nlp = Nlp::new(d, bounds)?;
-        {
-            let t0 = theta0.to_vec();
-            let t0_grad = t0.clone();
-            nlp.objective_with_grad(
-                move |t| t.iter().zip(&t0).map(|(a, b)| (a - b).powi(2)).sum(),
-                move |t, grad| {
-                    for ((g, &ti), &bi) in grad.iter_mut().zip(t).zip(&t0_grad) {
-                        *g = 2.0 * (ti - bi);
-                    }
-                },
-            );
-        }
+        let t0 = theta0.to_vec();
+        nlp.objective(move |t| t.iter().zip(&t0).map(|(a, b)| (a - b).powi(2)).sum());
         for (i, c) in constraints.iter().enumerate() {
             let m = mdp.clone();
             let fm = features.clone();

@@ -5,15 +5,18 @@
 //!
 //! ```text
 //! minimize    g(v)                     (perturbation cost, e.g. ‖v‖²)
-//! subject to  fᵢ(v) ⋈ bᵢ               (rational constraints from
-//!                                       parametric model checking)
-//!             lo ≤ v ≤ hi              (probability-validity box)
+//! subject to  fᵢ(v) ⋈ bᵢ               (the property's value at v, and
+//!                                       probability validity rows)
+//!             lo ≤ v ≤ hi              (parameter box)
 //! ```
 //!
 //! The paper hands these to AMPL; this crate is the self-contained
 //! replacement: a **quadratic-penalty method** with a projected-gradient
-//! inner loop (central-difference gradients, Armijo backtracking) and
-//! deterministic multi-start. Infeasibility is reported when even the best
+//! inner loop and deterministic multi-start. Objective and constraints are
+//! plain value closures: the property constraint is an oracle that solves
+//! (or model-checks) the candidate chain, so there is no closed form to
+//! differentiate, and every merit gradient is taken by central differences
+//! with Armijo backtracking. Infeasibility is reported when even the best
 //! start cannot drive the violation below tolerance under the largest
 //! penalty weight — which is exactly how the paper's "Model Repair gives
 //! infeasible solution" outcome (X = 19) is detected.
@@ -46,7 +49,7 @@ pub mod restart;
 mod solver;
 
 pub use error::OptimizerError;
-pub use problem::{BlockRow, Constraint, ConstraintBlock, ConstraintSense, Nlp, ViolationStats};
+pub use problem::{Constraint, ConstraintSense, Nlp, ViolationStats};
 pub use solver::{PenaltyOptions, PenaltySolver, Solution};
 // Budgets are part of the solver API surface.
 pub use tml_numerics::{Budget, CancelToken, Diagnostics, Exhaustion};

@@ -12,20 +12,10 @@ pub enum ConstraintSense {
 /// A boxed scalar merit/constraint function over the decision vector.
 type ScalarFn = Box<dyn Fn(&[f64]) -> f64 + Send + Sync>;
 
-/// A boxed gradient: writes `∂f/∂x_i` into the output slice.
-type GradFn = Box<dyn Fn(&[f64], &mut [f64]) + Send + Sync>;
-
-/// A boxed batch evaluator: writes one value per constraint row.
-type BatchFn = Box<dyn Fn(&[f64], &mut [f64]) + Send + Sync>;
-
-/// A boxed batch evaluator producing values and a row-major Jacobian.
-type BatchJacFn = Box<dyn Fn(&[f64], &mut [f64], &mut [f64]) + Send + Sync>;
-
 /// One inequality constraint of an [`Nlp`].
 pub struct Constraint {
     name: String,
     f: ScalarFn,
-    grad: Option<GradFn>,
     sense: ConstraintSense,
     rhs: f64,
     margin: f64,
@@ -52,133 +42,18 @@ impl Constraint {
         (self.f)(x)
     }
 
-    /// Whether an analytic gradient was provided.
-    pub fn has_grad(&self) -> bool {
-        self.grad.is_some()
-    }
-
-    /// Writes the analytic gradient of the raw function into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no gradient was provided (guard with
-    /// [`has_grad`](Self::has_grad)).
-    pub fn grad_into(&self, x: &[f64], out: &mut [f64]) {
-        (self.grad.as_ref().expect("constraint has no gradient"))(x, out);
-    }
-
     /// The constraint violation at `x`: zero when satisfied (with margin),
     /// positive otherwise. Non-finite function values count as infinitely
     /// violated.
     pub fn violation(&self, x: &[f64]) -> f64 {
-        row_violation((self.f)(x), self.sense, self.rhs, self.margin)
-    }
-}
-
-/// Violation of a single row `value ⋈ rhs` (with margin); non-finite values
-/// are infinitely violated.
-#[inline]
-fn row_violation(value: f64, sense: ConstraintSense, rhs: f64, margin: f64) -> f64 {
-    if !value.is_finite() {
-        return f64::INFINITY;
-    }
-    match sense {
-        ConstraintSense::Le => (value - rhs + margin).max(0.0),
-        ConstraintSense::Ge => (rhs + margin - value).max(0.0),
-    }
-}
-
-/// Metadata of one row of a [`ConstraintBlock`].
-#[derive(Debug, Clone)]
-pub struct BlockRow {
-    name: String,
-    sense: ConstraintSense,
-    rhs: f64,
-    margin: f64,
-}
-
-impl BlockRow {
-    /// A row `f(x) ⋈ rhs` with a satisfaction margin.
-    pub fn new(name: &str, sense: ConstraintSense, rhs: f64, margin: f64) -> Self {
-        BlockRow { name: name.to_owned(), sense, rhs, margin }
-    }
-
-    /// The row's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The row's sense.
-    pub fn sense(&self) -> ConstraintSense {
-        self.sense
-    }
-
-    /// The right-hand side.
-    pub fn rhs(&self) -> f64 {
-        self.rhs
-    }
-
-    /// The satisfaction margin.
-    pub fn margin(&self) -> f64 {
-        self.margin
-    }
-}
-
-/// A batch of constraints evaluated in **one pass**.
-///
-/// This is the optimizer-side mate of
-/// `tml_parametric::CompiledConstraintSet`: the repair pipelines compile
-/// all their rational constraint functions into one tape set and register
-/// it here, so each merit evaluation computes every constraint value (and,
-/// with a Jacobian, every gradient) in a single call that shares the
-/// per-variable power tables.
-pub struct ConstraintBlock {
-    rows: Vec<BlockRow>,
-    eval: BatchFn,
-    jac: Option<BatchJacFn>,
-}
-
-impl std::fmt::Debug for ConstraintBlock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ConstraintBlock({} rows, jacobian: {})", self.rows.len(), self.jac.is_some())
-    }
-}
-
-impl ConstraintBlock {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the block has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The row metadata.
-    pub fn rows(&self) -> &[BlockRow] {
-        &self.rows
-    }
-
-    /// Whether an analytic Jacobian was provided.
-    pub fn has_jacobian(&self) -> bool {
-        self.jac.is_some()
-    }
-
-    /// Evaluates every row's raw value into `values` (length
-    /// [`len`](Self::len)).
-    pub fn eval_into(&self, x: &[f64], values: &mut [f64]) {
-        (self.eval)(x, values);
-    }
-
-    /// Evaluates values and the row-major `len() × n` Jacobian.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no Jacobian was provided (guard with
-    /// [`has_jacobian`](Self::has_jacobian)).
-    pub fn eval_jac_into(&self, x: &[f64], values: &mut [f64], jac: &mut [f64]) {
-        (self.jac.as_ref().expect("block has no jacobian"))(x, values, jac);
+        let value = (self.f)(x);
+        if !value.is_finite() {
+            return f64::INFINITY;
+        }
+        match self.sense {
+            ConstraintSense::Le => (value - self.rhs + self.margin).max(0.0),
+            ConstraintSense::Ge => (self.rhs + self.margin - value).max(0.0),
+        }
     }
 }
 
@@ -204,16 +79,13 @@ impl std::fmt::Debug for Constraint {
 /// A box-bounded non-linear program with inequality constraints.
 ///
 /// Objective and constraints are arbitrary closures; the repair crates plug
-/// in rational functions produced by parametric model checking or
-/// instantiate-and-check oracles that run the full model checker per
-/// evaluation.
+/// in property oracles that solve the candidate's compiled reach system or
+/// run the full model checker per evaluation.
 pub struct Nlp {
     n: usize,
     bounds: Vec<(f64, f64)>,
     objective: Option<ScalarFn>,
-    objective_grad: Option<GradFn>,
     constraints: Vec<Constraint>,
-    blocks: Vec<ConstraintBlock>,
 }
 
 impl std::fmt::Debug for Nlp {
@@ -223,7 +95,6 @@ impl std::fmt::Debug for Nlp {
             .field("bounds", &self.bounds)
             .field("has_objective", &self.objective.is_some())
             .field("constraints", &self.constraints)
-            .field("blocks", &self.blocks)
             .finish()
     }
 }
@@ -245,48 +116,19 @@ impl Nlp {
                 return Err(OptimizerError::InvalidBounds { variable: i, lo, hi });
             }
         }
-        Ok(Nlp {
-            n,
-            bounds,
-            objective: None,
-            objective_grad: None,
-            constraints: Vec::new(),
-            blocks: Vec::new(),
-        })
+        Ok(Nlp { n, bounds, objective: None, constraints: Vec::new() })
     }
 
     /// Sets the objective function (to be minimized).
     pub fn objective(&mut self, f: impl Fn(&[f64]) -> f64 + Send + Sync + 'static) -> &mut Self {
         self.objective = Some(Box::new(f));
-        self.objective_grad = None;
-        self
-    }
-
-    /// Sets the objective together with its analytic gradient. When every
-    /// constraint also carries a gradient/Jacobian, the solver switches
-    /// from central differences (`2n` merit evaluations per step) to one
-    /// analytic gradient evaluation per step.
-    pub fn objective_with_grad(
-        &mut self,
-        f: impl Fn(&[f64]) -> f64 + Send + Sync + 'static,
-        grad: impl Fn(&[f64], &mut [f64]) + Send + Sync + 'static,
-    ) -> &mut Self {
-        self.objective = Some(Box::new(f));
-        self.objective_grad = Some(Box::new(grad));
         self
     }
 
     /// Convenience objective: minimize `‖x‖²` (the canonical perturbation
-    /// cost of Model Repair). Registers its analytic gradient `2x`.
+    /// cost of Model Repair).
     pub fn minimize_norm2(&mut self) -> &mut Self {
-        self.objective_with_grad(
-            |x| x.iter().map(|v| v * v).sum(),
-            |x, g| {
-                for (gi, xi) in g.iter_mut().zip(x) {
-                    *gi = 2.0 * xi;
-                }
-            },
-        )
+        self.objective(|x| x.iter().map(|v| v * v).sum())
     }
 
     /// Adds an inequality constraint `f(x) ⋈ rhs`.
@@ -314,56 +156,10 @@ impl Nlp {
         self.constraints.push(Constraint {
             name: name.to_owned(),
             f: Box::new(f),
-            grad: None,
             sense,
             rhs,
             margin,
         });
-        self
-    }
-
-    /// Adds an inequality constraint with margin and an analytic gradient
-    /// of the raw function `f`.
-    pub fn constraint_with_grad(
-        &mut self,
-        name: &str,
-        sense: ConstraintSense,
-        rhs: f64,
-        margin: f64,
-        f: impl Fn(&[f64]) -> f64 + Send + Sync + 'static,
-        grad: impl Fn(&[f64], &mut [f64]) + Send + Sync + 'static,
-    ) -> &mut Self {
-        self.constraints.push(Constraint {
-            name: name.to_owned(),
-            f: Box::new(f),
-            grad: Some(Box::new(grad)),
-            sense,
-            rhs,
-            margin,
-        });
-        self
-    }
-
-    /// Adds a batch of constraints evaluated in one pass (see
-    /// [`ConstraintBlock`]). `eval` writes one raw value per row.
-    pub fn constraint_block(
-        &mut self,
-        rows: Vec<BlockRow>,
-        eval: impl Fn(&[f64], &mut [f64]) + Send + Sync + 'static,
-    ) -> &mut Self {
-        self.blocks.push(ConstraintBlock { rows, eval: Box::new(eval), jac: None });
-        self
-    }
-
-    /// Adds a batch of constraints with an analytic Jacobian. `jac` writes
-    /// one raw value per row plus the row-major `rows × n` Jacobian.
-    pub fn constraint_block_with_jacobian(
-        &mut self,
-        rows: Vec<BlockRow>,
-        eval: impl Fn(&[f64], &mut [f64]) + Send + Sync + 'static,
-        jac: impl Fn(&[f64], &mut [f64], &mut [f64]) + Send + Sync + 'static,
-    ) -> &mut Self {
-        self.blocks.push(ConstraintBlock { rows, eval: Box::new(eval), jac: Some(Box::new(jac)) });
         self
     }
 
@@ -377,29 +173,9 @@ impl Nlp {
         &self.bounds
     }
 
-    /// The scalar constraints (excluding blocks).
+    /// The constraints.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
-    }
-
-    /// The constraint blocks.
-    pub fn blocks(&self) -> &[ConstraintBlock] {
-        &self.blocks
-    }
-
-    /// Total number of constraint rows: scalar constraints plus every block
-    /// row. This is the per-point constraint-evaluation cost unit.
-    pub fn num_constraint_rows(&self) -> usize {
-        self.constraints.len() + self.blocks.iter().map(ConstraintBlock::len).sum::<usize>()
-    }
-
-    /// Whether the objective and **every** constraint (scalar and block)
-    /// carry analytic gradients, enabling the solver's analytic merit
-    /// gradient.
-    pub fn has_full_gradients(&self) -> bool {
-        self.objective_grad.is_some()
-            && self.constraints.iter().all(Constraint::has_grad)
-            && self.blocks.iter().all(ConstraintBlock::has_jacobian)
     }
 
     /// Evaluates the objective; non-finite values are mapped to `+∞` so the
@@ -424,117 +200,27 @@ impl Nlp {
         self.objective.is_some()
     }
 
-    /// The largest constraint violation at `x` (scalar constraints and
-    /// block rows).
+    /// The largest constraint violation at `x`.
     pub fn max_violation(&self, x: &[f64]) -> f64 {
-        let mut scratch = Vec::new();
-        self.violation_stats(x, &mut scratch).max
+        self.violation_stats(x).max
     }
 
     /// Computes the largest violation **and** the quadratic penalty term in
-    /// one pass over every constraint. `scratch` is resized as needed and
-    /// reused across calls, so steady-state evaluation performs no
-    /// allocation.
+    /// one pass over every constraint.
     ///
-    /// An infinitely violated row (non-finite raw value) makes both
+    /// An infinitely violated constraint (non-finite raw value) makes both
     /// statistics infinite.
-    pub fn violation_stats(&self, x: &[f64], scratch: &mut Vec<f64>) -> ViolationStats {
+    pub fn violation_stats(&self, x: &[f64]) -> ViolationStats {
         let mut stats = ViolationStats::default();
-        let push = |v: f64, stats: &mut ViolationStats| {
+        for c in &self.constraints {
+            let v = c.violation(x);
             stats.max = stats.max.max(v);
             stats.sum_sq += v * v;
-        };
-        for c in &self.constraints {
-            push(c.violation(x), &mut stats);
-        }
-        for b in &self.blocks {
-            scratch.resize(b.len(), 0.0);
-            b.eval_into(x, scratch);
-            for (row, &v) in b.rows.iter().zip(scratch.iter()) {
-                push(row_violation(v, row.sense, row.rhs, row.margin), &mut stats);
-            }
         }
         if stats.max.is_infinite() {
             stats.sum_sq = f64::INFINITY;
         }
         stats
-    }
-
-    /// Evaluates the penalized merit `objective + mu·Σ violationᵢ²` and its
-    /// analytic gradient in one pass, writing the gradient into `grad`.
-    /// The two scratch vectors are resized as needed and reused across
-    /// calls.
-    ///
-    /// Returns `+∞` (with a zeroed gradient) when any constraint row or the
-    /// objective is non-finite at `x` — the caller treats such points
-    /// exactly like the central-difference path does.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`has_full_gradients`](Self::has_full_gradients).
-    pub fn merit_value_grad(
-        &self,
-        x: &[f64],
-        mu: f64,
-        grad: &mut [f64],
-        scratch_vals: &mut Vec<f64>,
-        scratch_jac: &mut Vec<f64>,
-    ) -> f64 {
-        debug_assert!(self.has_full_gradients());
-        let og = self.objective_grad.as_ref().expect("objective gradient not set");
-        grad.fill(0.0);
-        og(x, grad);
-        let mut merit = self.objective_value(x);
-        // Scalar constraints: g += 2·mu·viol·(±∇f).
-        for c in &self.constraints {
-            let v = c.value(x);
-            let viol = row_violation(v, c.sense, c.rhs, c.margin);
-            if viol.is_infinite() {
-                grad.fill(0.0);
-                return f64::INFINITY;
-            }
-            merit += mu * viol * viol;
-            if viol > 0.0 {
-                let sign = match c.sense {
-                    ConstraintSense::Le => 1.0,
-                    ConstraintSense::Ge => -1.0,
-                };
-                scratch_vals.resize(self.n, 0.0);
-                scratch_vals.fill(0.0);
-                c.grad_into(x, scratch_vals);
-                for (g, d) in grad.iter_mut().zip(scratch_vals.iter()) {
-                    *g += 2.0 * mu * viol * sign * d;
-                }
-            }
-        }
-        for b in &self.blocks {
-            scratch_vals.resize(b.len(), 0.0);
-            scratch_jac.resize(b.len() * self.n, 0.0);
-            b.eval_jac_into(x, scratch_vals, scratch_jac);
-            for (i, row) in b.rows.iter().enumerate() {
-                let viol = row_violation(scratch_vals[i], row.sense, row.rhs, row.margin);
-                if viol.is_infinite() {
-                    grad.fill(0.0);
-                    return f64::INFINITY;
-                }
-                merit += mu * viol * viol;
-                if viol > 0.0 {
-                    let sign = match row.sense {
-                        ConstraintSense::Le => 1.0,
-                        ConstraintSense::Ge => -1.0,
-                    };
-                    let jrow = &scratch_jac[i * self.n..(i + 1) * self.n];
-                    for (g, d) in grad.iter_mut().zip(jrow) {
-                        *g += 2.0 * mu * viol * sign * d;
-                    }
-                }
-            }
-        }
-        if !merit.is_finite() {
-            grad.fill(0.0);
-            return f64::INFINITY;
-        }
-        merit
     }
 
     /// Clamps `x` into the box, in place.

@@ -308,11 +308,8 @@ impl PenaltySolver {
     /// Minimizes the penalized merit function with projected gradient
     /// descent and backtracking line search. Returns the exhaustion cause
     /// if the budget ran out mid-descent (leaving `x` at the best accepted
-    /// iterate).
-    ///
-    /// The merit gradient is analytic when the problem provides full
-    /// gradients ([`Nlp::has_full_gradients`]); otherwise it falls back to
-    /// central differences (`2n` merit evaluations per step).
+    /// iterate). The merit gradient is taken by central differences (`2n`
+    /// merit evaluations per step).
     fn projected_gradient(
         &self,
         nlp: &Nlp,
@@ -321,15 +318,12 @@ impl PenaltySolver {
         gauge: &mut EvalGauge<'_>,
     ) -> Option<Exhaustion> {
         let n = nlp.num_vars();
-        let rows = nlp.num_constraint_rows();
-        let analytic = nlp.has_full_gradients();
-        let mut scratch = Vec::new();
-        let mut scratch_jac = Vec::new();
-        let merit = |pt: &[f64], gauge: &mut EvalGauge<'_>, scratch: &mut Vec<f64>| -> f64 {
+        let rows = nlp.constraints().len();
+        let merit = |pt: &[f64], gauge: &mut EvalGauge<'_>| -> f64 {
             gauge.add(1 + rows);
             // One pass over all constraints: max violation and the penalty
             // term together.
-            let stats = nlp.violation_stats(pt, scratch);
+            let stats = nlp.violation_stats(pt);
             if stats.max.is_infinite() {
                 return f64::INFINITY;
             }
@@ -343,40 +337,32 @@ impl PenaltySolver {
             }
         };
 
-        let mut fx = merit(x, gauge, &mut scratch);
+        let mut fx = merit(x, gauge);
         let mut step = self.opts.step_init;
         let mut grad = vec![0.0; n];
         for _ in 0..self.opts.inner_iterations {
             if let Some(cause) = gauge.poll() {
                 return Some(cause);
             }
-            if analytic {
-                // One tape pass yields the merit value and full gradient;
-                // charge it like a value+gradient evaluation.
-                gauge.add(2 * (1 + rows));
-                nlp.merit_value_grad(x, mu, &mut grad, &mut scratch, &mut scratch_jac);
-            } else {
-                // Central-difference gradient, clamped to the box.
-                grad.fill(0.0);
-                for i in 0..n {
-                    if let Some(cause) = gauge.poll() {
-                        return Some(cause);
-                    }
-                    let h = self.opts.gradient_step * (1.0 + x[i].abs());
-                    let (lo, hi) = nlp.bounds()[i];
-                    let mut xp = x.clone();
-                    let mut xm = x.clone();
-                    xp[i] = (x[i] + h).min(hi);
-                    xm[i] = (x[i] - h).max(lo);
-                    let denom = xp[i] - xm[i];
-                    if denom == 0.0 {
-                        continue;
-                    }
-                    let fp = merit(&xp, gauge, &mut scratch);
-                    let fm = merit(&xm, gauge, &mut scratch);
-                    grad[i] =
-                        if fp.is_finite() && fm.is_finite() { (fp - fm) / denom } else { 0.0 };
+            // Central-difference gradient, clamped to the box.
+            grad.fill(0.0);
+            for i in 0..n {
+                if let Some(cause) = gauge.poll() {
+                    return Some(cause);
                 }
+                let h = self.opts.gradient_step * (1.0 + x[i].abs());
+                let (lo, hi) = nlp.bounds()[i];
+                let mut xp = x.clone();
+                let mut xm = x.clone();
+                xp[i] = (x[i] + h).min(hi);
+                xm[i] = (x[i] - h).max(lo);
+                let denom = xp[i] - xm[i];
+                if denom == 0.0 {
+                    continue;
+                }
+                let fp = merit(&xp, gauge);
+                let fm = merit(&xm, gauge);
+                grad[i] = if fp.is_finite() && fm.is_finite() { (fp - fm) / denom } else { 0.0 };
             }
             let gnorm = grad.iter().map(|g| g * g).sum::<f64>().sqrt();
             if gnorm < 1e-14 || !gnorm.is_finite() {
@@ -393,7 +379,7 @@ impl PenaltySolver {
                 let mut cand: Vec<f64> =
                     x.iter().zip(&grad).map(|(xi, gi)| xi - t * gi / gnorm).collect();
                 nlp.project(&mut cand);
-                let fc = merit(&cand, gauge, &mut scratch);
+                let fc = merit(&cand, gauge);
                 if fc < fx - 1e-12 {
                     *x = cand;
                     fx = fc;
@@ -616,53 +602,6 @@ mod tests {
             assert_eq!(serial.evaluations, parallel.evaluations);
             assert_eq!(serial.stopped, parallel.stopped);
         }
-    }
-
-    #[test]
-    fn constraint_block_matches_scalar_constraints() {
-        // The same plane constraint registered as a block must steer the
-        // solve to the same optimum as the scalar form.
-        let mut scalar = Nlp::new(2, vec![(-2.0, 2.0), (-2.0, 2.0)]).unwrap();
-        scalar.minimize_norm2();
-        scalar.constraint("plane", ConstraintSense::Ge, 1.0, |x| x[0] + x[1]);
-
-        let mut block = Nlp::new(2, vec![(-2.0, 2.0), (-2.0, 2.0)]).unwrap();
-        block.minimize_norm2();
-        block.constraint_block(
-            vec![crate::BlockRow::new("plane", ConstraintSense::Ge, 1.0, 0.0)],
-            |x, out| out[0] = x[0] + x[1],
-        );
-        assert_eq!(block.num_constraint_rows(), 1);
-        assert!(!block.has_full_gradients(), "block lacks a jacobian");
-
-        let a = PenaltySolver::new().solve(&scalar).unwrap();
-        let b = PenaltySolver::new().solve(&block).unwrap();
-        assert!(b.feasible);
-        assert!((a.x[0] - b.x[0]).abs() < 1e-6, "{:?} vs {:?}", a.x, b.x);
-        assert!((a.x[1] - b.x[1]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn analytic_gradients_reach_the_same_optimum() {
-        // min ‖x‖² s.t. x0 + x1 ≥ 1 with full analytic gradients: the
-        // solver takes the one-pass merit-gradient path and still lands on
-        // (0.5, 0.5).
-        let mut nlp = Nlp::new(2, vec![(-2.0, 2.0), (-2.0, 2.0)]).unwrap();
-        nlp.minimize_norm2();
-        nlp.constraint_block_with_jacobian(
-            vec![crate::BlockRow::new("plane", ConstraintSense::Ge, 1.0, 0.0)],
-            |x, out| out[0] = x[0] + x[1],
-            |_x, out, jac| {
-                out[0] = _x[0] + _x[1];
-                jac[0] = 1.0;
-                jac[1] = 1.0;
-            },
-        );
-        assert!(nlp.has_full_gradients());
-        let sol = PenaltySolver::new().solve(&nlp).unwrap();
-        assert!(sol.feasible, "violation {}", sol.max_violation);
-        assert!((sol.x[0] - 0.5).abs() < 2e-3, "x = {:?}", sol.x);
-        assert!((sol.x[1] - 0.5).abs() < 2e-3);
     }
 
     #[test]

@@ -5,36 +5,31 @@
 //! but their `BTreeMap<Vec<u32>, f64>` term storage makes **evaluation**
 //! slow: every call walks the tree, chases per-term heap allocations and
 //! recomputes `x.powi(e)` from scratch. Evaluation, however, is exactly
-//! what the repair hot path does: the penalty solver calls each constraint
-//! thousands of times per solve (restarts × rounds × line-search steps).
+//! what region lifting does: it bounds every constraint row over each box
+//! it refines, and its warm-start screen evaluates them at box points.
 //!
-//! This module flattens the symbolic trees once, ahead of the solve, into
+//! This module flattens the symbolic trees once, ahead of lifting, into
 //! contiguous coefficient/exponent **tapes**:
 //!
 //! * [`CompiledPoly`] — a flat `(coeffs, exponents)` pair evaluated with a
 //!   per-variable power table (each `x_i^e` computed once per point, by
 //!   repeated multiplication, and shared across terms);
 //! * [`CompiledRatFn`] — numerator and denominator tapes sharing one power
-//!   table, with value-plus-gradient in a single pass via the quotient
-//!   rule;
-//! * [`CompiledConstraintSet`] — every constraint function of an NLP in one
-//!   object, sharing a single power table per evaluation point and filling
-//!   caller-provided value/Jacobian buffers without allocating.
+//!   table;
+//! * [`CompiledConstraintSet`] — every constraint row of a region problem
+//!   in one object, sharing a single power table per point or box and
+//!   filling caller-provided value or interval buffers.
 //!
-//! Power tables and gradient scratch live in fixed-size stack buffers for
-//! all realistic sizes (≤ [`STACK_F64`] table entries, ≤ [`MAX_STACK_VARS`]
-//! variables), so the hot path performs **no heap allocation**; larger
-//! instances transparently fall back to a heap scratch.
+//! Point power tables live in fixed-size stack buffers for all realistic
+//! sizes (≤ [`STACK_F64`] table entries), so point evaluation performs **no
+//! heap allocation**; larger instances transparently fall back to a heap
+//! table.
 
 use crate::lifting::Interval;
 use crate::{ParametricError, Polynomial, RationalFunction};
 
 /// Stack budget (in `f64`s) for the shared power table.
 const STACK_F64: usize = 256;
-
-/// Stack budget for per-term prefix/suffix products (bounds the variable
-/// count served without heap fallback).
-const MAX_STACK_VARS: usize = 32;
 
 /// A polynomial flattened to a contiguous evaluation tape.
 ///
@@ -147,51 +142,6 @@ impl CompiledPoly {
                 term *= powers[i as usize];
             }
             acc += term;
-            lo = hi;
-        }
-        acc
-    }
-
-    /// Evaluates value and gradient against a power table; the gradient is
-    /// **accumulated** into `grad` (callers zero it first). Uses per-term
-    /// prefix/suffix products over the active pairs, so the cost is
-    /// `O(active pairs)`.
-    #[inline]
-    fn eval_grad_with_table(&self, powers: &[f64], grad: &mut [f64]) -> f64 {
-        let mut prefix_buf = [0.0; MAX_STACK_VARS + 1];
-        let mut suffix_buf = [0.0; MAX_STACK_VARS + 1];
-        let mut heap: Vec<f64>;
-        let (prefix, suffix): (&mut [f64], &mut [f64]) = if self.nvars <= MAX_STACK_VARS {
-            (&mut prefix_buf[..self.nvars + 1], &mut suffix_buf[..self.nvars + 1])
-        } else {
-            heap = vec![0.0; 2 * (self.nvars + 1)];
-            let (a, b) = heap.split_at_mut(self.nvars + 1);
-            (a, b)
-        };
-        let mut acc = 0.0;
-        let mut lo = 0usize;
-        for (&hi, &c) in self.offsets[1..].iter().zip(&self.coeffs) {
-            let hi = hi as usize;
-            let row_idx = &self.idx[lo..hi];
-            let k = row_idx.len();
-            // prefix[j] = Π_{l<j} of the row's monomial factors; suffix[j]
-            // the product from j on. Inactive variables contribute 1.
-            prefix[0] = 1.0;
-            for (j, &i) in row_idx.iter().enumerate() {
-                prefix[j + 1] = prefix[j] * powers[i as usize];
-            }
-            suffix[k] = 1.0;
-            for j in (0..k).rev() {
-                suffix[j] = suffix[j + 1] * powers[row_idx[j] as usize];
-            }
-            acc += c * prefix[k];
-            for (j, &i) in row_idx.iter().enumerate() {
-                let e = self.exps[lo + j];
-                // x_v^{e-1} sits one slot below x_v^e in the table (stored
-                // exponents are always ≥ 1).
-                let dmono = e as f64 * powers[i as usize - 1];
-                grad[self.vars[lo + j] as usize] += c * prefix[j] * dmono * suffix[j + 1];
-            }
             lo = hi;
         }
         acc
@@ -341,85 +291,32 @@ impl CompiledRatFn {
         self.nvars
     }
 
-    /// Evaluates at `point`. Returns `NaN` at poles of the denominator (the
-    /// optimizer treats non-finite constraint values as infinitely
-    /// violated, which matches the repair semantics of leaving the
-    /// well-defined parameter region).
+    /// Evaluates at `point`. Returns `NaN` at poles of the denominator (a
+    /// `NaN` row satisfies no constraint sense, which matches the repair
+    /// semantics of leaving the well-defined parameter region).
     ///
     /// # Errors
     ///
     /// Returns [`ParametricError::PointArityMismatch`] for a wrong-sized
     /// point.
     pub fn eval(&self, point: &[f64]) -> Result<f64, ParametricError> {
-        self.with_table(point, |this, powers| {
-            let d = this.den.eval_with_table(powers);
-            if d.abs() < 1e-300 {
-                return f64::NAN;
-            }
-            this.num.eval_with_table(powers) / d
-        })
-    }
-
-    /// Evaluates value and gradient in one pass (quotient rule), writing
-    /// the gradient into `grad`. Returns `NaN`s at denominator poles.
-    ///
-    /// # Errors
-    ///
-    /// [`ParametricError::PointArityMismatch`] if `point` or `grad` has the
-    /// wrong length.
-    pub fn eval_grad(&self, point: &[f64], grad: &mut [f64]) -> Result<f64, ParametricError> {
-        if grad.len() != self.nvars {
-            return Err(ParametricError::PointArityMismatch {
-                expected: self.nvars,
-                got: grad.len(),
-            });
-        }
-        self.with_table(point, |this, powers| this.value_and_grad_with_table(powers, grad))
-    }
-
-    /// Quotient-rule value+gradient against a caller-provided power table.
-    #[inline]
-    fn value_and_grad_with_table(&self, powers: &[f64], grad: &mut [f64]) -> f64 {
-        let mut gn_buf = [0.0; MAX_STACK_VARS];
-        let mut gd_buf = [0.0; MAX_STACK_VARS];
-        let mut heap: Vec<f64>;
-        let (gn, gd): (&mut [f64], &mut [f64]) = if self.nvars <= MAX_STACK_VARS {
-            (&mut gn_buf[..self.nvars], &mut gd_buf[..self.nvars])
-        } else {
-            heap = vec![0.0; 2 * self.nvars];
-            let (a, b) = heap.split_at_mut(self.nvars);
-            (a, b)
-        };
-        gn.fill(0.0);
-        gd.fill(0.0);
-        let n = self.num.eval_grad_with_table(powers, gn);
-        let d = self.den.eval_grad_with_table(powers, gd);
-        if d.abs() < 1e-300 {
-            grad.fill(f64::NAN);
-            return f64::NAN;
-        }
-        let inv_d2 = 1.0 / (d * d);
-        for ((g, &dn), &dd) in grad.iter_mut().zip(gn.iter()).zip(gd.iter()) {
-            *g = (dn * d - n * dd) * inv_d2;
-        }
-        n / d
-    }
-
-    /// Builds the shared power table (stack-allocated when small) and runs
-    /// `body` against it.
-    #[inline]
-    fn with_table<R>(
-        &self,
-        point: &[f64],
-        body: impl FnOnce(&Self, &[f64]) -> R,
-    ) -> Result<R, ParametricError> {
         if point.len() != self.nvars {
             return Err(ParametricError::PointArityMismatch {
                 expected: self.nvars,
                 got: point.len(),
             });
         }
-        Ok(with_power_table(self.stride, point, |powers| body(self, powers)))
+        Ok(with_power_table(self.stride, point, |powers| self.eval_with_table(powers)))
+    }
+
+    /// Quotient against a caller-provided power table; `NaN` at poles.
+    #[inline]
+    fn eval_with_table(&self, powers: &[f64]) -> f64 {
+        let d = self.den.eval_with_table(powers);
+        if d.abs() < 1e-300 {
+            return f64::NAN;
+        }
+        self.num.eval_with_table(powers) / d
     }
 
     /// Bounds the rational function over a parameter box. A denominator
@@ -518,38 +415,18 @@ impl CompiledConstraintSet {
                 got: values.len(),
             });
         }
-        self.with_table(point, |this, powers| {
-            for (f, out) in this.fns.iter().zip(values.iter_mut()) {
-                let d = f.den.eval_with_table(powers);
-                *out = if d.abs() < 1e-300 { f64::NAN } else { f.num.eval_with_table(powers) / d };
-            }
-        })
-    }
-
-    /// Evaluates every constraint's value **and** gradient at `point` in
-    /// one pass. `jacobian` is row-major `len() × num_vars()`.
-    ///
-    /// # Errors
-    ///
-    /// [`ParametricError::PointArityMismatch`] on wrong-sized buffers.
-    pub fn eval_all_grad(
-        &self,
-        point: &[f64],
-        values: &mut [f64],
-        jacobian: &mut [f64],
-    ) -> Result<(), ParametricError> {
-        if values.len() != self.fns.len() || jacobian.len() != self.fns.len() * self.nvars {
+        if point.len() != self.nvars {
             return Err(ParametricError::PointArityMismatch {
-                expected: self.fns.len() * self.nvars,
-                got: jacobian.len(),
+                expected: self.nvars,
+                got: point.len(),
             });
         }
-        self.with_table(point, |this, powers| {
-            for (i, (f, out)) in this.fns.iter().zip(values.iter_mut()).enumerate() {
-                let row = &mut jacobian[i * this.nvars..(i + 1) * this.nvars];
-                *out = f.value_and_grad_with_table(powers, row);
+        with_power_table(self.stride, point, |powers| {
+            for (f, out) in self.fns.iter().zip(values.iter_mut()) {
+                *out = f.eval_with_table(powers);
             }
-        })
+        });
+        Ok(())
     }
 
     /// Bounds every constraint over a parameter box in one pass, sharing a
@@ -583,21 +460,6 @@ impl CompiledConstraintSet {
             *out = f.bound_with_table(&powers);
         }
         Ok(())
-    }
-
-    #[inline]
-    fn with_table<R>(
-        &self,
-        point: &[f64],
-        body: impl FnOnce(&Self, &[f64]) -> R,
-    ) -> Result<R, ParametricError> {
-        if point.len() != self.nvars {
-            return Err(ParametricError::PointArityMismatch {
-                expected: self.nvars,
-                got: point.len(),
-            });
-        }
-        Ok(with_power_table(self.stride, point, |powers| body(self, powers)))
     }
 }
 
@@ -652,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_ratfn_matches_interpreted_value_and_grad() {
+    fn compiled_ratfn_matches_interpreted() {
         // f = (1 + v₀ v₁) / (1 + v₀² + 0.5 v₁²): denominator never vanishes.
         let v0 = RationalFunction::var(2, 0);
         let v1 = RationalFunction::var(2, 1);
@@ -665,14 +527,7 @@ mod tests {
         for pt in [[0.0, 0.0], [0.3, -0.4], [-1.0, 2.0]] {
             let a = f.eval(&pt).unwrap();
             let b = c.eval(&pt).unwrap();
-            assert!((a - b).abs() < 1e-12 * (1.0 + a.abs()));
-            let ga = f.grad(&pt).unwrap();
-            let mut gb = [0.0; 2];
-            let val = c.eval_grad(&pt, &mut gb).unwrap();
-            assert!((val - a).abs() < 1e-12 * (1.0 + a.abs()));
-            for (x, y) in ga.iter().zip(&gb) {
-                assert!((x - y).abs() < 1e-10 * (1.0 + x.abs()), "{x} vs {y} at {pt:?}");
-            }
+            assert!((a - b).abs() < 1e-12 * (1.0 + a.abs()), "{a} vs {b} at {pt:?}");
         }
     }
 
@@ -682,9 +537,6 @@ mod tests {
         let f = RationalFunction::one_rf(1).div(&RationalFunction::var(1, 0)).unwrap();
         let c = f.compile();
         assert!(c.eval(&[0.0]).unwrap().is_nan());
-        let mut g = [0.0];
-        assert!(c.eval_grad(&[0.0], &mut g).unwrap().is_nan());
-        assert!(g[0].is_nan());
     }
 
     #[test]
@@ -703,18 +555,9 @@ mod tests {
             let want = f.eval(&pt).unwrap();
             assert!((want - got).abs() < 1e-12 * (1.0 + want.abs()));
         }
-        let mut jac = [0.0; 6];
-        set.eval_all_grad(&pt, &mut vals, &mut jac).unwrap();
-        for (i, f) in fns.iter().enumerate() {
-            let g = f.grad(&pt).unwrap();
-            for (v, (want, got)) in g.iter().zip(&jac[i * 2..(i + 1) * 2]).enumerate() {
-                assert!((want - got).abs() < 1e-10, "fn {i} var {v}: {want} vs {got}");
-            }
-        }
         // Buffer shape errors.
         assert!(set.eval_all(&pt, &mut [0.0; 2]).is_err());
         assert!(set.eval_all(&[0.1], &mut vals).is_err());
-        assert!(set.eval_all_grad(&pt, &mut vals, &mut [0.0; 5]).is_err());
     }
 
     #[test]
@@ -732,8 +575,8 @@ mod tests {
 
     #[test]
     fn heap_fallback_for_large_instances() {
-        // 40 variables exceeds MAX_STACK_VARS; high degree exceeds the
-        // stack power-table budget. Exercise both fallbacks.
+        // 40 variables of degree 9 exceed the stack power-table budget, so
+        // point evaluation builds its table on the heap.
         let nv = 40;
         let mut terms = Vec::new();
         for i in 0..nv {
@@ -747,14 +590,14 @@ mod tests {
         let a = p.eval(&pt).unwrap();
         let b = c.eval(&pt).unwrap();
         assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()));
-        let f = RationalFunction::from_poly(p.clone());
-        let cf = f.compile();
-        let mut g = vec![0.0; nv];
-        let val = cf.eval_grad(&pt, &mut g).unwrap();
+        let f = RationalFunction::from_poly(p);
+        let val = f.compile().eval(&pt).unwrap();
         assert!((val - a).abs() < 1e-9 * (1.0 + a.abs()));
-        let sym = f.grad(&pt).unwrap();
-        for (x, y) in sym.iter().zip(&g) {
-            assert!((x - y).abs() < 1e-7 * (1.0 + x.abs()));
+        let set = CompiledConstraintSet::compile(&[f.clone(), f]).unwrap();
+        let mut vals = [0.0; 2];
+        set.eval_all(&pt, &mut vals).unwrap();
+        for v in vals {
+            assert!((v - a).abs() < 1e-9 * (1.0 + a.abs()));
         }
     }
 }
@@ -782,10 +625,10 @@ mod proptests {
             prop_assert!((a - b).abs() <= 1e-12 * (1.0 + a.abs()), "{a} vs {b}");
         }
 
-        /// Tape value+gradient matches the interpreted rational function to
+        /// Tape evaluation matches the interpreted rational function to
         /// 1e-12 (relative) away from poles.
         #[test]
-        fn compiled_ratfn_eval_and_grad_match(
+        fn compiled_ratfn_eval_matches(
             num in arb_poly4(),
             den_sq in arb_poly4(),
             pt in proptest::collection::vec(-1.5_f64..1.5, 4),
@@ -797,13 +640,6 @@ mod proptests {
             let a = f.eval(&pt).unwrap();
             let b = c.eval(&pt).unwrap();
             prop_assert!((a - b).abs() <= 1e-12 * (1.0 + a.abs()), "{a} vs {b}");
-            let ga = f.grad(&pt).unwrap();
-            let mut gb = [0.0; 4];
-            let val = c.eval_grad(&pt, &mut gb).unwrap();
-            prop_assert!((val - a).abs() <= 1e-12 * (1.0 + a.abs()));
-            for (x, y) in ga.iter().zip(&gb) {
-                prop_assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
-            }
         }
     }
 }

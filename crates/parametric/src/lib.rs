@@ -2,8 +2,11 @@
 //!
 //! This crate implements the machinery behind Propositions 2 and 3 of the
 //! paper: reducing a PCTL constraint on a *parametric* Markov chain to a
-//! closed-form **rational function** `f(v)` of the parameters, which Model
-//! Repair and Data Repair then feed into a non-linear optimizer.
+//! closed-form **rational function** `f(v)` of the parameters. Model Repair
+//! and Data Repair bound it over parameter regions (parameter lifting,
+//! [`RegionSolver`]); their optimizer takes its constraint values from a
+//! compiled oracle instead, since `f64` elimination leaves high-degree
+//! closed forms numerically fragile at a point.
 //!
 //! The pipeline:
 //!

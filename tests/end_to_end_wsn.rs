@@ -126,8 +126,8 @@ fn simulation_agrees_with_checker() {
 
 /// The symbolic expected-attempts function from the parametric engine
 /// matches instantiate-and-check to machine precision on the 2×2 grid,
-/// where the rational function stays below the f64-safe degree threshold
-/// (Proposition 2's reduction, cross-validated).
+/// where the rational function stays at a degree `f64` elimination keeps
+/// exact (Proposition 2's reduction, cross-validated).
 #[test]
 fn symbolic_matches_oracle_on_small_wsn() {
     let config = WsnConfig { n: 2, ..Default::default() };
@@ -136,7 +136,7 @@ fn symbolic_matches_oracle_on_small_wsn() {
     let pdtmc = template.apply(&chain).unwrap();
     let target = pdtmc.labeling().mask("delivered");
     let symbolic = pdtmc.expected_reward("attempts", &target).unwrap();
-    assert!(symbolic[config.source()].complexity() <= 16, "small grid stays symbolic");
+    assert!(symbolic[config.source()].complexity() <= 16, "small grid stays low-degree");
     let q = parse_query("R{\"attempts\"}=? [ F \"delivered\" ]").unwrap();
     for &(p, qv) in &[(0.0, 0.0), (0.02, 0.01), (0.05, 0.05), (0.09, 0.03)] {
         let inst = pdtmc.instantiate(&[p, qv]).unwrap();
@@ -147,10 +147,12 @@ fn symbolic_matches_oracle_on_small_wsn() {
     }
 }
 
-/// On the 3×3 grid the symbolic form exceeds the f64-safe degree threshold
-/// (the repairs then automatically use the exact oracle back-end); the
-/// symbolic value still agrees with the oracle in the interior of the box,
-/// degrading only near the uncancelled removable singularity at the origin.
+/// On the 3×3 grid the symbolic form's degree exceeds what `f64`
+/// elimination keeps exact (which is why repairs take every constraint
+/// value from the compiled oracle and use the closed form only for
+/// interval enclosures); its value still agrees with the oracle in the
+/// interior of the box, degrading only near the uncancelled removable
+/// singularity at the origin.
 #[test]
 fn symbolic_degrades_gracefully_on_full_wsn() {
     let config = WsnConfig::default();
@@ -159,7 +161,7 @@ fn symbolic_degrades_gracefully_on_full_wsn() {
     let pdtmc = template.apply(&chain).unwrap();
     let target = pdtmc.labeling().mask("delivered");
     let symbolic = pdtmc.expected_reward("attempts", &target).unwrap();
-    assert!(symbolic[config.source()].complexity() > 16, "3x3 grid exceeds the threshold");
+    assert!(symbolic[config.source()].complexity() > 16, "3x3 grid exceeds degree 16");
     let q = parse_query("R{\"attempts\"}=? [ F \"delivered\" ]").unwrap();
     let inst = pdtmc.instantiate(&[0.09, 0.09]).unwrap();
     let oracle = Checker::new().query_dtmc(&inst, &q).unwrap()[config.source()];
@@ -167,7 +169,7 @@ fn symbolic_degrades_gracefully_on_full_wsn() {
     assert!((sym - oracle).abs() / oracle < 1e-2, "interior accuracy: {sym} vs {oracle}");
 }
 
-/// Model repair also works on the MDP view through the oracle back-end:
+/// Model repair also works on the MDP view through instantiate-and-check:
 /// meeting a worst-scheduler bound (Rmax) by correcting ignore rates.
 #[test]
 fn mdp_model_repair_worst_case_bound() {

@@ -13,7 +13,7 @@
 use trusted_ml::checker::Checker;
 use trusted_ml::logic::{parse_formula, parse_query, StateFormula};
 use trusted_ml::models::dsl::{parse_model, ModelFile};
-use trusted_ml::models::{Mdp, Path, TraceDataset};
+use trusted_ml::models::{Dtmc, Mdp, Path, TraceDataset};
 use trusted_ml::repair::{
     DataRepair, DataRepairOutcome, MdpPerturbationTemplate, ModelRepair, ModelRepairOutcome,
     ModelSpec, PerturbationTemplate, RepairOptions, RepairStatus, RepairStrategy, RobustSpec,
@@ -134,9 +134,12 @@ fn wsn_data_repair_matches_its_fingerprints() {
     assert_eq!(wsn_data_repair(RepairStrategy::Lifting), repaired(109_259));
 }
 
-/// The README's lossy channel, repaired robustly: every member of the 95%
-/// Wilson ball at 1,000 samples must satisfy `P>=0.9 [ F "ok" ]`.
-fn robust_channel_repair(strategy: RepairStrategy) -> Fingerprint {
+/// The README's lossy channel repair: `v ∈ [-0.15, 0.15]` moves mass from
+/// the loss branch to the success branch until `P>=0.9 [ F "ok" ]` holds.
+fn channel_repair(
+    strategy: RepairStrategy,
+    robust: Option<RobustSpec>,
+) -> ModelRepairOutcome<Dtmc> {
     let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/assets/channel.tml"))
         .unwrap();
     let ModelFile::Dtmc(chain) = parse_model(&text).unwrap() else { panic!("a dtmc") };
@@ -144,12 +147,51 @@ fn robust_channel_repair(strategy: RepairStrategy) -> Fingerprint {
     let v = template.parameter("v", -0.15, 0.15);
     template.nudge(0, 1, v, 1.0).unwrap();
     template.nudge(0, 2, v, -1.0).unwrap();
-    let robust = RobustSpec { confidence: 0.95, sample_size: 1000.0 };
-    let out = ModelRepair::with_options(options(strategy, Some(robust)))
+    let out = ModelRepair::with_options(options(strategy, robust))
         .repair_dtmc(&chain, &parse_formula("P>=0.9 [ F \"ok\" ]").unwrap(), &template)
         .unwrap();
     assert!(out.verified, "{strategy:?}");
-    Fingerprint::of_model(&out)
+    out
+}
+
+/// The nominal channel repair: a degree-1 rational function, so lifting
+/// certifies it, while the penalty solver's property constraint is the
+/// compiled oracle at every candidate.
+#[test]
+fn channel_model_repair_matches_its_fingerprints() {
+    let repaired = |evaluations, cost, v, fallbacks: Vec<String>| Fingerprint {
+        status: RepairStatus::Repaired,
+        evaluations,
+        cost,
+        point: vec![v],
+        fallbacks,
+    };
+    for (strategy, want) in [
+        (
+            RepairStrategy::Penalty,
+            repaired(22_944, 0x3f94_7af9_d78e_9b48, 0x3fb9_99a8_f381_538e, vec![]),
+        ),
+        (
+            RepairStrategy::Lifting,
+            repaired(1_689, 0x3f94_7afc_366f_4125, 0x3fb9_99aa_6ecc_cccc, vec![]),
+        ),
+    ] {
+        let out = channel_repair(strategy, None);
+        assert_eq!(Fingerprint::of_model(&out), want, "{strategy:?}");
+        let certified = out.certificate.map(|c| c.certified);
+        let lifting = strategy == RepairStrategy::Lifting;
+        assert_eq!(certified, lifting.then_some(true), "{strategy:?}");
+        let telemetry = &out.diagnostics.telemetry;
+        assert!(telemetry.counter("model_repair.oracle.compiled") > 0, "{strategy:?}");
+        assert_eq!(telemetry.counter("model_repair.oracle.deferred"), 0, "{strategy:?}");
+    }
+}
+
+/// The channel repaired robustly: every member of the 95% Wilson ball at
+/// 1,000 samples must satisfy the property.
+fn robust_channel_repair(strategy: RepairStrategy) -> Fingerprint {
+    let robust = RobustSpec { confidence: 0.95, sample_size: 1000.0 };
+    Fingerprint::of_model(&channel_repair(strategy, Some(robust)))
 }
 
 #[test]
