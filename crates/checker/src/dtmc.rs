@@ -875,7 +875,7 @@ pub fn transient_distribution(model: &Dtmc, k: u64) -> Vec<f64> {
 ///
 /// # Errors
 ///
-/// Returns a wrapped [`NumericsError::NoConvergence`](tml_numerics::NumericsError::NoConvergence)
+/// Returns a wrapped [`NumericsError::NoConvergence`]
 /// if the iterates do not settle — e.g. for periodic or reducible chains
 /// whose limit distribution depends on the start.
 pub fn steady_state(model: &Dtmc, opts: &CheckOptions) -> Result<Vec<f64>, CheckError> {

@@ -26,8 +26,9 @@ use crate::ModelSpec;
 /// ([`CompiledReach`]) and, per candidate, only fills in the transition
 /// probabilities and solves. Its entries come from one of two sources:
 ///
-/// * a model repair's template: each entry is the value of its numerator
-///   (every denominator is `1`), the number instantiation computes;
+/// * a model repair's template: each entry is the value from the chain's
+///   entry tape ([`ParametricDtmc::entries_at`]), the number instantiation
+///   builds its chain from;
 /// * a data repair's [`TraceCountTape`]: each entry is the count ratio
 ///   re-learning computes.
 ///
@@ -80,8 +81,8 @@ thread_local! {
 impl CompiledOracle {
     /// Compiles `formula` against `pdtmc`, the template applied to `base`.
     /// `None` when the property is outside [`CompiledReach::compile`]'s
-    /// fragment, when `pdtmc` does not have `base`'s support, row for row,
-    /// or when an entry's denominator is not the constant `1`.
+    /// fragment or when `pdtmc` does not have `base`'s support, row for
+    /// row.
     pub fn compile(
         base: &Dtmc,
         pdtmc: &ParametricDtmc,
@@ -93,10 +94,7 @@ impl CompiledOracle {
             && (0..base.num_states()).all(|s| {
                 base.successors(s).map(|(t, _)| t).eq(pdtmc.successors(s).map(|(t, _)| t))
             });
-        let polynomial = (0..pdtmc.num_states()).all(|s| {
-            pdtmc.successors(s).all(|(_, rf)| rf.denominator().as_constant() == Some(1.0))
-        });
-        if !same_support || !polynomial {
+        if !same_support {
             return None;
         }
         Self::new(base, Source::Template(pdtmc.clone()), formula, check, budget)
@@ -183,23 +181,72 @@ impl CompiledOracle {
     }
 }
 
-/// Evaluates every transition of `pdtmc` at `point` into `out`; `false`
-/// when the candidate must be deferred.
+/// Evaluates every transition of `pdtmc` at `point` into `out`, from the
+/// entry values `instantiate` uses; `false` when the candidate must be
+/// deferred.
 fn refill(pdtmc: &ParametricDtmc, point: &[f64], out: &mut Vec<(usize, f64)>) -> bool {
     out.clear();
-    for s in 0..pdtmc.num_states() {
-        let start = out.len();
-        for (t, rf) in pdtmc.successors(s) {
-            // `DtmcBuilder::transition` rejects the first two and drops 0.
-            match rf.numerator().eval(point) {
-                Ok(p) if p.is_finite() && p <= 1.0 && p > 0.0 => out.push((t, p)),
-                _ => return false,
+    let refilled = pdtmc.entries_at(point, |mut values| {
+        for s in 0..pdtmc.num_states() {
+            let start = out.len();
+            for ((t, _), p) in pdtmc.successors(s).zip(&mut values) {
+                // A pole fails instantiation; `DtmcBuilder::transition`
+                // rejects a non-finite or negative value and one above 1,
+                // and drops 0.
+                match p {
+                    Ok(p) if p.is_finite() && p <= 1.0 && p > 0.0 => out.push((t, p)),
+                    _ => return false,
+                }
+            }
+            let sum: f64 = out[start..].iter().map(|&(_, p)| p).sum();
+            if (sum - 1.0).abs() > STOCHASTIC_TOLERANCE {
+                return false;
             }
         }
-        let sum: f64 = out[start..].iter().map(|&(_, p)| p).sum();
-        if (sum - 1.0).abs() > STOCHASTIC_TOLERANCE {
-            return false;
-        }
+        true
+    });
+    refilled.unwrap_or(false)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tml_logic::parse_formula;
+    use tml_parametric::{Polynomial, RationalFunction};
+
+    /// From state 0, reach `"goal"` with probability `x⁴` and an absorbing
+    /// sink with `1 − x⁴`.
+    fn quartic_chain() -> ParametricDtmc {
+        let quartic = Polynomial::from_terms(1, &[(vec![4], 1.0)]).unwrap();
+        let rest = Polynomial::from_terms(1, &[(vec![0], 1.0), (vec![4], -1.0)]).unwrap();
+        let mut b = ParametricDtmc::builder(3, vec!["x".into()]);
+        b.transition(0, 1, RationalFunction::from_poly(quartic)).unwrap();
+        b.transition(0, 2, RationalFunction::from_poly(rest)).unwrap();
+        b.transition(1, 1, RationalFunction::constant(1, 1.0)).unwrap();
+        b.transition(2, 2, RationalFunction::constant(1, 1.0)).unwrap();
+        b.label(1, "goal").unwrap();
+        b.build().unwrap()
     }
-    true
+
+    #[test]
+    fn compiled_value_is_bitwise_instantiate_and_check_past_cubic_exponents() {
+        // At this point `powi` (as `Polynomial::eval` calls it, at run
+        // time) and repeated multiplication round `x⁴` differently, so the
+        // oracle and `instantiate` agree only if they evaluate the entries
+        // the same way.
+        let x = std::hint::black_box(0.902_f64);
+        assert_ne!(x.powi(std::hint::black_box(4)).to_bits(), (x * x * x * x).to_bits());
+        let pdtmc = quartic_chain();
+        let base = pdtmc.instantiate(&[0.5]).unwrap();
+        let formula = parse_formula("P>=0.5 [ F \"goal\" ]").unwrap();
+        let check = CheckOptions::default();
+        let budget = Budget::unlimited();
+        let oracle =
+            CompiledOracle::compile(&base, &pdtmc, &formula, check, budget.clone()).unwrap();
+        for point in [x, 0.5, 0.904, 0.921] {
+            let want = checked_value(pdtmc.instantiate(&[point]).ok(), &formula, &check, &budget);
+            assert_eq!(oracle.value(&[point]).to_bits(), want.to_bits(), "x = {point}");
+        }
+        assert_eq!(oracle.counts(), (4, 0));
+    }
 }

@@ -8,8 +8,9 @@
 //! what region lifting does: it bounds every constraint row over each box
 //! it refines, and its warm-start screen evaluates them at box points.
 //!
-//! This module flattens the symbolic trees once, ahead of lifting, into
-//! contiguous coefficient/exponent **tapes**:
+//! This module flattens the symbolic trees once, ahead of lifting or of
+//! the first instantiation, into contiguous coefficient/exponent
+//! **tapes**:
 //!
 //! * [`CompiledPoly`] — a flat `(coeffs, exponents)` pair evaluated with a
 //!   per-variable power table (each `x_i^e` computed once per point, by
@@ -18,12 +19,21 @@
 //!   table;
 //! * [`CompiledConstraintSet`] — every constraint row of a region problem
 //!   in one object, sharing a single power table per point or box and
-//!   filling caller-provided value or interval buffers.
+//!   filling caller-provided value or interval buffers;
+//! * `EntryTape` — the *entry tape* of a
+//!   [`ParametricDtmc`](crate::ParametricDtmc): every transition entry and
+//!   state reward on one tape with one stride, evaluated against one power
+//!   table per point through
+//!   [`entries_at`](crate::ParametricDtmc::entries_at). It is the one
+//!   evaluator behind both `instantiate` and the repair oracle, and
+//!   bitwise [`RationalFunction::eval`] wherever no exponent exceeds 3.
 //!
 //! Point power tables live in fixed-size stack buffers for all realistic
 //! sizes (≤ [`STACK_F64`] table entries), so point evaluation performs **no
 //! heap allocation**; larger instances transparently fall back to a heap
 //! table.
+
+use std::ops::Range;
 
 use crate::lifting::Interval;
 use crate::{ParametricError, Polynomial, RationalFunction};
@@ -61,39 +71,45 @@ pub struct CompiledPoly {
 impl CompiledPoly {
     /// Flattens a symbolic polynomial into a tape.
     pub fn compile(p: &Polynomial) -> Self {
-        let nvars = p.num_vars();
-        let mut coeffs = Vec::with_capacity(p.num_terms());
-        let mut offsets = Vec::with_capacity(p.num_terms() + 1);
-        let mut vars = Vec::new();
-        let mut exps = Vec::new();
-        let mut max_deg = 0;
-        offsets.push(0);
+        let mut tape = Self::empty(p.num_vars());
+        tape.push(p);
+        tape.bind_stride(tape.max_deg as usize + 1);
+        tape
+    }
+
+    /// A tape with no terms over `nvars` variables, not yet bound to a
+    /// stride.
+    fn empty(nvars: usize) -> Self {
+        CompiledPoly {
+            nvars,
+            coeffs: Vec::new(),
+            offsets: vec![0],
+            vars: Vec::new(),
+            exps: Vec::new(),
+            idx: Vec::new(),
+            stride: 0,
+            max_deg: 0,
+        }
+    }
+
+    /// Appends `p`'s non-zero terms, in its term order, after the tape's
+    /// last term. The caller rebinds the stride afterwards.
+    fn push(&mut self, p: &Polynomial) {
+        debug_assert_eq!(p.num_vars(), self.nvars);
         for (exp, c) in p.terms() {
             if c == 0.0 {
                 continue;
             }
-            coeffs.push(c);
+            self.coeffs.push(c);
             for (v, &e) in exp.iter().enumerate() {
                 if e > 0 {
-                    vars.push(v as u32);
-                    exps.push(e);
-                    max_deg = max_deg.max(e);
+                    self.vars.push(v as u32);
+                    self.exps.push(e);
+                    self.max_deg = self.max_deg.max(e);
                 }
             }
-            offsets.push(vars.len() as u32);
+            self.offsets.push(self.vars.len() as u32);
         }
-        let mut tape = CompiledPoly {
-            nvars,
-            coeffs,
-            offsets,
-            vars,
-            exps,
-            idx: Vec::new(),
-            max_deg,
-            stride: 0,
-        };
-        tape.bind_stride(max_deg as usize + 1);
-        tape
     }
 
     /// Rebinds the index tape to a (possibly larger, shared) power-table
@@ -133,9 +149,17 @@ impl CompiledPoly {
     /// stride: `powers[v * stride + e]` holds `x_v^e`.
     #[inline]
     fn eval_with_table(&self, powers: &[f64]) -> f64 {
+        self.eval_terms(0..self.num_terms(), powers)
+    }
+
+    /// Sums the tape's terms `terms` against a power table, in tape order
+    /// from `0.0`; each term is its coefficient times its pairs' powers in
+    /// variable order.
+    #[inline]
+    fn eval_terms(&self, terms: Range<usize>, powers: &[f64]) -> f64 {
         let mut acc = 0.0;
-        let mut lo = 0usize;
-        for (&hi, &c) in self.offsets[1..].iter().zip(&self.coeffs) {
+        let mut lo = self.offsets[terms.start] as usize;
+        for (&hi, &c) in self.offsets[terms.start + 1..=terms.end].iter().zip(&self.coeffs[terms]) {
             let hi = hi as usize;
             let mut term = c;
             for &i in &self.idx[lo..hi] {
@@ -460,6 +484,109 @@ impl CompiledConstraintSet {
             *out = f.bound_with_table(&powers);
         }
         Ok(())
+    }
+}
+
+/// Many rational functions over the same variables on one tape: the
+/// *entry tape* of a [`ParametricDtmc`](crate::ParametricDtmc).
+///
+/// Every numerator's and every denominator's terms lie end to end on one
+/// [`CompiledPoly`] bound to one stride, so a single power table per point
+/// serves every entry. Entry `k`'s numerator is polynomial `2k` and its
+/// denominator polynomial `2k + 1`. A denominator that is the constant `1`
+/// stays off the tape (an empty range; no denominator is the zero
+/// polynomial), since dividing by `1.0` is exact.
+///
+/// An entry's value is bitwise [`RationalFunction::eval`]'s whenever no
+/// exponent exceeds 3. Both multiply a term's coefficient by its powers in
+/// variable order (the tape skips `x⁰`, `Polynomial::eval` multiplies by
+/// an exact `1.0`), add the terms in `BTreeMap` order starting from `0.0`,
+/// and divide the numerator by the denominator. For `e ≤ 3` the power
+/// table's repeated multiplication and `powi` round alike; from `x⁴` on
+/// they may differ by an ulp.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct EntryTape {
+    terms: CompiledPoly,
+    /// Polynomial `j`'s terms are `starts[j]..starts[j + 1]` of `terms`.
+    starts: Vec<usize>,
+}
+
+impl EntryTape {
+    /// Flattens `entries`, in order, over `nvars` variables.
+    pub(crate) fn compile<'a>(
+        nvars: usize,
+        entries: impl IntoIterator<Item = &'a RationalFunction>,
+    ) -> Self {
+        let mut terms = CompiledPoly::empty(nvars);
+        let mut starts = vec![0];
+        for f in entries {
+            debug_assert!(!f.denominator().is_zero());
+            terms.push(f.numerator());
+            starts.push(terms.num_terms());
+            if f.denominator().as_constant() != Some(1.0) {
+                terms.push(f.denominator());
+            }
+            starts.push(terms.num_terms());
+        }
+        terms.bind_stride(terms.max_deg as usize + 1);
+        EntryTape { terms, starts }
+    }
+
+    /// Builds the power table of `point` and runs `body` on the entries'
+    /// values there, each evaluated when `body` asks for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParametricError::PointArityMismatch`] for a wrong-sized
+    /// point.
+    pub(crate) fn at<R>(
+        &self,
+        point: &[f64],
+        body: impl FnOnce(EntryValues<'_>) -> R,
+    ) -> Result<R, ParametricError> {
+        if point.len() != self.terms.nvars {
+            return Err(ParametricError::PointArityMismatch {
+                expected: self.terms.nvars,
+                got: point.len(),
+            });
+        }
+        Ok(with_power_table(self.terms.stride, point, |powers| {
+            body(EntryValues { tape: self, powers, point, next: 0 })
+        }))
+    }
+}
+
+/// The values of a parametric chain's entries at one point, in entry order
+/// (see [`ParametricDtmc::entries_at`](crate::ParametricDtmc::entries_at)).
+///
+/// Each item is the entry's value, or [`ParametricError::PoleAtPoint`]
+/// where its denominator's magnitude is below `1e-300`.
+#[derive(Debug)]
+pub struct EntryValues<'a> {
+    tape: &'a EntryTape,
+    powers: &'a [f64],
+    point: &'a [f64],
+    next: usize,
+}
+
+impl Iterator for EntryValues<'_> {
+    type Item = Result<f64, ParametricError>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let starts = self.tape.starts.get(2 * self.next..2 * self.next + 3)?;
+        self.next += 1;
+        let terms = &self.tape.terms;
+        let num = terms.eval_terms(starts[0]..starts[1], self.powers);
+        // An empty denominator range is the constant 1.
+        if starts[1] == starts[2] {
+            return Some(Ok(num));
+        }
+        let den = terms.eval_terms(starts[1]..starts[2], self.powers);
+        if den.abs() < 1e-300 {
+            return Some(Err(ParametricError::PoleAtPoint { point: self.point.to_vec() }));
+        }
+        Some(Ok(num / den))
     }
 }
 

@@ -65,7 +65,7 @@ mod pdtmc;
 mod poly;
 mod ratfn;
 
-pub use compiled::{CompiledConstraintSet, CompiledPoly, CompiledRatFn};
+pub use compiled::{CompiledConstraintSet, CompiledPoly, CompiledRatFn, EntryValues};
 pub use error::ParametricError;
 pub use lifting::{
     BoundSense, ClassifiedBox, Interval, LiftingOptions, LiftingOutcome, OptimalityCertificate,

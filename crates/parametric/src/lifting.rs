@@ -148,7 +148,7 @@ impl Interval {
     }
 
     /// Outward-widened interval reciprocal; the whole interval when the
-    /// operand comes within [`POLE_GUARD`] of zero (matching the point
+    /// operand comes within `1e-300` of zero (matching the point
     /// evaluator's pole semantics).
     pub fn recip(self) -> Self {
         if self.lo <= POLE_GUARD && self.hi >= -POLE_GUARD {

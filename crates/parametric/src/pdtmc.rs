@@ -1,9 +1,11 @@
 //! Parametric DTMCs and symbolic state elimination.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use tml_models::{Dtmc, DtmcBuilder, Labeling};
 
+use crate::compiled::{EntryTape, EntryValues};
 use crate::{ParametricError, RationalFunction};
 
 /// A discrete-time Markov chain whose transition probabilities are
@@ -14,13 +16,28 @@ use crate::{ParametricError, RationalFunction};
 /// model checking, which makes the qualitative `Prob0`/`Prob1` sets
 /// parameter-independent. Construct via [`ParametricDtmc::builder`]; the
 /// builder checks that every row sums to one identically.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ParametricDtmc {
     params: Vec<String>,
     transitions: Vec<Vec<(usize, RationalFunction)>>,
     initial: usize,
     labeling: Labeling,
     state_rewards: BTreeMap<String, Vec<RationalFunction>>,
+    /// Every entry on one evaluation tape, built on the first evaluation
+    /// at a point (state elimination never needs it).
+    tape: OnceLock<EntryTape>,
+}
+
+/// Two chains are equal when their symbolic contents are; whether either
+/// has built its evaluation tape yet does not matter.
+impl PartialEq for ParametricDtmc {
+    fn eq(&self, other: &Self) -> bool {
+        self.params == other.params
+            && self.transitions == other.transitions
+            && self.initial == other.initial
+            && self.labeling == other.labeling
+            && self.state_rewards == other.state_rewards
+    }
 }
 
 impl ParametricDtmc {
@@ -100,34 +117,70 @@ impl ParametricDtmc {
             .unwrap_or_else(|| RationalFunction::zero_rf(self.params.len()))
     }
 
-    /// Instantiates the chain at a concrete parameter point.
+    /// Runs `body` on the values at `point` of the chain's entries: every
+    /// transition probability, state by state in [`successors`] order,
+    /// then every state reward, structure by structure in name order and
+    /// state by state. These are the numbers [`instantiate`] builds its
+    /// chain from.
+    ///
+    /// The entries are evaluated from one flat tape, built on the first
+    /// call, against one power table per point, and only as `body` asks
+    /// for them. Each value is [`RationalFunction::eval`]'s, bitwise
+    /// wherever no exponent exceeds 3 (see the tape's docs in
+    /// `compiled.rs`); a pole is an `Err` item.
+    ///
+    /// [`successors`]: Self::successors
+    /// [`instantiate`]: Self::instantiate
     ///
     /// # Errors
     ///
-    /// * Evaluation errors ([`ParametricError::PoleAtPoint`] etc.).
+    /// Returns [`ParametricError::PointArityMismatch`] for a wrong-sized
+    /// point.
+    pub fn entries_at<R>(
+        &self,
+        point: &[f64],
+        body: impl FnOnce(EntryValues<'_>) -> R,
+    ) -> Result<R, ParametricError> {
+        let tape = self.tape.get_or_init(|| {
+            let transitions = self.transitions.iter().flatten().map(|(_, rf)| rf);
+            let rewards = self.state_rewards.values().flatten();
+            EntryTape::compile(self.params.len(), transitions.chain(rewards))
+        });
+        tape.at(point, body)
+    }
+
+    /// Instantiates the chain at a concrete parameter point, from the
+    /// entry values of [`entries_at`](Self::entries_at).
+    ///
+    /// # Errors
+    ///
+    /// * [`ParametricError::PointArityMismatch`] for a wrong-sized point.
+    /// * [`ParametricError::PoleAtPoint`] where an entry's denominator
+    ///   vanishes.
     /// * [`ParametricError::Model`] if the instantiated probabilities are
     ///   not a valid distribution (the point is outside the well-defined
     ///   region).
     pub fn instantiate(&self, point: &[f64]) -> Result<Dtmc, ParametricError> {
-        let mut b = DtmcBuilder::new(self.num_states());
-        b.initial_state(self.initial)?;
-        for (s, row) in self.transitions.iter().enumerate() {
-            for (t, rf) in row {
-                let p = rf.eval(point)?;
-                b.transition(s, *t, p)?;
+        self.entries_at(point, |mut values| {
+            let mut b = DtmcBuilder::new(self.num_states());
+            b.initial_state(self.initial)?;
+            for (s, row) in self.transitions.iter().enumerate() {
+                for ((t, _), p) in row.iter().zip(&mut values) {
+                    b.transition(s, *t, p?)?;
+                }
             }
-        }
-        for s in 0..self.num_states() {
-            for label in self.labeling.labels_of(s) {
-                b.label(s, label)?;
+            for s in 0..self.num_states() {
+                for label in self.labeling.labels_of(s) {
+                    b.label(s, label)?;
+                }
             }
-        }
-        for (name, rewards) in &self.state_rewards {
-            for (s, rf) in rewards.iter().enumerate() {
-                b.state_reward(name, s, rf.eval(point)?)?;
+            for (name, rewards) in &self.state_rewards {
+                for (s, r) in (0..rewards.len()).zip(&mut values) {
+                    b.state_reward(name, s, r?)?;
+                }
             }
-        }
-        Ok(b.build()?)
+            Ok(b.build()?)
+        })?
     }
 
     /// The symbolic probability `P(F target)` for **every** state, as
@@ -412,6 +465,7 @@ impl ParametricDtmcBuilder {
             initial: self.initial,
             labeling: self.labeling.clone(),
             state_rewards: self.state_rewards.clone(),
+            tape: OnceLock::new(),
         })
     }
 
@@ -649,6 +703,64 @@ mod tests {
         let ok = p.instantiate(&[0.1]).unwrap();
         assert!((ok.probability(0, 1) - 0.6).abs() < 1e-12);
         assert_eq!(ok.reward_structure("tries").unwrap().state_reward(0), 1.0);
+    }
+
+    #[test]
+    fn instantiate_reports_poles_and_wrong_sized_points() {
+        // Row 0 is 1/(1+v) and v/(1+v), a pole at v = −1; state 1's reward
+        // is 1/v, a pole at v = 0.
+        let one_plus_v = c(1.0).add(&v());
+        let mut b = ParametricDtmc::builder(2, vec!["v".into()]);
+        b.transition(0, 1, c(1.0).div(&one_plus_v).unwrap()).unwrap();
+        b.transition(0, 0, v().div(&one_plus_v).unwrap()).unwrap();
+        b.transition(1, 1, c(1.0)).unwrap();
+        b.state_reward("r", 1, c(1.0).div(&v()).unwrap()).unwrap();
+        let p = b.build().unwrap();
+        let pole = |x: f64| ParametricError::PoleAtPoint { point: vec![x] };
+        assert_eq!(p.instantiate(&[-1.0]), Err(pole(-1.0)));
+        assert_eq!(p.instantiate(&[0.0]), Err(pole(0.0)));
+        let arity = ParametricError::PointArityMismatch { expected: 1, got: 2 };
+        assert_eq!(p.instantiate(&[0.1, 0.2]), Err(arity.clone()));
+        assert_eq!(p.entries_at(&[0.1, 0.2], |values| values.count()), Err(arity));
+        let ok = p.instantiate(&[0.25]).unwrap();
+        assert_eq!(ok.probability(0, 1), 0.8);
+        assert_eq!(ok.reward_structure("r").unwrap().state_reward(1), 4.0);
+    }
+
+    #[test]
+    fn entry_values_are_bitwise_rational_function_values() {
+        // Rewards may be any rational function: a mix of multivariate
+        // terms of degree up to 3 per variable, and quotients.
+        let x = RationalFunction::var(2, 0);
+        let y = RationalFunction::var(2, 1);
+        let k = |c: f64| RationalFunction::constant(2, c);
+        let rewards = [
+            k(0.3).add(&x.mul(&x).mul(&y)).sub(&y.mul(&y).mul(&y).mul(&k(2.5))),
+            x.mul(&y).add(&k(0.7)).div(&k(1.0).add(&x.mul(&x).mul(&x))).unwrap(),
+            k(0.0),
+            x.sub(&y).mul(&x.add(&y)).mul(&k(1.0 / 3.0)),
+        ];
+        let mut b = ParametricDtmc::builder(4, vec!["x".into(), "y".into()]);
+        b.transition(0, 1, k(0.25).add(&x)).unwrap();
+        b.transition(0, 2, k(0.35).sub(&x).add(&y)).unwrap();
+        b.transition(0, 3, k(0.4).sub(&y)).unwrap();
+        for (s, r) in rewards.iter().enumerate() {
+            if s > 0 {
+                b.transition(s, s, k(1.0)).unwrap();
+            }
+            b.state_reward("r", s, r.clone()).unwrap();
+        }
+        let p = b.build().unwrap();
+        let entries: Vec<&RationalFunction> =
+            (0..4).flat_map(|s| p.successors(s).map(|(_, rf)| rf)).chain(&rewards).collect();
+        for point in [[0.0, 0.0], [0.1, -0.2], [-0.13, 0.37], [0.7, 1.9], [-3.1, 0.01]] {
+            let values: Vec<f64> =
+                p.entries_at(&point, |values| values.map(Result::unwrap).collect()).unwrap();
+            assert_eq!(values.len(), entries.len());
+            for (rf, got) in entries.iter().zip(values) {
+                assert_eq!(got.to_bits(), rf.eval(&point).unwrap().to_bits(), "{rf} at {point:?}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! maps to `429 Retry-After` — per-tenant backpressure that an abusive
 //! client cannot convert into whole-service starvation.
 //!
-//! Time comes from an injected [`Clock`], so tests use a
+//! Time comes from an injected [`Clock`](tml_runtime::Clock), so tests use a
 //! [`ManualClock`](tml_runtime::ManualClock) and never sleep. The client
 //! map is capped: once `MAX_CLIENTS` distinct names exist, new names
 //! share one overflow bucket (bounded memory under client-name spray).

@@ -2,7 +2,7 @@
 //! graceful drain.
 //!
 //! One [`Server`] owns a `tml-journal/v1` write-ahead journal, a bounded
-//! [`JobQueue`](crate::queue::JobQueue) and a pool of job workers. The
+//! [`JobQueue`] and a pool of job workers. The
 //! admission path is fail-closed and fully ordered:
 //!
 //! 1. refuse while draining (`503`);

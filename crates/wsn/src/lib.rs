@@ -430,6 +430,29 @@ mod tests {
     }
 
     #[test]
+    fn entry_tape_values_are_bitwise_template_entry_values() {
+        let c = WsnConfig::default();
+        let d = build_dtmc(&c).unwrap();
+        let t = repair_template(&c).unwrap();
+        let p = t.apply(&d).unwrap();
+        let bounds = t.bounds();
+        let (lo, hi) = (bounds[0], bounds[1]);
+        let mut points = vec![[lo.0, lo.1], [lo.0, hi.1], [hi.0, lo.1], [hi.0, hi.1]];
+        for (a, b) in [(0.5, 0.5), (0.13, 0.71), (0.9, 0.02)] {
+            points.push([lo.0 + a * (hi.0 - lo.0), lo.1 + b * (hi.1 - lo.1)]);
+        }
+        for point in points {
+            let values: Vec<f64> =
+                p.entries_at(&point, |values| values.map(Result::unwrap).collect()).unwrap();
+            let entries: Vec<_> = (0..p.num_states()).flat_map(|s| p.successors(s)).collect();
+            assert!(entries.len() <= values.len());
+            for ((t, rf), got) in entries.into_iter().zip(values) {
+                assert_eq!(got.to_bits(), rf.eval(&point).unwrap().to_bits(), "→ {t} at {point:?}");
+            }
+        }
+    }
+
+    #[test]
     fn traces_cover_all_classes() {
         let c = WsnConfig::default();
         let ds = generate_traces(&c, 50, 5.0, 7).unwrap();
