@@ -14,7 +14,6 @@ use tml_bench::{fmt, print_table};
 use tml_checker::Checker;
 use tml_core::{DataRepair, RepairStatus};
 use tml_logic::parse_query;
-use tml_models::{learn, MlOptions};
 use tml_wsn::{attempts_property, classes, generate_traces, model_spec, WsnConfig};
 
 fn main() {
@@ -31,16 +30,7 @@ fn main() {
     );
 
     // The model learned from ALL data (including corrupt observations).
-    let mut base =
-        learn::ml_dtmc(spec.num_states, &dataset, None, MlOptions::default()).expect("learnable");
-    base.initial_state(spec.initial).expect("state");
-    for (s, l) in &spec.labels {
-        base.label(*s, l).expect("label");
-    }
-    for (structure, s, r) in &spec.state_rewards {
-        base.state_reward(structure, *s, *r).expect("reward");
-    }
-    let base = base.build().expect("stochastic");
+    let base = spec.learn(&dataset, None).expect("learnable");
     let before = checker.query_dtmc(&base, &attempts_query).expect("query")[config.source()];
     println!("expected attempts learned from the raw data: {before:.2}");
     println!("target property: R{{attempts}}<=19 [ F delivered ]\n");

@@ -18,7 +18,7 @@
 //! | `robust-contains-nominal` | robust VI bracket on the Wilson ball | dense LU on the nominal chain (must lie inside) |
 //! | `robust-vs-sampled` | robust VI bracket on the Wilson ball | dense LU on sampled members of the ball (must lie inside) |
 //! | `compiled-vs-instantiate` | the repair oracle's compiled reach system | instantiate + concrete checker (must be bitwise equal) |
-//! | `compiled-data-vs-relearn` | the data repair oracle's trace-count tape and compiled reach | relearn + concrete checker (must be bitwise equal) |
+//! | `compiled-data-vs-relearn` | the data repair oracle's trace-count table and compiled reach | relearn + concrete checker (must be bitwise equal) |
 //!
 //! On disagreement the harness *shrinks* the model while the pair still
 //! disagrees — halving the state space (out-of-range transitions are
@@ -32,7 +32,7 @@
 use tml_checker::dtmc as checker_dtmc;
 use tml_checker::{Budget, CheckOptions, Checker, LinearSolver};
 use tml_logic::{CmpOp, PathFormula, Query, StateFormula};
-use tml_models::{Dtmc, DtmcBuilder, IntervalDtmc, Path, TraceDataset};
+use tml_models::{Dtmc, DtmcBuilder, IntervalDtmc, Path, TraceCounts, TraceDataset};
 use tml_parametric::CompiledRatFn;
 use tml_telemetry::{counter, span};
 
@@ -127,7 +127,7 @@ pub enum EnginePair {
     /// and on its faces: the values must be bitwise equal (`NaN` where the
     /// candidate cannot be instantiated).
     CompiledVsInstantiate,
-    /// The data repair oracle compiled once per dataset (trace-count tape
+    /// The data repair oracle compiled once per dataset (trace-count table
     /// plus compiled reach) vs relearn-and-check, on a dataset sampled
     /// from the model at interior, `min_keep` and zero keep-weights: the
     /// values must be bitwise equal (`NaN` where the chain cannot be
@@ -863,6 +863,8 @@ fn compiled_data_vs_relearn(model: &Dtmc, seed: u64) -> (PairEval, (u64, u64)) {
     const FAILED: PairEval = Some((f64::NAN, f64::NAN, f64::INFINITY));
     let (dataset, spec) = trace_dataset(model, seed);
     let Ok(base) = spec.learn(&dataset, None) else { return (FAILED, (0, 0)) };
+    let Ok(table) = TraceCounts::new(&dataset, spec.num_states) else { return (FAILED, (0, 0)) };
+    let table = std::sync::Arc::new(table);
     let support = |m: &Dtmc| -> Vec<(usize, usize)> {
         (0..m.num_states()).flat_map(|s| m.successors(s).map(move |(t, _)| (s, t))).collect()
     };
@@ -889,7 +891,7 @@ fn compiled_data_vs_relearn(model: &Dtmc, seed: u64) -> (PairEval, (u64, u64)) {
         let phi = tml_logic::parse_formula(phi).expect("fixed formula");
         for opts in [CheckOptions::default(), scc] {
             let Some(oracle) =
-                CompiledOracle::compile_data(&dataset, &spec, &phi, opts, Budget::unlimited())
+                CompiledOracle::compile_data(table.clone(), &spec, &phi, opts, Budget::unlimited())
             else {
                 return (FAILED, counts);
             };

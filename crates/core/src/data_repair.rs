@@ -19,9 +19,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use tml_logic::StateFormula;
-use tml_models::{
-    learn, Dtmc, DtmcBuilder, IntervalDtmc, IntervalDtmcBuilder, MlOptions, TraceDataset,
-};
+use tml_models::{learn, Dtmc, IntervalDtmc, TraceCounts, TraceDataset};
 use tml_numerics::{Budget, Diagnostics};
 use tml_optimizer::Nlp;
 use tml_parametric::{OptimalityCertificate, ParametricDtmc, Polynomial, RationalFunction};
@@ -33,6 +31,22 @@ use crate::driver::{
 use crate::model_repair::RepairStatus;
 use crate::oracle::CompiledOracle;
 use crate::{RepairError, RepairOptions, RobustSpec};
+
+/// Builds the DTMC or interval DTMC builder `$b` with `$spec`'s initial
+/// state, labels and state rewards; `?` returns their errors.
+macro_rules! decorate {
+    ($spec:expr, $b:expr) => {{
+        let (spec, mut b) = ($spec, $b);
+        b.initial_state(spec.initial)?;
+        for (s, l) in &spec.labels {
+            b.label(*s, l)?;
+        }
+        for (structure, s, r) in &spec.state_rewards {
+            b.state_reward(structure, *s, *r)?;
+        }
+        b.build()?
+    }};
+}
 
 /// Static decoration applied to learned models: labels, rewards and the
 /// initial state (these are not derivable from traces alone).
@@ -84,50 +98,27 @@ impl ModelSpec {
         dataset: &TraceDataset,
         weights: Option<&[f64]>,
     ) -> Result<Dtmc, RepairError> {
-        let mut b = learn::ml_dtmc(self.num_states, dataset, weights, MlOptions::default())?;
-        self.decorate(&mut b)?;
-        Ok(b.build()?)
+        Ok(decorate!(self, learn::ml_dtmc(self.num_states, dataset, weights)?))
+    }
+
+    /// [`learn`](Self::learn) from the dataset's count table.
+    pub(crate) fn relearn(
+        &self,
+        counts: &TraceCounts,
+        weights: Option<&[f64]>,
+    ) -> Result<Dtmc, RepairError> {
+        Ok(decorate!(self, counts.dtmc(weights)?))
     }
 
     /// Learns the decorated interval model whose per-row Wilson intervals
     /// at `confidence` bracket the (optionally re-weighted) ML estimates.
-    fn learn_interval(
+    fn relearn_interval(
         &self,
-        dataset: &TraceDataset,
+        counts: &TraceCounts,
         weights: Option<&[f64]>,
         confidence: f64,
     ) -> Result<IntervalDtmc, RepairError> {
-        let mut b = learn::interval_dtmc_from_traces(
-            self.num_states,
-            dataset,
-            weights,
-            confidence,
-            MlOptions::default(),
-        )?;
-        self.decorate_interval(&mut b)?;
-        Ok(b.build()?)
-    }
-
-    fn decorate(&self, b: &mut DtmcBuilder) -> Result<(), RepairError> {
-        b.initial_state(self.initial)?;
-        for (s, l) in &self.labels {
-            b.label(*s, l)?;
-        }
-        for (structure, s, r) in &self.state_rewards {
-            b.state_reward(structure, *s, *r)?;
-        }
-        Ok(())
-    }
-
-    fn decorate_interval(&self, b: &mut IntervalDtmcBuilder) -> Result<(), RepairError> {
-        b.initial_state(self.initial)?;
-        for (s, l) in &self.labels {
-            b.label(*s, l)?;
-        }
-        for (structure, s, r) in &self.state_rewards {
-            b.state_reward(structure, *s, *r)?;
-        }
-        Ok(())
+        Ok(decorate!(self, counts.interval_dtmc(weights, confidence)?))
     }
 }
 
@@ -174,7 +165,7 @@ pub struct DataRepairOutcome {
 /// keep-weights, the cost is the teaching effort, the parametric chain is
 /// the ML estimate as rational functions of the weights, and the oracle
 /// re-learns the chain from the re-weighted traces and checks it: through
-/// the [`CompiledOracle`]'s trace-count tape when the property compiles,
+/// the [`CompiledOracle`]'s count table when the property compiles,
 /// and by relearning its Wilson ball when robust. The solver starts from
 /// "keep everything".
 #[derive(Debug, Clone)]
@@ -276,8 +267,9 @@ impl DataRepair {
         }
         let _span =
             span!("data_repair", traces = dataset.num_traces(), classes = dataset.num_classes());
+        let counts = Arc::new(TraceCounts::new(dataset, spec.num_states)?);
         let mut problem =
-            DataProblem { repair: self, dataset, spec, masses: class_masses(dataset) };
+            DataProblem { repair: self, dataset, spec, counts, masses: class_masses(dataset) };
         let run = drive(&mut problem, formula, &self.opts, &self.budget, &self.warm_starts)?;
         let names = dataset.class_names();
         let (keep_weights, dropped_mass) = match &run.point {
@@ -308,6 +300,8 @@ struct DataProblem<'a> {
     repair: &'a DataRepair,
     dataset: &'a TraceDataset,
     spec: &'a ModelSpec,
+    /// The dataset's trace counts, which every candidate is learned from.
+    counts: Arc<TraceCounts>,
     /// Trace mass per class, `m_g`.
     masses: Vec<f64>,
 }
@@ -356,16 +350,16 @@ impl RepairProblem for DataProblem<'_> {
         point: Option<&[f64]>,
         robust: Option<RobustSpec>,
     ) -> Result<(Cow<'_, Dtmc>, Option<IntervalDtmc>), RepairError> {
-        let model = self.spec.learn(self.dataset, point)?;
+        let model = self.spec.relearn(&self.counts, point)?;
         let ball = robust
-            .map(|rs| self.spec.learn_interval(self.dataset, point, rs.confidence))
+            .map(|rs| self.spec.relearn_interval(&self.counts, point, rs.confidence))
             .transpose()?;
         Ok((Cow::Owned(model), ball))
     }
 
     /// The ML estimate as rational functions of the weights.
     fn parametric(&self) -> Result<Option<Cow<'_, ParametricDtmc>>, RepairError> {
-        Ok(Some(Cow::Owned(parametric_model(self.dataset, self.spec)?)))
+        Ok(Some(Cow::Owned(parametric_model(&self.counts, self.dataset.class_names(), self.spec)?)))
     }
 
     /// The [`CompiledOracle`] over the trace counts when the property
@@ -374,19 +368,20 @@ impl RepairProblem for DataProblem<'_> {
     fn oracle(&self, o: OracleSpec) -> PropertyOracle {
         if o.robust.is_none() {
             let (check, budget) = (o.check, o.budget.clone());
+            let counts = Arc::clone(&self.counts);
             if let Some(oracle) =
-                CompiledOracle::compile_data(self.dataset, self.spec, &o.formula, check, budget)
+                CompiledOracle::compile_data(counts, self.spec, &o.formula, check, budget)
             {
                 return PropertyOracle::Compiled(Arc::new(oracle));
             }
         }
-        let (ds, sp) = (self.dataset.clone(), self.spec.clone());
+        let (counts, sp) = (Arc::clone(&self.counts), self.spec.clone());
         PropertyOracle::Closure(match o.robust {
             Some(rs) => Box::new(move |w| {
-                conservative_end(sp.learn_interval(&ds, Some(w), rs.confidence).ok(), &o)
+                conservative_end(sp.relearn_interval(&counts, Some(w), rs.confidence).ok(), &o)
             }),
             None => Box::new(move |w| {
-                checked_value(sp.learn(&ds, Some(w)).ok(), &o.formula, &o.check, &o.budget)
+                checked_value(sp.relearn(&counts, Some(w)).ok(), &o.formula, &o.check, &o.budget)
             }),
         })
     }
@@ -397,27 +392,30 @@ impl RepairProblem for DataProblem<'_> {
 }
 
 /// Builds the parametric chain whose transition probabilities are the ML
-/// estimates as rational functions of the keep-weights.
+/// estimates as rational functions of the keep-weights: row `s` divides
+/// each `Σ_g w_g·c_g(s,t)` by `Σ_g w_g·c_g(s,·)`, with every class's counts
+/// `c_g` read from one fill of `counts` at that class's indicator.
 fn parametric_model(
-    dataset: &TraceDataset,
+    counts: &TraceCounts,
+    class_names: &[String],
     spec: &ModelSpec,
 ) -> Result<ParametricDtmc, RepairError> {
-    let g = dataset.num_classes();
-    let n = spec.num_states;
-    // Per-class transition counts.
-    let mut per_class: Vec<Vec<Vec<f64>>> = Vec::with_capacity(g);
-    for class in 0..g {
+    let g = counts.num_classes();
+    let n = counts.num_states();
+    let mut per_class = vec![Vec::new(); g];
+    for (class, class_counts) in per_class.iter_mut().enumerate() {
         let indicator: Vec<f64> = (0..g).map(|i| if i == class { 1.0 } else { 0.0 }).collect();
-        per_class.push(dataset.transition_counts(n, Some(&indicator))?);
+        counts.fill(Some(&indicator), class_counts)?;
     }
-    let param_names: Vec<String> = dataset.class_names().iter().map(|c| format!("w_{c}")).collect();
+    let param_names: Vec<String> = class_names.iter().map(|c| format!("w_{c}")).collect();
     let mut b = ParametricDtmc::builder(n, param_names);
     b.initial_state(spec.initial)?;
     for s in 0..n {
+        let (slots, targets) = counts.row(s);
         // den(s) = Σ_g w_g · c_g(s,·)
         let mut den = Polynomial::zero(g);
-        for (class, counts) in per_class.iter().enumerate() {
-            let tot: f64 = counts[s].iter().sum();
+        for (class, class_counts) in per_class.iter().enumerate() {
+            let tot: f64 = class_counts[slots.clone()].iter().sum();
             if tot > 0.0 {
                 den = den.add(&Polynomial::var(g, class).scale(tot));
             }
@@ -427,17 +425,15 @@ fn parametric_model(
             b.transition(s, s, RationalFunction::one_rf(g))?;
             continue;
         }
-        for t in 0..n {
+        for (slot, &t) in slots.zip(targets) {
             let mut num = Polynomial::zero(g);
-            for (class, counts) in per_class.iter().enumerate() {
-                let c = counts[s][t];
+            for (class, class_counts) in per_class.iter().enumerate() {
+                let c = class_counts[slot];
                 if c > 0.0 {
                     num = num.add(&Polynomial::var(g, class).scale(c));
                 }
             }
-            if num.is_zero() {
-                continue;
-            }
+            // Some trace of non-zero weight counts every slot.
             b.transition(s, t, RationalFunction::new(num, den.clone())?)?;
         }
     }
@@ -600,6 +596,95 @@ mod tests {
         assert!(out.diagnostics.exhausted.is_some());
         // Best-effort keep-weights are still reported, one per class.
         assert_eq!(out.keep_weights.len(), 2);
+    }
+
+    /// The parametric estimate as the dense per-class counts gave it:
+    /// per state, its transitions in ascending successor order.
+    fn dense_parametric_rows(
+        dataset: &TraceDataset,
+        n: usize,
+    ) -> Vec<Vec<(usize, RationalFunction)>> {
+        let g = dataset.num_classes();
+        let per_class: Vec<Vec<Vec<f64>>> = (0..g)
+            .map(|class| {
+                let mut counts = vec![vec![0.0; n]; n];
+                for tr in dataset.iter() {
+                    let w = tr.weight * if tr.class == class { 1.0 } else { 0.0 };
+                    if w == 0.0 {
+                        continue;
+                    }
+                    for win in tr.path.states.windows(2) {
+                        counts[win[0]][win[1]] += w;
+                    }
+                }
+                counts
+            })
+            .collect();
+        let mut rows = Vec::new();
+        for s in 0..n {
+            let mut den = Polynomial::zero(g);
+            for (class, counts) in per_class.iter().enumerate() {
+                let tot: f64 = counts[s].iter().sum();
+                if tot > 0.0 {
+                    den = den.add(&Polynomial::var(g, class).scale(tot));
+                }
+            }
+            if den.is_zero() {
+                rows.push(vec![(s, RationalFunction::one_rf(g))]);
+                continue;
+            }
+            let mut row = Vec::new();
+            for t in 0..n {
+                let mut num = Polynomial::zero(g);
+                for (class, counts) in per_class.iter().enumerate() {
+                    let c = counts[s][t];
+                    if c > 0.0 {
+                        num = num.add(&Polynomial::var(g, class).scale(c));
+                    }
+                }
+                if !num.is_zero() {
+                    row.push((t, RationalFunction::new(num, den.clone()).unwrap()));
+                }
+            }
+            rows.push(row);
+        }
+        rows
+    }
+
+    #[test]
+    fn parametric_estimate_matches_the_dense_per_class_counts_bitwise() {
+        // Three classes over five states: repeated transitions, weights
+        // whose sums round differently in another order (class b out of
+        // state 1), a zero-weight trace out of state 3 and no trace out
+        // of 4.
+        let mut ds = TraceDataset::new();
+        let (a, b, c) = (ds.add_class("a"), ds.add_class("b"), ds.add_class("c"));
+        ds.push(a, Path::from_states(vec![0, 1, 0, 1, 2]), 0.1).unwrap();
+        ds.push(b, Path::from_states(vec![0, 0, 0, 3]), 0.7).unwrap();
+        ds.push(c, Path::from_states(vec![1, 2, 2, 1]), 0.2).unwrap();
+        ds.push(a, Path::from_states(vec![3, 4]), 0.0).unwrap();
+        ds.push(c, Path::from_states(vec![2, 0, 1]), 0.3).unwrap();
+        ds.push(a, Path::from_states(vec![0, 1]), 1e-3).unwrap();
+        for (t, w) in [(0, 0.1), (2, 0.2), (3, 0.3)] {
+            ds.push(b, Path::from_states(vec![1, t]), w).unwrap();
+        }
+        let spec = ModelSpec::new(5);
+        let counts = TraceCounts::new(&ds, 5).unwrap();
+        let pdtmc = parametric_model(&counts, ds.class_names(), &spec).unwrap();
+        let bits = |p: &Polynomial| -> Vec<(Vec<u32>, u64)> {
+            p.terms().map(|(e, c)| (e.to_vec(), c.to_bits())).collect()
+        };
+        for (s, want) in dense_parametric_rows(&ds, 5).into_iter().enumerate() {
+            let got: Vec<_> = pdtmc
+                .successors(s)
+                .map(|(t, rf)| (t, bits(rf.numerator()), bits(rf.denominator())))
+                .collect();
+            let want: Vec<_> = want
+                .iter()
+                .map(|(t, rf)| (*t, bits(rf.numerator()), bits(rf.denominator())))
+                .collect();
+            assert_eq!(got, want, "state {s}");
+        }
     }
 
     #[test]

@@ -3,11 +3,12 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use tml_checker::reach::{CompiledReach, ReachScratch};
 use tml_checker::CheckOptions;
 use tml_logic::StateFormula;
-use tml_models::{Dtmc, TraceCountTape, TraceDataset, STOCHASTIC_TOLERANCE};
+use tml_models::{Dtmc, TraceCounts, STOCHASTIC_TOLERANCE};
 use tml_numerics::Budget;
 use tml_parametric::ParametricDtmc;
 
@@ -29,8 +30,8 @@ use crate::ModelSpec;
 /// * a model repair's template: each entry is the value from the chain's
 ///   entry tape ([`ParametricDtmc::entries_at`]), the number instantiation
 ///   builds its chain from;
-/// * a data repair's [`TraceCountTape`]: each entry is the count ratio
-///   re-learning computes.
+/// * a data repair's [`TraceCounts`]: each entry is the count ratio
+///   re-learning computes ([`TraceCounts::refill`]).
 ///
 /// Either way its values are bitwise those of build-and-check.
 ///
@@ -59,9 +60,10 @@ pub struct CompiledOracle {
 enum Source {
     /// Model repair: the template applied to the base chain; a deferred
     /// candidate is instantiated.
-    Template(ParametricDtmc),
-    /// Data repair: the trace counts; a deferred candidate is re-learned.
-    Counts { tape: TraceCountTape, dataset: TraceDataset, spec: ModelSpec },
+    Template(Box<ParametricDtmc>),
+    /// Data repair: the trace counts; a deferred candidate is re-learned
+    /// from them.
+    Counts { counts: Arc<TraceCounts>, spec: ModelSpec },
 }
 
 /// The per-thread buffers of [`CompiledOracle::value`].
@@ -97,24 +99,29 @@ impl CompiledOracle {
         if !same_support {
             return None;
         }
-        Self::new(base, Source::Template(pdtmc.clone()), formula, check, budget)
+        Self::new(base, Source::Template(Box::new(pdtmc.clone())), formula, check, budget)
     }
 
-    /// Compiles `formula` against the chain `spec` learns from `dataset`,
+    /// Compiles `formula` against the chain `spec` learns from `counts`,
     /// with the class keep-weights as the point. `None` when the property
     /// is outside [`CompiledReach::compile`]'s fragment or the chain cannot
-    /// be learned.
+    /// be learned with the table's support.
     pub fn compile_data(
-        dataset: &TraceDataset,
+        counts: Arc<TraceCounts>,
         spec: &ModelSpec,
         formula: &StateFormula,
         check: CheckOptions,
         budget: Budget,
     ) -> Option<Self> {
-        let base = spec.learn(dataset, None).ok()?;
-        let tape = TraceCountTape::compile(&base, dataset)?;
-        let source = Source::Counts { tape, dataset: dataset.clone(), spec: spec.clone() };
-        Self::new(&base, source, formula, check, budget)
+        let base = spec.relearn(&counts, None).ok()?;
+        // A count ratio that underflows to 0 drops its slot from the base
+        // chain, so the compiled structure would miss a transition; the
+        // refill at the base point refuses it.
+        let ones = vec![1.0; counts.num_classes()];
+        if !counts.refill(&ones, &mut Vec::new(), &mut Vec::new()) {
+            return None;
+        }
+        Self::new(&base, Source::Counts { counts, spec: spec.clone() }, formula, check, budget)
     }
 
     fn new(
@@ -159,15 +166,15 @@ impl CompiledOracle {
     fn value_with(&self, point: &[f64], scratch: &mut Scratch) -> f64 {
         let refilled = match &self.source {
             Source::Template(pdtmc) => refill(pdtmc, point, &mut scratch.transitions),
-            Source::Counts { tape, .. } => {
-                tape.refill(point, &mut scratch.counts, &mut scratch.transitions)
+            Source::Counts { counts, .. } => {
+                counts.refill(point, &mut scratch.counts, &mut scratch.transitions)
             }
         };
         if !refilled {
             self.deferred.fetch_add(1, Ordering::Relaxed);
             let model = match &self.source {
                 Source::Template(pdtmc) => pdtmc.instantiate(point).ok(),
-                Source::Counts { dataset, spec, .. } => spec.learn(dataset, Some(point)).ok(),
+                Source::Counts { counts, spec } => spec.relearn(counts, Some(point)).ok(),
             };
             return checked_value(model, &self.formula, &self.check, &self.budget);
         }
@@ -212,6 +219,7 @@ fn refill(pdtmc: &ParametricDtmc, point: &[f64], out: &mut Vec<(usize, f64)>) ->
 mod tests {
     use super::*;
     use tml_logic::parse_formula;
+    use tml_models::{Path, TraceDataset};
     use tml_parametric::{Polynomial, RationalFunction};
 
     /// From state 0, reach `"goal"` with probability `x⁴` and an absorbing
@@ -248,5 +256,24 @@ mod tests {
             assert_eq!(oracle.value(&[point]).to_bits(), want.to_bits(), "x = {point}");
         }
         assert_eq!(oracle.counts(), (4, 0));
+    }
+
+    #[test]
+    fn data_oracle_does_not_compile_when_a_learned_probability_underflows() {
+        // From the raw data, 0 → 1 has probability 1e-300 / 1e30, which
+        // underflows to 0 and leaves the base chain; at other keep-weights
+        // it is positive, so the compiled structure would miss it.
+        let mut ds = TraceDataset::new();
+        let (a, b) = (ds.add_class("a"), ds.add_class("b"));
+        ds.push(a, Path::from_states(vec![0, 1]), 1e-300).unwrap();
+        ds.push(b, Path::from_states(vec![0, 2]), 1e30).unwrap();
+        let spec = ModelSpec::new(3).label(1, "goal");
+        assert_eq!(spec.learn(&ds, None).unwrap().successors(0).count(), 1);
+        assert_eq!(spec.learn(&ds, Some(&[1.0, 1e-30])).unwrap().successors(0).count(), 2);
+        let counts = Arc::new(TraceCounts::new(&ds, 3).unwrap());
+        let formula = parse_formula("P>=0.5 [ F \"goal\" ]").unwrap();
+        let check = CheckOptions::default();
+        assert!(CompiledOracle::compile_data(counts, &spec, &formula, check, Budget::unlimited())
+            .is_none());
     }
 }

@@ -58,7 +58,7 @@ pub use interval::{
     IntervalChoice, IntervalDtmc, IntervalDtmcBuilder, IntervalMdp, IntervalMdpBuilder,
 };
 pub use label::Labeling;
-pub use learn::{MlOptions, TraceCountTape, TraceDataset, WeightedTrace};
+pub use learn::{TraceCounts, TraceDataset, WeightedTrace};
 pub use mdp::{Choice, Mdp, MdpBuilder};
 pub use path::Path;
 pub use policy::{DeterministicPolicy, StochasticPolicy};

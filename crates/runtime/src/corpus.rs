@@ -25,7 +25,7 @@ use tml_checker::Checker;
 use tml_conformance::gen::{ModelFamily, GOAL_LABEL};
 use tml_core::ModelSpec;
 use tml_logic::{parse_formula, parse_query, StateFormula};
-use tml_models::{learn, MlOptions, Path, TraceDataset};
+use tml_models::{Path, TraceDataset};
 
 use crate::job::JobSpec;
 
@@ -142,13 +142,7 @@ fn reach_probability(
     horizon: u32,
     weights: Option<&[f64]>,
 ) -> Result<f64, String> {
-    let mut b = learn::ml_dtmc(spec.num_states, dataset, weights, MlOptions::default())
-        .map_err(|e| format!("anchor learn: {e}"))?;
-    b.initial_state(spec.initial).map_err(|e| format!("anchor initial: {e}"))?;
-    for (s, l) in &spec.labels {
-        b.label(*s, l).map_err(|e| format!("anchor label: {e}"))?;
-    }
-    let model = b.build().map_err(|e| format!("anchor build: {e}"))?;
+    let model = spec.learn(dataset, weights).map_err(|e| format!("anchor learn: {e}"))?;
     let query = parse_query(&format!("P=? [ F<={horizon} \"{GOAL_LABEL}\" ]"))
         .map_err(|e| format!("anchor query: {e}"))?;
     Checker::new().value_dtmc(&model, &query).map_err(|e| format!("anchor check: {e}"))

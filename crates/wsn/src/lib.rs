@@ -459,13 +459,7 @@ mod tests {
         assert_eq!(ds.num_classes(), 4);
         assert!(ds.num_traces() > 100);
         // ML from the traces approximates the ground truth somewhat.
-        let learned =
-            tml_models::learn::ml_dtmc(c.num_states(), &ds, None, tml_models::MlOptions::default())
-                .unwrap();
-        let mut b = learned;
-        b.initial_state(c.source()).unwrap();
-        b.label(c.delivered(), "delivered").unwrap();
-        let learned = b.build().unwrap();
+        let learned = model_spec(&c).learn(&ds, None).unwrap();
         let truth = build_dtmc(&c).unwrap();
         let diff = (learned.probability(8, 5) - truth.probability(8, 5)).abs();
         assert!(diff < 0.35, "diff {diff}");

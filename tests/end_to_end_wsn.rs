@@ -219,15 +219,7 @@ fn tml_pipeline_on_wsn_traces() {
     let spec = model_spec(&config);
 
     // A deliberately weak template: only the source node's row, tiny box.
-    let learned = trusted_ml::models::learn::ml_dtmc(
-        spec.num_states,
-        &dataset,
-        None,
-        trusted_ml::models::MlOptions::default(),
-    )
-    .unwrap()
-    .build()
-    .unwrap();
+    let learned = spec.learn(&dataset, None).unwrap();
     let mut template = PerturbationTemplate::new();
     let v = template.parameter("v", 0.0, 0.001);
     let src = config.source();
