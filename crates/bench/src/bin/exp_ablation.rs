@@ -55,7 +55,7 @@ fn backend_ablation() {
         let t1 = Instant::now();
         for _ in 0..200 {
             let inst = pdtmc.instantiate(&point).expect("instantiate");
-            std::hint::black_box(checker.query_dtmc(&inst, &q).expect("query")[config.source()]);
+            std::hint::black_box(checker.query(&inst, &q).expect("query").0[config.source()]);
         }
         let t_oracle = t1.elapsed() / 200;
 
@@ -101,7 +101,7 @@ fn solver_ablation() {
         for solver in [LinearSolver::Direct, LinearSolver::GaussSeidel] {
             let checker = Checker::with_options(CheckOptions { solver, ..Default::default() });
             let t = Instant::now();
-            let v = checker.query_dtmc(&chain, &q).expect("query")[config.source()];
+            let v = checker.query(&chain, &q).expect("query").0[config.source()];
             times.push(t.elapsed());
             values.push(v);
         }

@@ -90,7 +90,7 @@ fn car_sweep() {
     let safety = parse_query("P=? [ !\"unsafe\" U \"goal\" ]").expect("query");
     let checker = Checker::new();
     let nominal_value =
-        checker.query_dtmc(&induced, &safety).expect("nominal query")[induced.initial_state()];
+        checker.query(&induced, &safety).expect("nominal query").0[induced.initial_state()];
 
     println!(
         "Car safety under the repaired policy, slip 0.1 (P [ !\"unsafe\" U \"goal\" ], sample size 200)\n"
@@ -101,13 +101,13 @@ fn car_sweep() {
     let mut rows = Vec::new();
     for conf in CONFIDENCES {
         let ball = IntervalDtmc::wilson_around(&induced, conf, 200.0).expect("wilson ball");
-        let bracket = checker.query_interval_dtmc(&ball, &safety).expect("robust query");
+        let bracket = checker.query(&ball, &safety).expect("robust query").0;
         let (lo, hi) = bracket.at(induced.initial_state());
         assert!(
             lo - 1e-9 <= nominal_value && nominal_value <= hi + 1e-9,
             "nominal value escaped the robust bracket at {conf}"
         );
-        let verdict = checker.check_interval_dtmc(&ball, &bound).expect("robust check");
+        let verdict = checker.check(&ball, &bound).expect("robust check");
         rows.push(vec![
             format!("{:.0}%", conf * 100.0),
             fmt(lo),

@@ -23,7 +23,7 @@ fn main() {
         let template = repair_template(&config).expect("valid template");
 
         let t0 = Instant::now();
-        let attempts = checker.query_dtmc(&chain, &attempts_query).expect("query")[config.source()];
+        let attempts = checker.query(&chain, &attempts_query).expect("query").0[config.source()];
         let check_time = t0.elapsed();
 
         let t1 = Instant::now();

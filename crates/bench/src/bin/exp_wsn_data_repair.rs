@@ -31,7 +31,7 @@ fn main() {
 
     // The model learned from ALL data (including corrupt observations).
     let base = spec.learn(&dataset, None).expect("learnable");
-    let before = checker.query_dtmc(&base, &attempts_query).expect("query")[config.source()];
+    let before = checker.query(&base, &attempts_query).expect("query").0[config.source()];
     println!("expected attempts learned from the raw data: {before:.2}");
     println!("target property: R{{attempts}}<=19 [ F delivered ]\n");
 
@@ -58,7 +58,7 @@ fn main() {
     let after = outcome
         .model
         .as_ref()
-        .map(|m| checker.query_dtmc(m, &attempts_query).expect("query")[config.source()]);
+        .map(|m| checker.query(m, &attempts_query).expect("query").0[config.source()]);
     println!("\nstatus: {:?} (verified: {})", outcome.status, outcome.verified);
     println!("teaching effort Σ m_g (1-w_g)^2 = {}", fmt(outcome.effort));
     println!("dropped trace mass = {}", fmt(outcome.dropped_mass));

@@ -51,8 +51,7 @@ fn main() {
     let checker = Checker::new();
 
     let attempts_query = parse_query("R{\"attempts\"}=? [ F \"delivered\" ]").expect("query");
-    let base_attempts =
-        checker.query_dtmc(&chain, &attempts_query).expect("query")[config.source()];
+    let base_attempts = checker.query(&chain, &attempts_query).expect("query").0[config.source()];
     println!("WSN query routing, {0}x{0} grid (paper §V-A.1)", config.n);
     println!(
         "ignore probabilities: edge rows {:.2}, interior {:.2}",
@@ -72,7 +71,7 @@ fn main() {
         let repaired_attempts = outcome
             .model
             .as_ref()
-            .map(|m| checker.query_dtmc(m, &attempts_query).expect("query")[config.source()]);
+            .map(|m| checker.query(m, &attempts_query).expect("query").0[config.source()]);
         rows.push(vec![
             format!("R{{attempts}}<={x} [F delivered]"),
             format!("{:?}", outcome.status),
@@ -100,8 +99,8 @@ fn main() {
     let mdp = build_mdp(&config).expect("valid config");
     let rmax = parse_query("R{\"attempts\"}max=? [ F \"delivered\" ]").expect("query");
     let rmin = parse_query("R{\"attempts\"}min=? [ F \"delivered\" ]").expect("query");
-    let worst = checker.query_mdp(&mdp, &rmax).expect("query")[config.source()];
-    let best = checker.query_mdp(&mdp, &rmin).expect("query")[config.source()];
+    let worst = checker.query(&mdp, &rmax).expect("query").0[config.source()];
+    let best = checker.query(&mdp, &rmin).expect("query").0[config.source()];
     println!(
         "\nMDP variant (routing choice nondeterministic): Rmin = {best:.2}, Rmax = {worst:.2} attempts"
     );

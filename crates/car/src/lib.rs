@@ -372,10 +372,10 @@ mod tests {
         // Pmax(!unsafe U goal) < 1 under slip noise.
         let noisy = build_mdp_noisy(0.1).unwrap();
         let phi = parse_formula("Pmax>=1 [ !\"unsafe\" U \"goal\" ]").unwrap();
-        let res = Checker::new().check_mdp(&noisy, &phi).unwrap();
+        let res = Checker::new().check(&noisy, &phi).unwrap();
         assert!(!res.holds());
         let relaxed = parse_formula("Pmax>=0.8 [ !\"unsafe\" U \"goal\" ]").unwrap();
-        assert!(Checker::new().check_mdp(&noisy, &relaxed).unwrap().holds());
+        assert!(Checker::new().check(&noisy, &relaxed).unwrap().holds());
     }
 
     #[test]

@@ -4,120 +4,65 @@
 //! …) are public because Model Repair and the parametric engine's tests
 //! reuse them directly.
 
-use tml_logic::{PathFormula, Query, RewardKind, StateFormula};
-use tml_models::{graph, Dtmc, RewardStructure};
+use tml_logic::{CmpOp, Opt, PathFormula, RewardKind};
+use tml_models::{Dtmc, Labeling, RewardStructure};
 use tml_numerics::interval::interval_iteration_budgeted;
 use tml_numerics::iterative::IterOptions;
-use tml_numerics::solve::solve_dense;
-use tml_numerics::{Budget, CsrMatrix, DenseMatrix, Diagnostics, NumericsError};
+use tml_numerics::{Budget, CsrMatrix, Diagnostics};
 
+use crate::formula::{mask, point_verdict};
 use crate::reach::{bounded_until_sweeps, ReachSystem};
 use crate::run::CheckRun;
-use crate::{lookup_rewards, CheckError, CheckOptions, CheckResult};
+use crate::{lookup_rewards, CheckError, CheckOptions, Checkable};
 
-/// Checks a state formula: a top-level `P`/`R` operator is solved once, and
-/// its verdict mask comes from the values the result reports.
-pub(crate) fn check_run(
-    model: &Dtmc,
-    formula: &StateFormula,
-    run: &CheckRun<'_>,
-) -> Result<CheckResult, CheckError> {
-    let values = operator_values(model, formula, run)?;
-    let sat = match &values {
-        Some(values) => crate::operator_mask(formula, values, run.opts),
-        None => evaluate_run(model, formula, run)?,
-    };
-    Ok(CheckResult::new(sat, values, model.initial_state()))
-}
+impl Checkable for Dtmc {
+    type Values = Vec<f64>;
+    const KIND: &'static str = "dtmc";
 
-/// The per-state values of a `P`/`R` operator, `None` for any other
-/// formula. This is the only place an operator is solved: a check takes its
-/// verdict from these values, and nested operators map their bound over
-/// them.
-pub(crate) fn operator_values(
-    model: &Dtmc,
-    formula: &StateFormula,
-    run: &CheckRun<'_>,
-) -> Result<Option<Vec<f64>>, CheckError> {
+    fn num_states(&self) -> usize {
+        Dtmc::num_states(self)
+    }
+
+    fn initial_state(&self) -> usize {
+        Dtmc::initial_state(self)
+    }
+
+    fn labeling(&self) -> &Labeling {
+        Dtmc::labeling(self)
+    }
+
     // A DTMC has no schedulers: min/max annotations are vacuous.
-    match formula {
-        StateFormula::Prob { path, .. } => Ok(Some(path_probabilities_run(model, path, run)?)),
-        StateFormula::Reward { structure, kind, .. } => {
-            Ok(Some(reward_values(model, structure.as_deref(), kind, run)?))
-        }
-        _ => Ok(None),
+    fn path_values(
+        &self,
+        path: &PathFormula,
+        _opt: Opt,
+        run: &CheckRun<'_>,
+    ) -> Result<Vec<f64>, CheckError> {
+        path_probabilities_run(self, path, run)
     }
-}
 
-pub(crate) fn evaluate_run(
-    model: &Dtmc,
-    formula: &StateFormula,
-    run: &CheckRun<'_>,
-) -> Result<Vec<bool>, CheckError> {
-    let n = model.num_states();
-    Ok(match formula {
-        StateFormula::True => vec![true; n],
-        StateFormula::False => vec![false; n],
-        StateFormula::Atom(a) => model.labeling().mask(a),
-        StateFormula::Not(f) => evaluate_run(model, f, run)?.iter().map(|b| !b).collect(),
-        StateFormula::And(a, b) => {
-            zip_masks(evaluate_run(model, a, run)?, evaluate_run(model, b, run)?, |x, y| x && y)
-        }
-        StateFormula::Or(a, b) => {
-            zip_masks(evaluate_run(model, a, run)?, evaluate_run(model, b, run)?, |x, y| x || y)
-        }
-        StateFormula::Implies(a, b) => {
-            zip_masks(evaluate_run(model, a, run)?, evaluate_run(model, b, run)?, |x, y| !x || y)
-        }
-        StateFormula::Prob { .. } | StateFormula::Reward { .. } => {
-            let values = operator_values(model, formula, run)?.unwrap_or_default();
-            crate::operator_mask(formula, &values, run.opts)
-        }
-    })
-}
-
-/// Evaluates a numeric query, returning one value per state.
-///
-/// # Errors
-///
-/// Returns a [`CheckError`] for unknown reward structures or numeric
-/// failures.
-pub fn query(model: &Dtmc, q: &Query, opts: &CheckOptions) -> Result<Vec<f64>, CheckError> {
-    let budget = Budget::unlimited();
-    let run = CheckRun::new(opts, &budget);
-    query_run(model, q, &run)
-}
-
-pub(crate) fn query_run(
-    model: &Dtmc,
-    q: &Query,
-    run: &CheckRun<'_>,
-) -> Result<Vec<f64>, CheckError> {
-    match q {
-        Query::Prob { path, .. } => path_probabilities_run(model, path, run),
-        Query::Reward { structure, kind, .. } => {
-            reward_values(model, structure.as_deref(), kind, run)
+    fn reward_values(
+        &self,
+        structure: Option<&str>,
+        kind: &RewardKind,
+        _opt: Opt,
+        run: &CheckRun<'_>,
+    ) -> Result<Vec<f64>, CheckError> {
+        let rewards = lookup_rewards(
+            structure,
+            |n| self.reward_structure(n).ok(),
+            self.default_reward_structure(),
+        )?;
+        match kind {
+            RewardKind::Reach(target) => {
+                reach_rewards_run(self, rewards, &mask(self, target, run)?, run)
+            }
+            RewardKind::Cumulative(k) => Ok(cumulative_rewards(self, rewards, *k)),
         }
     }
-}
 
-fn reward_values(
-    model: &Dtmc,
-    structure: Option<&str>,
-    kind: &RewardKind,
-    run: &CheckRun<'_>,
-) -> Result<Vec<f64>, CheckError> {
-    let rewards = lookup_rewards(
-        structure,
-        |n| model.reward_structure(n).ok(),
-        model.default_reward_structure(),
-    )?;
-    match kind {
-        RewardKind::Reach(target) => {
-            let target_mask = evaluate_run(model, target, run)?;
-            reach_rewards_run(model, rewards, &target_mask, run)
-        }
-        RewardKind::Cumulative(k) => Ok(cumulative_rewards(model, rewards, *k)),
+    fn verdict(values: &Vec<f64>, op: CmpOp, bound: f64, opts: &CheckOptions) -> Vec<bool> {
+        point_verdict(values, op, bound, opts)
     }
 }
 
@@ -144,19 +89,19 @@ pub(crate) fn path_probabilities_run(
     let n = model.num_states();
     match path {
         PathFormula::Next(f) => {
-            let target = evaluate_run(model, f, run)?;
+            let target = mask(model, f, run)?;
             Ok(next_probabilities(model, &target))
         }
         PathFormula::Until { lhs, rhs, bound } => {
-            let phi = evaluate_run(model, lhs, run)?;
-            let target = evaluate_run(model, rhs, run)?;
+            let phi = mask(model, lhs, run)?;
+            let target = mask(model, rhs, run)?;
             match bound {
                 Some(k) => Ok(bounded_until_probabilities(model, &phi, &target, *k)),
                 None => until_probabilities_run(model, &phi, &target, run),
             }
         }
         PathFormula::Eventually { sub, bound } => {
-            let target = evaluate_run(model, sub, run)?;
+            let target = mask(model, sub, run)?;
             let phi = vec![true; n];
             match bound {
                 Some(k) => Ok(bounded_until_probabilities(model, &phi, &target, *k)),
@@ -166,7 +111,7 @@ pub(crate) fn path_probabilities_run(
         PathFormula::Globally { sub, bound } => {
             // P(G φ) = 1 − P(F ¬φ), valid for both bounded and unbounded
             // horizons on Markov chains.
-            let inv: Vec<bool> = evaluate_run(model, sub, run)?.iter().map(|b| !b).collect();
+            let inv: Vec<bool> = mask(model, sub, run)?.iter().map(|b| !b).collect();
             let phi = vec![true; n];
             let f_not = match bound {
                 Some(k) => bounded_until_probabilities(model, &phi, &inv, *k),
@@ -341,18 +286,16 @@ pub fn cumulative_rewards(model: &Dtmc, rewards: &RewardStructure, k: u64) -> Ve
     x
 }
 
-fn zip_masks(a: Vec<bool>, b: Vec<bool>, f: impl Fn(bool, bool) -> bool) -> Vec<bool> {
-    a.into_iter().zip(b).map(|(x, y)| f(x, y)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tml_logic::parse_formula;
+    use crate::{CheckResult, Checker};
+    use tml_logic::{parse_formula, StateFormula};
     use tml_models::DtmcBuilder;
+    use tml_numerics::NumericsError;
 
     fn check(d: &Dtmc, f: &StateFormula, opts: &CheckOptions) -> Result<CheckResult, CheckError> {
-        crate::Checker::with_options(*opts).check_dtmc(d, f)
+        Checker::with_options(*opts).check(d, f)
     }
 
     fn evaluate(d: &Dtmc, f: &StateFormula, opts: &CheckOptions) -> Result<Vec<bool>, CheckError> {
@@ -540,10 +483,10 @@ mod tests {
     fn query_interface() {
         let d = gambler();
         let q = tml_logic::parse_query("P=? [ F \"rich\" ]").unwrap();
-        let v = query(&d, &q, &CheckOptions::default()).unwrap();
+        let (v, _) = Checker::new().query(&d, &q).unwrap();
         assert!((v[2] - 0.5).abs() < 1e-9);
         let rq = tml_logic::parse_query("R{\"steps\"}=? [ F (\"rich\" | \"broke\") ]").unwrap();
-        let rv = query(&d, &rq, &CheckOptions::default()).unwrap();
+        let (rv, _) = Checker::new().query(&d, &rq).unwrap();
         assert!((rv[2] - 4.0).abs() < 1e-9);
     }
 
@@ -662,8 +605,8 @@ mod tests {
     #[test]
     fn interval_solver_handles_rewards() {
         let d = gambler();
-        let target =
-            zip_masks(d.labeling().mask("rich"), d.labeling().mask("broke"), |a, b| a || b);
+        let either = parse_formula("\"rich\" | \"broke\"").unwrap();
+        let target = evaluate(&d, &either, &CheckOptions::default()).unwrap();
         let rewards = d.reward_structure("steps").unwrap();
         let iv = CheckOptions { solver: crate::LinearSolver::Interval, ..Default::default() };
         let r = reach_rewards(&d, rewards, &target, &iv).unwrap();
@@ -849,107 +792,6 @@ mod proptests {
     }
 }
 
-/// The transient state distribution after exactly `k` steps, starting from
-/// the chain's initial state.
-pub fn transient_distribution(model: &Dtmc, k: u64) -> Vec<f64> {
-    let n = model.num_states();
-    let mut dist = vec![0.0; n];
-    dist[model.initial_state()] = 1.0;
-    for _ in 0..k {
-        let mut next = vec![0.0; n];
-        for (s, &d) in dist.iter().enumerate() {
-            if d == 0.0 {
-                continue;
-            }
-            for (t, p) in model.successors(s) {
-                next[t] += d * p;
-            }
-        }
-        dist = next;
-    }
-    dist
-}
-
-/// The steady-state distribution of an (assumed ergodic) chain by power
-/// iteration from the uniform distribution.
-///
-/// # Errors
-///
-/// Returns a wrapped [`NumericsError::NoConvergence`]
-/// if the iterates do not settle — e.g. for periodic or reducible chains
-/// whose limit distribution depends on the start.
-pub fn steady_state(model: &Dtmc, opts: &CheckOptions) -> Result<Vec<f64>, CheckError> {
-    let n = model.num_states();
-    let mut dist = vec![1.0 / n as f64; n];
-    let mut last_delta = f64::INFINITY;
-    for _ in 0..opts.max_iterations {
-        let mut next = vec![0.0; n];
-        for (s, &d) in dist.iter().enumerate() {
-            for (t, p) in model.successors(s) {
-                next[t] += d * p;
-            }
-        }
-        last_delta = dist.iter().zip(&next).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
-        dist = next;
-        if last_delta <= opts.tolerance {
-            return Ok(dist);
-        }
-    }
-    Err(NumericsError::NoConvergence { iterations: opts.max_iterations, residual: last_delta }
-        .into())
-}
-
-#[cfg(test)]
-mod distribution_tests {
-    use super::*;
-    use tml_models::DtmcBuilder;
-
-    #[test]
-    fn transient_distribution_steps() {
-        let mut b = DtmcBuilder::new(2);
-        b.transition(0, 1, 1.0).unwrap();
-        b.transition(1, 0, 1.0).unwrap();
-        let d = b.build().unwrap();
-        assert_eq!(transient_distribution(&d, 0), vec![1.0, 0.0]);
-        assert_eq!(transient_distribution(&d, 1), vec![0.0, 1.0]);
-        assert_eq!(transient_distribution(&d, 2), vec![1.0, 0.0]);
-    }
-
-    #[test]
-    fn steady_state_of_two_state_chain() {
-        // p(0->1)=0.2, p(1->0)=0.4: stationary = (2/3, 1/3).
-        let mut b = DtmcBuilder::new(2);
-        b.transition(0, 0, 0.8).unwrap();
-        b.transition(0, 1, 0.2).unwrap();
-        b.transition(1, 0, 0.4).unwrap();
-        b.transition(1, 1, 0.6).unwrap();
-        let d = b.build().unwrap();
-        let pi = steady_state(&d, &CheckOptions::default()).unwrap();
-        assert!((pi[0] - 2.0 / 3.0).abs() < 1e-8, "pi = {pi:?}");
-        assert!((pi[1] - 1.0 / 3.0).abs() < 1e-8);
-        // It is a fixed point of the transition operator.
-        let stepped: f64 =
-            d.successors(0).map(|(t, p)| if t == 0 { p * pi[0] } else { 0.0 }).sum::<f64>()
-                + d.successors(1).map(|(t, p)| if t == 0 { p * pi[1] } else { 0.0 }).sum::<f64>();
-        assert!((stepped - pi[0]).abs() < 1e-8);
-    }
-
-    #[test]
-    fn steady_state_periodic_chain_fails() {
-        let mut b = DtmcBuilder::new(2);
-        b.transition(0, 1, 1.0).unwrap();
-        b.transition(1, 0, 1.0).unwrap();
-        let d = b.build().unwrap();
-        // The period-2 chain oscillates from most starts, but power
-        // iteration from uniform is exactly at the fixed point (0.5, 0.5).
-        let pi = steady_state(&d, &CheckOptions::default()).unwrap();
-        assert!((pi[0] - 0.5).abs() < 1e-9);
-        // From a non-uniform start the oscillation is visible via
-        // transient distributions instead.
-        assert_ne!(transient_distribution(&d, 1), transient_distribution(&d, 2));
-    }
-}
-
 /// Extracts a *witness path*: the most probable path from `from` to a
 /// `target` state, by Dijkstra over `−ln p` edge weights. Returns `None`
 /// when no target is reachable.
@@ -1014,64 +856,6 @@ pub fn most_probable_path(model: &Dtmc, from: usize, target: &[bool]) -> Option<
     None
 }
 
-/// Expected number of visits to each state before absorption in `target`,
-/// starting from the initial state (the fundamental-matrix row). States
-/// from which `target` is unreachable report infinity.
-///
-/// Always solved directly (the occupancy system is transposed, which the
-/// iterative kernels do not cover); `_opts` is accepted for signature
-/// symmetry with the other solvers.
-///
-/// # Errors
-///
-/// Returns a [`CheckError`] if the linear solver fails.
-pub fn expected_visits(
-    model: &Dtmc,
-    target: &[bool],
-    _opts: &CheckOptions,
-) -> Result<Vec<f64>, CheckError> {
-    let n = model.num_states();
-    assert_eq!(target.len(), n, "target mask length");
-    let phi = vec![true; n];
-    let one = graph::prob1(model, &phi, target);
-    if !one[model.initial_state()] {
-        return Ok(vec![f64::INFINITY; n]);
-    }
-    // Transient states reachable before absorption.
-    let transient: Vec<usize> = (0..n).filter(|&s| one[s] && !target[s]).collect();
-    let index = {
-        let mut idx = vec![None; n];
-        for (i, &s) in transient.iter().enumerate() {
-            idx[s] = Some(i);
-        }
-        idx
-    };
-    let m = transient.len();
-    let mut visits = vec![0.0; n];
-    if m == 0 {
-        return Ok(visits);
-    }
-    // Solve x = xᵀQ + e_init  ⇔  (I − Qᵀ) x = e_init.
-    let mut a = DenseMatrix::<f64>::identity(m);
-    for (j, &s) in transient.iter().enumerate() {
-        for (t, p) in model.successors(s) {
-            if let Some(i) = index[t] {
-                let cur = *a.get(i, j);
-                a.set(i, j, cur - p);
-            }
-        }
-    }
-    let mut b = vec![0.0; m];
-    if let Some(i0) = index[model.initial_state()] {
-        b[i0] = 1.0;
-    }
-    let sol = solve_dense(&a, &b)?;
-    for (i, &s) in transient.iter().enumerate() {
-        visits[s] = sol[i].max(0.0);
-    }
-    Ok(visits)
-}
-
 #[cfg(test)]
 mod witness_tests {
     use super::*;
@@ -1113,62 +897,5 @@ mod witness_tests {
         let (path, prob) = most_probable_path(&d, 3, &d.labeling().mask("goal")).unwrap();
         assert_eq!(path, vec![3]);
         assert_eq!(prob, 1.0);
-    }
-
-    #[test]
-    fn expected_visits_fundamental_matrix() {
-        // Retry chain: 0 stays with 0.5, moves to 1 (target) with 0.5.
-        // E[visits to 0] = 2 (geometric), E[visits to 1 pre-absorption] = 0.
-        let mut b = DtmcBuilder::new(2);
-        b.transition(0, 0, 0.5).unwrap();
-        b.transition(0, 1, 0.5).unwrap();
-        b.transition(1, 1, 1.0).unwrap();
-        b.label(1, "goal").unwrap();
-        let d = b.build().unwrap();
-        let v = expected_visits(&d, &d.labeling().mask("goal"), &CheckOptions::default()).unwrap();
-        assert!((v[0] - 2.0).abs() < 1e-9, "v = {v:?}");
-        assert_eq!(v[1], 0.0);
-    }
-
-    #[test]
-    fn expected_visits_match_reward_decomposition() {
-        // E[total reward] = Σ_s visits(s) · r(s): cross-check the two
-        // independent solvers on the fork chain with unit rewards.
-        let mut b = DtmcBuilder::new(4);
-        b.transition(0, 1, 0.7).unwrap();
-        b.transition(0, 2, 0.3).unwrap();
-        b.transition(1, 0, 0.5).unwrap();
-        b.transition(1, 3, 0.5).unwrap();
-        b.transition(2, 3, 1.0).unwrap();
-        b.transition(3, 3, 1.0).unwrap();
-        b.label(3, "goal").unwrap();
-        for s in 0..3 {
-            b.state_reward("steps", s, 1.0).unwrap();
-        }
-        let d = b.build().unwrap();
-        let opts = CheckOptions::default();
-        let target = d.labeling().mask("goal");
-        let visits = expected_visits(&d, &target, &opts).unwrap();
-        let reward =
-            reach_rewards(&d, d.reward_structure("steps").unwrap(), &target, &opts).unwrap();
-        let via_visits: f64 = visits.iter().take(3).sum();
-        assert!(
-            (via_visits - reward[0]).abs() < 1e-9,
-            "visits {via_visits} vs reward {}",
-            reward[0]
-        );
-    }
-
-    #[test]
-    fn expected_visits_infinite_when_absorption_uncertain() {
-        let mut b = DtmcBuilder::new(3);
-        b.transition(0, 1, 0.5).unwrap();
-        b.transition(0, 2, 0.5).unwrap();
-        b.transition(1, 1, 1.0).unwrap();
-        b.transition(2, 2, 1.0).unwrap();
-        b.label(1, "goal").unwrap();
-        let d = b.build().unwrap();
-        let v = expected_visits(&d, &d.labeling().mask("goal"), &CheckOptions::default()).unwrap();
-        assert!(v[0].is_infinite());
     }
 }

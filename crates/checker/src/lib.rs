@@ -1,5 +1,5 @@
 //! Exact PCTL model checking for discrete-time Markov chains and Markov
-//! decision processes.
+//! decision processes, and robust checking of their interval models.
 //!
 //! The checking pipeline mirrors PRISM's explicit engine:
 //!
@@ -9,9 +9,11 @@
 //!    Gaussian elimination or Gauss–Seidel) or run value iteration over
 //!    schedulers (MDP) on the remaining "maybe" states.
 //!
-//! Besides boolean *verification* ([`Checker::check_dtmc`] /
-//! [`Checker::check_mdp`]) the crate answers numeric *queries*
-//! (`P=?`, `Rmax=?`, …) via [`Checker::query_dtmc`] / [`Checker::query_mdp`].
+//! One front end serves all four model kinds ([`Checkable`]: `Dtmc`,
+//! `Mdp`, `IntervalDtmc`, `IntervalMdp`): boolean *verification* through
+//! [`Checker::check`] and numeric *queries* (`P=?`, `Rmax=?`, …) through
+//! [`Checker::query`]. Nominal kinds answer with one value per state,
+//! interval kinds with a [`RobustBracket`].
 //!
 //! # Example
 //!
@@ -31,8 +33,12 @@
 //! let chain = b.build()?;
 //!
 //! let phi = parse_formula("P>=0.25 [ F \"rich\" ]")?;
-//! let result = Checker::new().check_dtmc(&chain, &phi)?;
+//! let result = Checker::new().check(&chain, &phi)?;
 //! assert!(result.holds_in(0));
+//!
+//! let query = tml_logic::parse_query("P=? [ F \"rich\" ]")?;
+//! let (values, _diagnostics) = Checker::new().query(&chain, &query)?;
+//! assert!((values[0] - 0.3).abs() < 1e-12);
 //! # Ok(())
 //! # }
 //! ```
@@ -42,6 +48,7 @@
 
 pub mod dtmc;
 mod error;
+mod formula;
 pub mod mdp;
 mod options;
 pub mod reach;
@@ -51,20 +58,21 @@ pub mod robust;
 mod run;
 
 pub use error::CheckError;
+pub use formula::Checkable;
 pub use options::{CheckOptions, LinearSolver};
 pub use result::CheckResult;
-pub use robust::{RobustBracket, RobustCheckResult};
+pub use robust::RobustBracket;
 // Budgets and diagnostics are part of the checking API surface.
 pub use tml_numerics::{Budget, CancelToken, Diagnostics, Exhaustion};
 
 use run::CheckRun;
-use tml_logic::{Opt, Query, StateFormula};
-use tml_models::{Dtmc, IntervalDtmc, IntervalMdp, Mdp, RewardStructure};
+use tml_logic::{Query, StateFormula};
+use tml_models::{Dtmc, IntervalDtmc, RewardStructure};
 use tml_telemetry::span;
 
 /// The model-checking façade: construct once (optionally with custom
-/// [`CheckOptions`] and a [`Budget`]) and call the `check_*` / `query_*`
-/// methods.
+/// [`CheckOptions`] and a [`Budget`]) and call [`check`](Checker::check)
+/// or [`query`](Checker::query).
 ///
 /// The checker is stateless between calls and cheap to clone. When a budget
 /// is attached, every call polls it and returns best-effort results with
@@ -104,207 +112,94 @@ impl Checker {
         &self.budget
     }
 
-    /// Checks a PCTL state formula on a DTMC, returning the satisfying
-    /// state set (and, for a top-level `P`/`R` operator, the numeric values).
+    /// Checks a PCTL state formula on any [`Checkable`] model kind,
+    /// returning the satisfying state set and, for a top-level `P`/`R`
+    /// operator, its values: one number per state for a [`Dtmc`] or
+    /// [`Mdp`](tml_models::Mdp), a [`RobustBracket`] for an
+    /// [`IntervalDtmc`] or [`IntervalMdp`](tml_models::IntervalMdp).
+    ///
+    /// On an MDP, a `P⋈b[·]` operator without an explicit `min`/`max`
+    /// follows the PRISM convention: lower bounds (`>`, `>=`) quantify over
+    /// *all* schedulers (worst case = `Pmin`), upper bounds over the best
+    /// case (`Pmax`); symmetrically `R<=c` checks `Rmax <= c`.
+    ///
+    /// On an interval model the result holds only if it holds for *every*
+    /// member of the uncertainty set: lower bounds are tested against the
+    /// pessimistic value, upper bounds against the optimistic one. See
+    /// [`robust`] for the supported fragment.
     ///
     /// # Errors
     ///
-    /// Returns a [`CheckError`] for unknown reward structures or numeric
-    /// failures.
+    /// A [`CheckError`] for unknown reward structures or numeric failures;
+    /// on interval models also [`CheckError::InvalidInterval`] for a
+    /// malformed uncertainty set and [`CheckError::Unsupported`] for nested
+    /// `P`/`R` operators (and reach rewards on an interval MDP).
+    pub fn check<M: Checkable>(
+        &self,
+        model: &M,
+        formula: &StateFormula,
+    ) -> Result<CheckResult<M::Values>, CheckError> {
+        let _span = span!("checker.check", model = M::KIND, states = model.num_states());
+        let run = CheckRun::new(&self.opts, &self.budget);
+        let result = formula::check(model, formula, &run)?;
+        Ok(result.with_diagnostics(run.finish()))
+    }
+
+    /// Evaluates a numeric query (`P=?`, `Rmax=?`, …) on any [`Checkable`]
+    /// model kind: one value per state (a robust `[pessimistic,
+    /// optimistic]` bracket per state on an interval model), with the
+    /// [`Diagnostics`] of the solve. A `min`/`max` annotation is vacuous on
+    /// a DTMC and on interval models, which bracket over every scheduler.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::MissingOpt`] for an MDP query without `min` or `max`,
+    /// plus the conditions of [`check`](Self::check). Budget exhaustion is
+    /// reported in the diagnostics, never as an error.
+    pub fn query<M: Checkable>(
+        &self,
+        model: &M,
+        query: &Query,
+    ) -> Result<(M::Values, Diagnostics), CheckError> {
+        let _span = span!("checker.query", model = M::KIND, states = model.num_states());
+        let run = CheckRun::new(&self.opts, &self.budget);
+        let values = formula::query(model, query, &run)?;
+        Ok((values, run.finish()))
+    }
+
+    /// [`check`](Self::check) on a DTMC.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`check`](Self::check).
     pub fn check_dtmc(
         &self,
         model: &Dtmc,
         formula: &StateFormula,
     ) -> Result<CheckResult, CheckError> {
-        let _span = span!("checker.check", model = "dtmc", states = model.num_states());
-        let run = CheckRun::new(&self.opts, &self.budget);
-        let result = dtmc::check_run(model, formula, &run)?;
-        Ok(result.with_diagnostics(run.finish()))
+        self.check(model, formula)
     }
 
-    /// Checks a PCTL state formula on an MDP.
-    ///
-    /// For `P⋈b[·]` operators without an explicit `min`/`max`, the scheduler
-    /// quantification follows the PRISM convention: lower bounds (`>`, `>=`)
-    /// quantify over *all* schedulers (worst case = `Pmin`), upper bounds
-    /// over the best case (`Pmax`); symmetrically `R<=c` checks `Rmax <= c`.
+    /// The value of `query` in the DTMC's initial state.
     ///
     /// # Errors
     ///
-    /// Returns a [`CheckError`] for unknown reward structures or numeric
-    /// failures.
-    pub fn check_mdp(
-        &self,
-        model: &Mdp,
-        formula: &StateFormula,
-    ) -> Result<CheckResult, CheckError> {
-        let _span = span!("checker.check", model = "mdp", states = model.num_states());
-        let run = CheckRun::new(&self.opts, &self.budget);
-        let result = mdp::check_run(model, formula, &run)?;
-        Ok(result.with_diagnostics(run.finish()))
-    }
-
-    /// Evaluates a numeric query (`P=?`, `R=?`, …) on a DTMC, returning one
-    /// value per state. Any `min`/`max` annotation is ignored (a DTMC has a
-    /// single resolution).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CheckError`] for unknown reward structures or numeric
-    /// failures.
-    pub fn query_dtmc(&self, model: &Dtmc, query: &Query) -> Result<Vec<f64>, CheckError> {
-        Ok(self.query_dtmc_diag(model, query)?.0)
-    }
-
-    /// Like [`query_dtmc`](Self::query_dtmc), also reporting the
-    /// [`Diagnostics`] of the solve (budget spend, fallbacks, residuals).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`query_dtmc`](Self::query_dtmc); budget
-    /// exhaustion is reported in the diagnostics, never as an error.
-    pub fn query_dtmc_diag(
-        &self,
-        model: &Dtmc,
-        query: &Query,
-    ) -> Result<(Vec<f64>, Diagnostics), CheckError> {
-        let _span = span!("checker.query", model = "dtmc", states = model.num_states());
-        let run = CheckRun::new(&self.opts, &self.budget);
-        let values = dtmc::query_run(model, query, &run)?;
-        Ok((values, run.finish()))
-    }
-
-    /// Evaluates a numeric query on an MDP, returning one value per state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckError::MissingOpt`] if the query does not specify
-    /// `min` or `max` (an MDP query is ambiguous without it), plus the usual
-    /// conditions.
-    pub fn query_mdp(&self, model: &Mdp, query: &Query) -> Result<Vec<f64>, CheckError> {
-        Ok(self.query_mdp_diag(model, query)?.0)
-    }
-
-    /// Like [`query_mdp`](Self::query_mdp), also reporting the
-    /// [`Diagnostics`] of the solve.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`query_mdp`](Self::query_mdp); budget exhaustion
-    /// is reported in the diagnostics, never as an error.
-    pub fn query_mdp_diag(
-        &self,
-        model: &Mdp,
-        query: &Query,
-    ) -> Result<(Vec<f64>, Diagnostics), CheckError> {
-        let _span = span!("checker.query", model = "mdp", states = model.num_states());
-        let run = CheckRun::new(&self.opts, &self.budget);
-        let values = mdp::query_run(model, query, &run)?;
-        Ok((values, run.finish()))
-    }
-
-    /// Convenience: the value of `query` in the model's initial state.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`query_dtmc`](Self::query_dtmc).
+    /// Same conditions as [`query`](Self::query).
     pub fn value_dtmc(&self, model: &Dtmc, query: &Query) -> Result<f64, CheckError> {
-        Ok(self.query_dtmc(model, query)?[model.initial_state()])
+        Ok(self.query(model, query)?.0[model.initial_state()])
     }
 
-    /// Convenience: the value of `query` in the MDP's initial state.
+    /// The robust bracket of `query` on an interval DTMC.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`query_mdp`](Self::query_mdp).
-    pub fn value_mdp(&self, model: &Mdp, query: &Query) -> Result<f64, CheckError> {
-        Ok(self.query_mdp(model, query)?[model.initial_state()])
-    }
-
-    /// Robustly checks a formula on an interval DTMC: the result holds only
-    /// if it holds for *every* member of the uncertainty set (lower bounds
-    /// are tested against the pessimistic value, upper bounds against the
-    /// optimistic one). See [`robust`] for the supported fragment.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::InvalidInterval`] for malformed uncertainty sets and
-    /// [`CheckError::Unsupported`] for nested `P`/`R` operators.
-    pub fn check_interval_dtmc(
-        &self,
-        model: &IntervalDtmc,
-        formula: &StateFormula,
-    ) -> Result<RobustCheckResult, CheckError> {
-        let _span = span!("checker.check", model = "idtmc", states = model.num_states());
-        let run = CheckRun::new(&self.opts, &self.budget);
-        let result = robust::check_dtmc_run(model, formula, &run)?;
-        Ok(result.with_diagnostics(run.finish()))
-    }
-
-    /// Robustly checks a formula on an interval MDP, bracketing over
-    /// schedulers *and* uncertainty-set members.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`check_interval_dtmc`](Self::check_interval_dtmc),
-    /// plus [`CheckError::Unsupported`] for reach rewards (see [`robust`]).
-    pub fn check_interval_mdp(
-        &self,
-        model: &IntervalMdp,
-        formula: &StateFormula,
-    ) -> Result<RobustCheckResult, CheckError> {
-        let _span = span!("checker.check", model = "imdp", states = model.num_states());
-        let run = CheckRun::new(&self.opts, &self.budget);
-        let result = robust::check_mdp_run(model, formula, &run)?;
-        Ok(result.with_diagnostics(run.finish()))
-    }
-
-    /// The robust `[pessimistic, optimistic]` bracket of a numeric query on
-    /// an interval DTMC, one pair per state.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`check_interval_dtmc`](Self::check_interval_dtmc).
+    /// Same conditions as [`query`](Self::query).
     pub fn query_interval_dtmc(
         &self,
         model: &IntervalDtmc,
         query: &Query,
     ) -> Result<RobustBracket, CheckError> {
-        Ok(self.query_interval_dtmc_diag(model, query)?.0)
-    }
-
-    /// Like [`query_interval_dtmc`](Self::query_interval_dtmc), also
-    /// reporting the [`Diagnostics`] of the robust solve.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`query_interval_dtmc`](Self::query_interval_dtmc).
-    pub fn query_interval_dtmc_diag(
-        &self,
-        model: &IntervalDtmc,
-        query: &Query,
-    ) -> Result<(RobustBracket, Diagnostics), CheckError> {
-        let _span = span!("checker.query", model = "idtmc", states = model.num_states());
-        let run = CheckRun::new(&self.opts, &self.budget);
-        let bracket = robust::query_dtmc_run(model, query, &run)?;
-        Ok((bracket, run.finish()))
-    }
-
-    /// The robust bracket of a numeric query on an interval MDP, with the
-    /// [`Diagnostics`] of the robust solve.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`check_interval_mdp`](Self::check_interval_mdp).
-    pub fn query_interval_mdp(
-        &self,
-        model: &IntervalMdp,
-        query: &Query,
-    ) -> Result<(RobustBracket, Diagnostics), CheckError> {
-        let _span = span!("checker.query", model = "imdp", states = model.num_states());
-        let run = CheckRun::new(&self.opts, &self.budget);
-        let bracket = robust::query_mdp_run(model, query, &run)?;
-        Ok((bracket, run.finish()))
+        Ok(self.query(model, query)?.0)
     }
 }
 
@@ -320,34 +215,6 @@ pub(crate) fn backend_counters(backend: &str) -> Option<(&'static str, &'static 
         ("robust", "checker.backend.robust.ok", "checker.backend.robust.fail"),
     ];
     COUNTERS.iter().find(|(b, ..)| *b == backend).map(|&(_, ok, fail)| (ok, fail))
-}
-
-/// The verdict of a `P`/`R` operator in every state: its solved values
-/// tested against its bound (empty for any other formula).
-pub(crate) fn operator_mask(
-    formula: &StateFormula,
-    values: &[f64],
-    opts: &CheckOptions,
-) -> Vec<bool> {
-    let (StateFormula::Prob { op, bound, .. } | StateFormula::Reward { op, bound, .. }) = formula
-    else {
-        return Vec::new();
-    };
-    values.iter().map(|&v| opts.test_bound(*op, v, *bound)).collect()
-}
-
-pub(crate) fn resolve_opt(explicit: Option<Opt>, op: tml_logic::CmpOp) -> Opt {
-    if let Some(o) = explicit {
-        return o;
-    }
-    // PRISM convention: a lower bound must hold under every scheduler, so we
-    // check the minimum; an upper bound must hold even for the maximizing
-    // scheduler. The same reading applies to reward bounds.
-    if op.is_lower_bound() {
-        Opt::Min
-    } else {
-        Opt::Max
-    }
 }
 
 /// The named reward structure, or the model's default one for `None`.

@@ -13,121 +13,62 @@
 //! with zero-reward cycles outside the target can make the least fixpoint
 //! undershoot; this matches the standard explicit-engine behaviour.
 
-use tml_logic::{Opt, PathFormula, Query, RewardKind, StateFormula};
-use tml_models::{graph, Mdp, RewardStructure};
+use tml_logic::{CmpOp, Opt, PathFormula, RewardKind};
+use tml_models::{graph, Labeling, Mdp, RewardStructure};
 use tml_numerics::{Budget, Diagnostics, NumericsError};
 
+use crate::formula::{mask, point_verdict};
 use crate::run::CheckRun;
-use crate::{lookup_rewards, resolve_opt, CheckError, CheckOptions, CheckResult};
+use crate::{lookup_rewards, CheckError, CheckOptions, Checkable};
 
-/// Checks a state formula: a top-level `P`/`R` operator is solved once, and
-/// its verdict mask comes from the values the result reports.
-pub(crate) fn check_run(
-    model: &Mdp,
-    formula: &StateFormula,
-    run: &CheckRun<'_>,
-) -> Result<CheckResult, CheckError> {
-    let values = operator_values(model, formula, run)?;
-    let sat = match &values {
-        Some(values) => crate::operator_mask(formula, values, run.opts),
-        None => evaluate_run(model, formula, run)?,
-    };
-    Ok(CheckResult::new(sat, values, model.initial_state()))
-}
+impl Checkable for Mdp {
+    type Values = Vec<f64>;
+    const KIND: &'static str = "mdp";
+    const QUERY_NEEDS_OPT: bool = true;
 
-/// The per-state values of a `P`/`R` operator under the scheduler
-/// quantification its bound implies, `None` for any other formula. This is
-/// the only place an operator is solved (see [`crate::dtmc`]).
-pub(crate) fn operator_values(
-    model: &Mdp,
-    formula: &StateFormula,
-    run: &CheckRun<'_>,
-) -> Result<Option<Vec<f64>>, CheckError> {
-    match formula {
-        StateFormula::Prob { opt, op, path, .. } => {
-            Ok(Some(path_probabilities_run(model, path, resolve_opt(*opt, *op), run)?))
-        }
-        StateFormula::Reward { structure, opt, op, kind, .. } => {
-            Ok(Some(reward_values(model, structure.as_deref(), kind, resolve_opt(*opt, *op), run)?))
-        }
-        _ => Ok(None),
+    fn num_states(&self) -> usize {
+        Mdp::num_states(self)
     }
-}
 
-pub(crate) fn evaluate_run(
-    model: &Mdp,
-    formula: &StateFormula,
-    run: &CheckRun<'_>,
-) -> Result<Vec<bool>, CheckError> {
-    let n = model.num_states();
-    Ok(match formula {
-        StateFormula::True => vec![true; n],
-        StateFormula::False => vec![false; n],
-        StateFormula::Atom(a) => model.labeling().mask(a),
-        StateFormula::Not(f) => evaluate_run(model, f, run)?.iter().map(|b| !b).collect(),
-        StateFormula::And(a, b) => {
-            zip(evaluate_run(model, a, run)?, evaluate_run(model, b, run)?, |x, y| x && y)
-        }
-        StateFormula::Or(a, b) => {
-            zip(evaluate_run(model, a, run)?, evaluate_run(model, b, run)?, |x, y| x || y)
-        }
-        StateFormula::Implies(a, b) => {
-            zip(evaluate_run(model, a, run)?, evaluate_run(model, b, run)?, |x, y| !x || y)
-        }
-        StateFormula::Prob { .. } | StateFormula::Reward { .. } => {
-            let values = operator_values(model, formula, run)?.unwrap_or_default();
-            crate::operator_mask(formula, &values, run.opts)
-        }
-    })
-}
+    fn initial_state(&self) -> usize {
+        Mdp::initial_state(self)
+    }
 
-/// Evaluates a numeric query; the query must carry `min`/`max`.
-///
-/// # Errors
-///
-/// Returns [`CheckError::MissingOpt`] if the quantification is absent, plus
-/// the usual conditions.
-pub fn query(model: &Mdp, q: &Query, opts: &CheckOptions) -> Result<Vec<f64>, CheckError> {
-    let budget = Budget::unlimited();
-    let run = CheckRun::new(opts, &budget);
-    query_run(model, q, &run)
-}
+    fn labeling(&self) -> &Labeling {
+        Mdp::labeling(self)
+    }
 
-pub(crate) fn query_run(
-    model: &Mdp,
-    q: &Query,
-    run: &CheckRun<'_>,
-) -> Result<Vec<f64>, CheckError> {
-    match q {
-        Query::Prob { opt, path } => {
-            let opt = opt.ok_or_else(|| CheckError::MissingOpt { query: q.to_string() })?;
-            path_probabilities_run(model, path, opt, run)
-        }
-        Query::Reward { structure, opt, kind } => {
-            let opt = opt.ok_or_else(|| CheckError::MissingOpt { query: q.to_string() })?;
-            reward_values(model, structure.as_deref(), kind, opt, run)
+    fn path_values(
+        &self,
+        path: &PathFormula,
+        opt: Opt,
+        run: &CheckRun<'_>,
+    ) -> Result<Vec<f64>, CheckError> {
+        path_probabilities_run(self, path, opt, run)
+    }
+
+    fn reward_values(
+        &self,
+        structure: Option<&str>,
+        kind: &RewardKind,
+        opt: Opt,
+        run: &CheckRun<'_>,
+    ) -> Result<Vec<f64>, CheckError> {
+        let rewards = lookup_rewards(
+            structure,
+            |n| self.reward_structure(n).ok(),
+            self.default_reward_structure(),
+        )?;
+        match kind {
+            RewardKind::Reach(target) => {
+                reach_rewards_run(self, rewards, &mask(self, target, run)?, opt, run)
+            }
+            RewardKind::Cumulative(k) => Ok(cumulative_rewards(self, rewards, *k, opt)),
         }
     }
-}
 
-fn reward_values(
-    model: &Mdp,
-    structure: Option<&str>,
-    kind: &RewardKind,
-    opt: Opt,
-    run: &CheckRun<'_>,
-) -> Result<Vec<f64>, CheckError> {
-    let rewards = lookup_rewards(
-        structure,
-        |n| model.reward_structure(n).ok(),
-        model.default_reward_structure(),
-    )?;
-    match kind {
-        RewardKind::Reach(target) => {
-            let target_mask = evaluate_run(model, target, run)?;
-            reach_rewards_run(model, rewards, &target_mask, opt, run)
-        }
-        RewardKind::Cumulative(k) => Ok(cumulative_rewards(model, rewards, *k, opt)),
+    fn verdict(values: &Vec<f64>, op: CmpOp, bound: f64, opts: &CheckOptions) -> Vec<bool> {
+        point_verdict(values, op, bound, opts)
     }
 }
 
@@ -156,19 +97,19 @@ pub(crate) fn path_probabilities_run(
     let n = model.num_states();
     match path {
         PathFormula::Next(f) => {
-            let target = evaluate_run(model, f, run)?;
+            let target = mask(model, f, run)?;
             Ok(next_probabilities(model, &target, opt))
         }
         PathFormula::Until { lhs, rhs, bound } => {
-            let phi = evaluate_run(model, lhs, run)?;
-            let target = evaluate_run(model, rhs, run)?;
+            let phi = mask(model, lhs, run)?;
+            let target = mask(model, rhs, run)?;
             match bound {
                 Some(k) => Ok(bounded_until_probabilities(model, &phi, &target, *k, opt)),
                 None => until_probabilities_run(model, &phi, &target, opt, run),
             }
         }
         PathFormula::Eventually { sub, bound } => {
-            let target = evaluate_run(model, sub, run)?;
+            let target = mask(model, sub, run)?;
             let phi = vec![true; n];
             match bound {
                 Some(k) => Ok(bounded_until_probabilities(model, &phi, &target, *k, opt)),
@@ -177,7 +118,7 @@ pub(crate) fn path_probabilities_run(
         }
         PathFormula::Globally { sub, bound } => {
             // Optimal G-probabilities dualize: max P(G φ) = 1 − min P(F ¬φ).
-            let inv: Vec<bool> = evaluate_run(model, sub, run)?.iter().map(|b| !b).collect();
+            let inv: Vec<bool> = mask(model, sub, run)?.iter().map(|b| !b).collect();
             let phi = vec![true; n];
             let dual = match opt {
                 Opt::Max => Opt::Min,
@@ -413,29 +354,6 @@ pub fn cumulative_rewards(model: &Mdp, rewards: &RewardStructure, k: u64, opt: O
     x
 }
 
-/// Extracts a greedy deterministic policy (per-state choice indices) that is
-/// optimal for `P(φ U ψ)` with respect to the given value vector.
-pub fn greedy_until_policy(model: &Mdp, values: &[f64], opt: Opt) -> Vec<usize> {
-    (0..model.num_states())
-        .map(|s| {
-            let mut best = 0;
-            let mut best_v = f64::NAN;
-            for (ci, c) in model.choices(s).iter().enumerate() {
-                let v: f64 = c.transitions.iter().map(|&(t, p)| p * values[t]).sum();
-                let better = match opt {
-                    Opt::Max => best_v.is_nan() || v > best_v,
-                    Opt::Min => best_v.is_nan() || v < best_v,
-                };
-                if better {
-                    best = ci;
-                    best_v = v;
-                }
-            }
-            best
-        })
-        .collect()
-}
-
 fn opt_fold(it: impl Iterator<Item = f64>, opt: Opt) -> f64 {
     match opt {
         Opt::Max => it.fold(f64::NEG_INFINITY, f64::max),
@@ -443,18 +361,15 @@ fn opt_fold(it: impl Iterator<Item = f64>, opt: Opt) -> f64 {
     }
 }
 
-fn zip(a: Vec<bool>, b: Vec<bool>, f: impl Fn(bool, bool) -> bool) -> Vec<bool> {
-    a.into_iter().zip(b).map(|(x, y)| f(x, y)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tml_logic::{parse_formula, parse_query};
+    use crate::{CheckResult, Checker};
+    use tml_logic::{parse_formula, parse_query, StateFormula};
     use tml_models::MdpBuilder;
 
     fn check(m: &Mdp, f: &StateFormula, opts: &CheckOptions) -> Result<CheckResult, CheckError> {
-        crate::Checker::with_options(*opts).check_mdp(m, f)
+        Checker::with_options(*opts).check(m, f)
     }
 
     /// State 0 offers a safe route (0 → 1 → goal, deterministic) and a
@@ -526,7 +441,7 @@ mod tests {
         let m = routes();
         let opts = CheckOptions::default();
         let q = parse_query("R{\"cost\"}min=? [ F \"goal\" ]").unwrap();
-        let v = query(&m, &q, &opts).unwrap();
+        let (v, _) = Checker::with_options(opts).query(&m, &q).unwrap();
         assert!((v[0] - 2.0).abs() < 1e-9);
         // R<=2.5 resolves to Rmax<=2.5 which is false (Rmax = ∞ at 0).
         let f = parse_formula("R{\"cost\"}<=2.5 [ F \"goal\" ]").unwrap();
@@ -540,10 +455,7 @@ mod tests {
     fn query_requires_opt() {
         let m = routes();
         let q = parse_query("P=? [ F \"goal\" ]").unwrap();
-        assert!(matches!(
-            query(&m, &q, &CheckOptions::default()),
-            Err(CheckError::MissingOpt { .. })
-        ));
+        assert!(matches!(Checker::new().query(&m, &q), Err(CheckError::MissingOpt { .. })));
     }
 
     #[test]
@@ -586,17 +498,6 @@ mod tests {
         let cmin = cumulative_rewards(&m, r, 3, Opt::Min);
         // Min: risky pays only the first step's cost 1.
         assert!((cmin[0] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn greedy_policy_extraction() {
-        let m = routes();
-        let opts = CheckOptions::default();
-        let phi = vec![true; 4];
-        let target = m.labeling().mask("goal");
-        let pmax = until_probabilities(&m, &phi, &target, Opt::Max, &opts).unwrap();
-        let pi = greedy_until_policy(&m, &pmax, Opt::Max);
-        assert_eq!(pi[0], 0, "optimal policy takes the safe route");
     }
 
     /// A genuinely quantitative maybe-state: state 0 spins on itself with

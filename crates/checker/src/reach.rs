@@ -127,7 +127,7 @@ impl CompiledReach {
         let opts = CheckOptions::default();
         let budget = Budget::unlimited();
         let run = CheckRun::new(&opts, &budget);
-        let mask = |f: &StateFormula| crate::dtmc::evaluate_run(model, f, &run);
+        let mask = |f: &StateFormula| crate::formula::mask(model, f, &run);
         let until = |phi: Vec<bool>, target: Vec<bool>, bound: Option<u64>| match bound {
             None => CompiledReach::Unbounded(ReachSystem::until(model, &phi, &target)),
             Some(steps) => CompiledReach::Bounded(BoundedUntil {
@@ -167,7 +167,7 @@ impl CompiledReach {
     /// support whose transitions out of state `s` are `successors(s)`,
     /// listed as [`Dtmc::successors`] lists them.
     ///
-    /// It is bitwise `Checker::check_dtmc(..).value_at_initial()` on that
+    /// It is bitwise `Checker::check(..).value_at_initial()` on that
     /// chain under `opts` and `budget`, provided the chain has exactly this
     /// support. A bounded until runs its sweeps in `scratch`; an unbounded
     /// operator refills and solves its [`ReachSystem`].

@@ -1,18 +1,21 @@
 use tml_numerics::Diagnostics;
 
+use crate::RobustBracket;
+
 /// Outcome of checking a PCTL state formula: the set of states satisfying
-/// it, plus — when the top-level operator was `P` or `R` — the underlying
-/// numeric values for diagnostics.
+/// it, plus — when the top-level operator was `P` or `R` — the operator's
+/// values: one number per state on a nominal model (`V = Vec<f64>`), a
+/// [`RobustBracket`] on an interval model.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CheckResult {
+pub struct CheckResult<V = Vec<f64>> {
     sat: Vec<bool>,
-    values: Option<Vec<f64>>,
+    values: Option<V>,
     initial: usize,
     diagnostics: Diagnostics,
 }
 
-impl CheckResult {
-    pub(crate) fn new(sat: Vec<bool>, values: Option<Vec<f64>>, initial: usize) -> Self {
+impl<V> CheckResult<V> {
+    pub(crate) fn new(sat: Vec<bool>, values: Option<V>, initial: usize) -> Self {
         CheckResult { sat, values, initial, diagnostics: Diagnostics::new() }
     }
 
@@ -48,15 +51,10 @@ impl CheckResult {
         self.sat.iter().filter(|&&b| b).count()
     }
 
-    /// For a top-level `P`/`R` operator, the per-state probability/reward
-    /// that the bound was compared against.
-    pub fn values(&self) -> Option<&[f64]> {
-        self.values.as_deref()
-    }
-
-    /// The numeric value at the initial state, when available.
-    pub fn value_at_initial(&self) -> Option<f64> {
-        self.values.as_ref().map(|v| v[self.initial])
+    /// For a top-level `P`/`R` operator, the per-state values (or
+    /// brackets) that the bound was compared against.
+    pub fn values(&self) -> Option<&V> {
+        self.values.as_ref()
     }
 
     /// What the check spent and which degradation paths (solver fallbacks,
@@ -69,6 +67,21 @@ impl CheckResult {
     /// shorthand for [`Diagnostics::degraded`].
     pub fn degraded(&self) -> bool {
         self.diagnostics.degraded()
+    }
+}
+
+impl CheckResult {
+    /// The numeric value at the initial state, when available.
+    pub fn value_at_initial(&self) -> Option<f64> {
+        self.values.as_ref().map(|v| v[self.initial])
+    }
+}
+
+impl CheckResult<RobustBracket> {
+    /// The `[pessimistic, optimistic]` values in the initial state, when a
+    /// bracket was computed.
+    pub fn bracket_at_initial(&self) -> Option<(f64, f64)> {
+        self.values.as_ref().map(|b| b.at(self.initial))
     }
 }
 

@@ -56,14 +56,14 @@
 //! An interval model is always checked over its whole uncertainty set:
 //! there is no fallback to the nominal (midpoint) chain.
 
-use tml_logic::{PathFormula, Query, RewardKind, StateFormula};
+use tml_logic::{CmpOp, Opt, PathFormula, RewardKind};
 use tml_models::interval::{IntervalChoice, IntervalDtmc, IntervalMdp, IntervalTransition};
 use tml_models::{Labeling, RewardStructure};
 use tml_numerics::scc::{condensation_from, Condensation};
-use tml_numerics::Diagnostics;
 
+use crate::formula::{mask, point_verdict};
 use crate::run::CheckRun;
-use crate::{lookup_rewards, CheckError, CheckOptions};
+use crate::{lookup_rewards, CheckError, CheckOptions, Checkable};
 
 /// Reach probabilities this close to one count as "almost surely" when
 /// classifying which states have finite robust reach rewards. Documented in
@@ -103,58 +103,6 @@ impl RobustBracket {
     /// The widest per-state gap `optimistic − pessimistic`.
     pub fn width(&self) -> f64 {
         self.pessimistic.iter().zip(&self.optimistic).map(|(&lo, &hi)| hi - lo).fold(0.0, f64::max)
-    }
-}
-
-/// Result of robustly checking a formula on an interval model.
-#[derive(Debug, Clone)]
-pub struct RobustCheckResult {
-    sat: Vec<bool>,
-    values: Option<RobustBracket>,
-    initial: usize,
-    diagnostics: Diagnostics,
-}
-
-impl RobustCheckResult {
-    fn new(sat: Vec<bool>, values: Option<RobustBracket>, initial: usize) -> Self {
-        RobustCheckResult { sat, values, initial, diagnostics: Diagnostics::new() }
-    }
-
-    pub(crate) fn with_diagnostics(mut self, diagnostics: Diagnostics) -> Self {
-        self.diagnostics = diagnostics;
-        self
-    }
-
-    /// Whether the formula holds robustly (for every member) in `state`.
-    pub fn holds_in(&self, state: usize) -> bool {
-        self.sat[state]
-    }
-
-    /// Whether the formula holds robustly in the initial state.
-    pub fn holds(&self) -> bool {
-        self.sat[self.initial]
-    }
-
-    /// The per-state robust satisfaction mask.
-    pub fn sat_mask(&self) -> &[bool] {
-        &self.sat
-    }
-
-    /// The value bracket of a top-level `P`/`R` operator (`None` for purely
-    /// propositional formulas).
-    pub fn bracket(&self) -> Option<&RobustBracket> {
-        self.values.as_ref()
-    }
-
-    /// The `[pessimistic, optimistic]` values in the initial state, when a
-    /// bracket was computed.
-    pub fn bracket_at_initial(&self) -> Option<(f64, f64)> {
-        self.values.as_ref().map(|b| b.at(self.initial))
-    }
-
-    /// Diagnostics of the robust solve (sweeps, fallbacks, exhaustion).
-    pub fn diagnostics(&self) -> &Diagnostics {
-        &self.diagnostics
     }
 }
 
@@ -321,10 +269,7 @@ fn inner_expectation(row: &[IntervalTransition], values: &[f64], maximize: bool)
 /// implicit choice, an MDP state one per action. The outer operator folds
 /// over choices (`min` under `Opt::Min`-style resolution, `max` otherwise —
 /// a DTMC fold sees exactly one element, so the flag is vacuous there).
-trait RobustModel {
-    fn num_states(&self) -> usize;
-    fn initial_state(&self) -> usize;
-    fn labeling(&self) -> &Labeling;
+trait RobustModel: Checkable {
     /// Extremized one-step backup at `state`: inner adversary per choice,
     /// outer fold over choices. `extra` adds a per-choice offset (choice
     /// rewards); `minimize_outer` picks the scheduler side.
@@ -350,15 +295,6 @@ trait RobustModel {
 }
 
 impl RobustModel for IntervalDtmc {
-    fn num_states(&self) -> usize {
-        IntervalDtmc::num_states(self)
-    }
-    fn initial_state(&self) -> usize {
-        IntervalDtmc::initial_state(self)
-    }
-    fn labeling(&self) -> &Labeling {
-        IntervalDtmc::labeling(self)
-    }
     fn backup(
         &self,
         state: usize,
@@ -378,15 +314,6 @@ impl RobustModel for IntervalDtmc {
 }
 
 impl RobustModel for IntervalMdp {
-    fn num_states(&self) -> usize {
-        IntervalMdp::num_states(self)
-    }
-    fn initial_state(&self) -> usize {
-        IntervalMdp::initial_state(self)
-    }
-    fn labeling(&self) -> &Labeling {
-        IntervalMdp::labeling(self)
-    }
     fn backup(
         &self,
         state: usize,
@@ -412,48 +339,6 @@ impl RobustModel for IntervalMdp {
     fn rows(&self, state: usize) -> impl Iterator<Item = &[IntervalTransition]> {
         self.choices(state).iter().map(|c| c.transitions.as_slice())
     }
-}
-
-/// Evaluates a propositional formula against the labeling. Probabilistic or
-/// reward operators anywhere inside are rejected: robust satisfaction is a
-/// for-all-members claim and does not commute with negation.
-fn eval_propositional(
-    labeling: &Labeling,
-    n: usize,
-    formula: &StateFormula,
-) -> Result<Vec<bool>, CheckError> {
-    Ok(match formula {
-        StateFormula::True => vec![true; n],
-        StateFormula::False => vec![false; n],
-        StateFormula::Atom(a) => labeling.mask(a),
-        StateFormula::Not(f) => eval_propositional(labeling, n, f)?.iter().map(|b| !b).collect(),
-        StateFormula::And(a, b) => {
-            zip(eval_propositional(labeling, n, a)?, eval_propositional(labeling, n, b)?, |x, y| {
-                x && y
-            })
-        }
-        StateFormula::Or(a, b) => {
-            zip(eval_propositional(labeling, n, a)?, eval_propositional(labeling, n, b)?, |x, y| {
-                x || y
-            })
-        }
-        StateFormula::Implies(a, b) => {
-            zip(eval_propositional(labeling, n, a)?, eval_propositional(labeling, n, b)?, |x, y| {
-                !x || y
-            })
-        }
-        StateFormula::Prob { .. } | StateFormula::Reward { .. } => {
-            return Err(CheckError::Unsupported {
-                detail: "robust checking supports P/R only at the top level \
-                         with propositional operands"
-                    .into(),
-            })
-        }
-    })
-}
-
-fn zip(a: Vec<bool>, b: Vec<bool>, f: impl Fn(bool, bool) -> bool) -> Vec<bool> {
-    a.into_iter().zip(b).map(|(x, y)| f(x, y)).collect()
 }
 
 /// The dependency structure of one unbounded query: the strongly
@@ -947,29 +832,28 @@ fn path_bracket<M: RobustModel>(
     run: &CheckRun<'_>,
 ) -> Result<RobustBracket, CheckError> {
     let n = model.num_states();
-    let lab = model.labeling();
     let (pess, opt) = match path {
         PathFormula::Next(f) => {
-            let target = eval_propositional(lab, n, f)?;
+            let target = mask(model, f, run)?;
             (
                 robust_next(model, &target, run, false, true),
                 robust_next(model, &target, run, true, false),
             )
         }
         PathFormula::Until { lhs, rhs, bound } => {
-            let phi = eval_propositional(lab, n, lhs)?;
-            let target = eval_propositional(lab, n, rhs)?;
+            let phi = mask(model, lhs, run)?;
+            let target = mask(model, rhs, run)?;
             until_bracket(model, &phi, &target, *bound, run)
         }
         PathFormula::Eventually { sub, bound } => {
-            let target = eval_propositional(lab, n, sub)?;
+            let target = mask(model, sub, run)?;
             until_bracket(model, &vec![true; n], &target, *bound, run)
         }
         PathFormula::Globally { sub, bound } => {
             // Robust duality: the adversary maximizing P(F ¬φ) is the one
             // minimizing P(G φ), so the G-bracket is the complemented,
             // side-swapped F-bracket.
-            let inv: Vec<bool> = eval_propositional(lab, n, sub)?.iter().map(|b| !b).collect();
+            let inv: Vec<bool> = mask(model, sub, run)?.iter().map(|b| !b).collect();
             let (f_lo, f_hi) = until_bracket(model, &vec![true; n], &inv, *bound, run);
             (
                 f_hi.iter().map(|p| (1.0 - p).clamp(0.0, 1.0)).collect(),
@@ -980,170 +864,138 @@ fn path_bracket<M: RobustModel>(
     Ok(RobustBracket { pessimistic: pess, optimistic: opt })
 }
 
-enum AnyInterval<'a> {
-    Dtmc(&'a IntervalDtmc),
-    Mdp(&'a IntervalMdp),
-}
-
-impl AnyInterval<'_> {
-    fn validate(&self) -> Result<(), CheckError> {
-        match self {
-            AnyInterval::Dtmc(m) => validate_interval_dtmc(m),
-            AnyInterval::Mdp(m) => validate_interval_mdp(m),
-        }
-    }
-
-    fn path_bracket(
-        &self,
-        path: &PathFormula,
-        run: &CheckRun<'_>,
-    ) -> Result<RobustBracket, CheckError> {
-        match self {
-            AnyInterval::Dtmc(m) => path_bracket(*m, path, run),
-            AnyInterval::Mdp(m) => path_bracket(*m, path, run),
-        }
-    }
-
-    fn reward_bracket(
-        &self,
-        structure: Option<&str>,
-        kind: &RewardKind,
-        run: &CheckRun<'_>,
-    ) -> Result<RobustBracket, CheckError> {
-        match self {
-            AnyInterval::Dtmc(m) => {
-                let rewards = RobustModel::reward_structure(*m, structure)?;
-                match kind {
-                    RewardKind::Reach(target) => {
-                        let n = RobustModel::num_states(*m);
-                        let mask = eval_propositional(RobustModel::labeling(*m), n, target)?;
-                        Ok(reach_reward_bracket(m, rewards, &mask, run))
-                    }
-                    RewardKind::Cumulative(k) => Ok(RobustBracket {
-                        pessimistic: robust_cumulative_rewards(*m, rewards, *k, run, false, true),
-                        optimistic: robust_cumulative_rewards(*m, rewards, *k, run, true, false),
-                    }),
-                }
-            }
-            AnyInterval::Mdp(m) => match kind {
-                RewardKind::Reach(_) => Err(CheckError::Unsupported {
-                    detail: "robust reach rewards on interval MDPs are not supported \
-                             (see DESIGN.md §16); use cumulative rewards or an induced \
-                             interval DTMC"
-                        .into(),
-                }),
-                RewardKind::Cumulative(k) => {
-                    let rewards = RobustModel::reward_structure(*m, structure)?;
-                    Ok(RobustBracket {
-                        pessimistic: robust_cumulative_rewards(*m, rewards, *k, run, false, true),
-                        optimistic: robust_cumulative_rewards(*m, rewards, *k, run, true, false),
-                    })
-                }
-            },
-        }
-    }
-
-    fn labeling(&self) -> &Labeling {
-        match self {
-            AnyInterval::Dtmc(m) => RobustModel::labeling(*m),
-            AnyInterval::Mdp(m) => RobustModel::labeling(*m),
-        }
-    }
-
-    fn num_states(&self) -> usize {
-        match self {
-            AnyInterval::Dtmc(m) => RobustModel::num_states(*m),
-            AnyInterval::Mdp(m) => RobustModel::num_states(*m),
-        }
-    }
-
-    fn initial_state(&self) -> usize {
-        match self {
-            AnyInterval::Dtmc(m) => RobustModel::initial_state(*m),
-            AnyInterval::Mdp(m) => RobustModel::initial_state(*m),
-        }
-    }
-}
-
-fn check_any(
-    model: &AnyInterval<'_>,
-    formula: &StateFormula,
+/// The robust bracket of cumulative rewards over `k` steps.
+fn cumulative_bracket<M: RobustModel>(
+    model: &M,
+    rewards: &RewardStructure,
+    k: u64,
     run: &CheckRun<'_>,
-) -> Result<RobustCheckResult, CheckError> {
-    model.validate().inspect_err(|_| run.record_backend("robust", false))?;
-    let n = model.num_states();
-    let (sat, values) = match formula {
-        StateFormula::Prob { op, bound, path, .. } => {
-            let bracket = model.path_bracket(path, run)?;
-            let sat = robust_sat(run.opts, *op, *bound, &bracket);
-            (sat, Some(bracket))
-        }
-        StateFormula::Reward { structure, op, bound, kind, .. } => {
-            let bracket = model.reward_bracket(structure.as_deref(), kind, run)?;
-            let sat = robust_sat(run.opts, *op, *bound, &bracket);
-            (sat, Some(bracket))
-        }
-        prop => (eval_propositional(model.labeling(), n, prop)?, None),
-    };
-    Ok(RobustCheckResult::new(sat, values, model.initial_state()))
+) -> RobustBracket {
+    RobustBracket {
+        pessimistic: robust_cumulative_rewards(model, rewards, k, run, false, true),
+        optimistic: robust_cumulative_rewards(model, rewards, k, run, true, false),
+    }
 }
 
 /// Robust satisfaction: lower bounds must hold at the pessimistic value,
 /// upper bounds at the optimistic one — i.e. on the worst member.
-fn robust_sat(
-    opts: &CheckOptions,
-    op: tml_logic::CmpOp,
-    bound: f64,
+fn robust_verdict(
     bracket: &RobustBracket,
+    op: CmpOp,
+    bound: f64,
+    opts: &CheckOptions,
 ) -> Vec<bool> {
     let side = if op.is_lower_bound() { &bracket.pessimistic } else { &bracket.optimistic };
-    side.iter().map(|&v| opts.test_bound(op, v, bound)).collect()
+    point_verdict(side, op, bound, opts)
 }
 
-fn query_any(
-    model: &AnyInterval<'_>,
-    query: &Query,
-    run: &CheckRun<'_>,
-) -> Result<RobustBracket, CheckError> {
-    model.validate().inspect_err(|_| run.record_backend("robust", false))?;
-    match query {
-        Query::Prob { path, .. } => model.path_bracket(path, run),
-        Query::Reward { structure, kind, .. } => {
-            model.reward_bracket(structure.as_deref(), kind, run)
-        }
+impl Checkable for IntervalDtmc {
+    type Values = RobustBracket;
+    const KIND: &'static str = "idtmc";
+    const NESTED_OPERATORS: bool = false;
+
+    fn num_states(&self) -> usize {
+        IntervalDtmc::num_states(self)
+    }
+
+    fn initial_state(&self) -> usize {
+        IntervalDtmc::initial_state(self)
+    }
+
+    fn labeling(&self) -> &Labeling {
+        IntervalDtmc::labeling(self)
+    }
+
+    fn validate(&self, run: &CheckRun<'_>) -> Result<(), CheckError> {
+        validate_interval_dtmc(self).inspect_err(|_| run.record_backend("robust", false))
+    }
+
+    fn path_values(
+        &self,
+        path: &PathFormula,
+        _opt: Opt,
+        run: &CheckRun<'_>,
+    ) -> Result<RobustBracket, CheckError> {
+        path_bracket(self, path, run)
+    }
+
+    fn reward_values(
+        &self,
+        structure: Option<&str>,
+        kind: &RewardKind,
+        _opt: Opt,
+        run: &CheckRun<'_>,
+    ) -> Result<RobustBracket, CheckError> {
+        let rewards = RobustModel::reward_structure(self, structure)?;
+        Ok(match kind {
+            RewardKind::Reach(target) => {
+                reach_reward_bracket(self, rewards, &mask(self, target, run)?, run)
+            }
+            RewardKind::Cumulative(k) => cumulative_bracket(self, rewards, *k, run),
+        })
+    }
+
+    fn verdict(values: &RobustBracket, op: CmpOp, bound: f64, opts: &CheckOptions) -> Vec<bool> {
+        robust_verdict(values, op, bound, opts)
     }
 }
 
-pub(crate) fn check_dtmc_run(
-    model: &IntervalDtmc,
-    formula: &StateFormula,
-    run: &CheckRun<'_>,
-) -> Result<RobustCheckResult, CheckError> {
-    check_any(&AnyInterval::Dtmc(model), formula, run)
-}
+impl Checkable for IntervalMdp {
+    type Values = RobustBracket;
+    const KIND: &'static str = "imdp";
+    const NESTED_OPERATORS: bool = false;
 
-pub(crate) fn check_mdp_run(
-    model: &IntervalMdp,
-    formula: &StateFormula,
-    run: &CheckRun<'_>,
-) -> Result<RobustCheckResult, CheckError> {
-    check_any(&AnyInterval::Mdp(model), formula, run)
-}
+    fn num_states(&self) -> usize {
+        IntervalMdp::num_states(self)
+    }
 
-pub(crate) fn query_dtmc_run(
-    model: &IntervalDtmc,
-    query: &Query,
-    run: &CheckRun<'_>,
-) -> Result<RobustBracket, CheckError> {
-    query_any(&AnyInterval::Dtmc(model), query, run)
-}
+    fn initial_state(&self) -> usize {
+        IntervalMdp::initial_state(self)
+    }
 
-pub(crate) fn query_mdp_run(
-    model: &IntervalMdp,
-    query: &Query,
-    run: &CheckRun<'_>,
-) -> Result<RobustBracket, CheckError> {
-    query_any(&AnyInterval::Mdp(model), query, run)
+    fn labeling(&self) -> &Labeling {
+        IntervalMdp::labeling(self)
+    }
+
+    fn validate(&self, run: &CheckRun<'_>) -> Result<(), CheckError> {
+        validate_interval_mdp(self).inspect_err(|_| run.record_backend("robust", false))
+    }
+
+    // The scheduler joins nature on each side of the bracket, so `opt` is
+    // vacuous here too.
+    fn path_values(
+        &self,
+        path: &PathFormula,
+        _opt: Opt,
+        run: &CheckRun<'_>,
+    ) -> Result<RobustBracket, CheckError> {
+        path_bracket(self, path, run)
+    }
+
+    fn reward_values(
+        &self,
+        structure: Option<&str>,
+        kind: &RewardKind,
+        _opt: Opt,
+        run: &CheckRun<'_>,
+    ) -> Result<RobustBracket, CheckError> {
+        match kind {
+            RewardKind::Reach(_) => Err(CheckError::Unsupported {
+                detail: "robust reach rewards on interval MDPs are not supported \
+                         (see DESIGN.md §16); use cumulative rewards or an induced \
+                         interval DTMC"
+                    .into(),
+            }),
+            RewardKind::Cumulative(k) => {
+                let rewards = RobustModel::reward_structure(self, structure)?;
+                Ok(cumulative_bracket(self, rewards, *k, run))
+            }
+        }
+    }
+
+    fn verdict(values: &RobustBracket, op: CmpOp, bound: f64, opts: &CheckOptions) -> Vec<bool> {
+        robust_verdict(values, op, bound, opts)
+    }
 }
 
 #[cfg(test)]
@@ -1171,7 +1023,7 @@ mod tests {
         let d = gambler();
         let m = IntervalDtmc::degenerate(&d);
         let phi = parse_formula("P>=0.25 [ F \"rich\" ]").unwrap();
-        let r = Checker::new().check_interval_dtmc(&m, &phi).unwrap();
+        let r = Checker::new().check(&m, &phi).unwrap();
         let (lo, hi) = r.bracket_at_initial().unwrap();
         assert!((lo - 0.3).abs() < 1e-10 && (hi - 0.3).abs() < 1e-10);
         assert!(r.holds());
@@ -1183,8 +1035,8 @@ mod tests {
         let phi = parse_formula("P>=0.25 [ F \"rich\" ]").unwrap();
         let narrow = IntervalDtmc::from_dtmc(&d, 0.01);
         let wide = IntervalDtmc::from_dtmc(&d, 0.2);
-        let rn = Checker::new().check_interval_dtmc(&narrow, &phi).unwrap();
-        let rw = Checker::new().check_interval_dtmc(&wide, &phi).unwrap();
+        let rn = Checker::new().check(&narrow, &phi).unwrap();
+        let rw = Checker::new().check(&wide, &phi).unwrap();
         let (nlo, nhi) = rn.bracket_at_initial().unwrap();
         let (wlo, whi) = rw.bracket_at_initial().unwrap();
         assert!(wlo <= nlo && whi >= nhi, "wider set, wider bracket");
@@ -1192,8 +1044,8 @@ mod tests {
         // ±0.2 admits a member with P(F rich) = 0.1 < 0.25.
         assert!(!rw.holds(), "±0.2 breaks the bound robustly");
         // Both brackets contain the nominal value 0.3.
-        assert!(rn.bracket().unwrap().contains(&[0.3, 1.0, 0.0], 1e-9));
-        assert!(rw.bracket().unwrap().contains(&[0.3, 1.0, 0.0], 1e-9));
+        assert!(rn.values().unwrap().contains(&[0.3, 1.0, 0.0], 1e-9));
+        assert!(rw.values().unwrap().contains(&[0.3, 1.0, 0.0], 1e-9));
     }
 
     #[test]
@@ -1202,7 +1054,7 @@ mod tests {
         let m = IntervalDtmc::from_dtmc(&d, 0.05);
         // Expected steps until absorption: exactly one step from state 0.
         let phi = parse_formula("R{\"steps\"}<=1.5 [ F \"rich\" ]").unwrap();
-        let r = Checker::new().check_interval_dtmc(&m, &phi).unwrap();
+        let r = Checker::new().check(&m, &phi).unwrap();
         let (lo, hi) = r.bracket_at_initial().unwrap();
         // "rich" is not reached a.s. (the loser loop absorbs), so the
         // reward is infinite on every side.
@@ -1218,7 +1070,7 @@ mod tests {
         let line = b.build().unwrap();
         let m = IntervalDtmc::degenerate(&line);
         let phi = parse_formula("R{\"steps\"}<=1.0 [ F \"done\" ]").unwrap();
-        let r = Checker::new().check_interval_dtmc(&m, &phi).unwrap();
+        let r = Checker::new().check(&m, &phi).unwrap();
         let (lo, hi) = r.bracket_at_initial().unwrap();
         assert!((lo - 1.0).abs() < 1e-9 && (hi - 1.0).abs() < 1e-9);
         assert!(r.holds());
@@ -1231,13 +1083,13 @@ mod tests {
         b.transition(1, 1, 1.0, 1.0).unwrap();
         let inverted = b.build().unwrap();
         let phi = parse_formula("P>=0.5 [ F \"x\" ]").unwrap();
-        let err = Checker::new().check_interval_dtmc(&inverted, &phi).unwrap_err();
+        let err = Checker::new().check(&inverted, &phi).unwrap_err();
         assert!(matches!(err, CheckError::InvalidInterval { state: 0, .. }), "{err}");
 
         let mut b = IntervalDtmcBuilder::unchecked(1);
         b.transition(0, 0, f64::NAN, 1.0).unwrap();
         let nan = b.build().unwrap();
-        let err = Checker::new().check_interval_dtmc(&nan, &phi).unwrap_err();
+        let err = Checker::new().check(&nan, &phi).unwrap_err();
         assert!(matches!(err, CheckError::InvalidInterval { .. }), "{err}");
         assert!(err.to_string().contains("state 0"), "{err}");
     }
@@ -1247,7 +1099,7 @@ mod tests {
         let d = gambler();
         let m = IntervalDtmc::degenerate(&d);
         let nested = parse_formula("P>=0.5 [ F P>=0.5 [ F \"rich\" ] ]").unwrap();
-        let err = Checker::new().check_interval_dtmc(&m, &nested).unwrap_err();
+        let err = Checker::new().check(&m, &nested).unwrap_err();
         assert!(matches!(err, CheckError::Unsupported { .. }), "{err}");
     }
 
@@ -1258,7 +1110,7 @@ mod tests {
         let phi = parse_formula("P>=0.25 [ F \"rich\" ]").unwrap();
         for solver in [LinearSolver::Auto, LinearSolver::GaussSeidel] {
             let r = Checker::with_options(CheckOptions { solver, ..Default::default() })
-                .check_interval_dtmc(&m, &phi)
+                .check(&m, &phi)
                 .unwrap();
             let (lo, hi) = r.bracket_at_initial().unwrap();
             assert!(hi - lo > 0.01, "{solver:?}: real bracket, not the nominal point");
@@ -1276,14 +1128,14 @@ mod tests {
         b.label(1, "goal").unwrap();
         let m = b.build().unwrap();
         let q = tml_logic::parse_query("P=? [ F \"goal\" ]").unwrap();
-        let (bracket, _) = Checker::new().query_interval_mdp(&m, &q).unwrap();
+        let (bracket, _) = Checker::new().query(&m, &q).unwrap();
         let (lo, hi) = bracket.at(0);
         // Worst scheduler+member: risky with p(goal)=0.2; best: risky with 0.9.
         assert!((lo - 0.2).abs() < 1e-9, "pessimistic {lo}");
         assert!((hi - 0.9).abs() < 1e-9, "optimistic {hi}");
         // Reach rewards are unsupported on interval MDPs.
         let phi = parse_formula("R<=1.0 [ F \"goal\" ]").unwrap();
-        let err = Checker::new().check_interval_mdp(&m, &phi).unwrap_err();
+        let err = Checker::new().check(&m, &phi).unwrap_err();
         assert!(matches!(err, CheckError::Unsupported { .. }));
     }
 
@@ -1295,7 +1147,7 @@ mod tests {
         let budget = Budget::unlimited().with_max_evaluations(1);
         let opts = CheckOptions::default();
         let run = CheckRun::new(&opts, &budget);
-        let r = check_dtmc_run(&m, &phi, &run).unwrap();
+        let r = crate::formula::check(&m, &phi, &run).unwrap();
         let diag = run.finish();
         assert!(diag.exhausted.is_some());
         // Best-effort values are still in range.
@@ -1314,10 +1166,10 @@ mod tests {
         b.label(2, "goal").unwrap();
         let m = b.build().unwrap();
         let q = tml_logic::parse_query("Pmin=? [ F \"goal\" ]").unwrap();
-        let (_, full) = Checker::new().query_interval_mdp(&m, &q).unwrap();
+        let (_, full) = Checker::new().query(&m, &q).unwrap();
         assert!(full.exhausted.is_none());
         let starved = Checker::new().with_budget(Budget::unlimited().with_max_evaluations(1));
-        let (_, diag) = starved.query_interval_mdp(&m, &q).unwrap();
+        let (_, diag) = starved.query(&m, &q).unwrap();
         assert!(diag.exhausted.is_some(), "{diag:?}");
         assert!(diag.degraded());
     }
@@ -1346,11 +1198,11 @@ mod tests {
             "R{\"steps\"}=? [ C<=20 ]",
         ] {
             let q = tml_logic::parse_query(text).unwrap();
-            let exact = Checker::new().query_interval_dtmc(&m, &q).unwrap();
+            let (exact, _) = Checker::new().query(&m, &q).unwrap();
             for cap in 0..8 {
                 let starved =
                     Checker::new().with_budget(Budget::unlimited().with_max_evaluations(cap));
-                let (capped, diag) = starved.query_interval_dtmc_diag(&m, &q).unwrap();
+                let (capped, diag) = starved.query(&m, &q).unwrap();
                 for s in 0..4 {
                     let ((lo, hi), (x_lo, x_hi)) = (capped.at(s), exact.at(s));
                     let at = format!("{text} --max-evals {cap}, state {s} ({diag:?})");
@@ -1367,16 +1219,16 @@ mod tests {
         let m = IntervalDtmc::from_dtmc(&d, 0.1);
         let checker = Checker::with_options(CheckOptions::default());
         let q = tml_logic::parse_query("P=? [ X \"rich\" ]").unwrap();
-        let b = checker.query_interval_dtmc(&m, &q).unwrap();
+        let (b, _) = checker.query(&m, &q).unwrap();
         let (lo, hi) = b.at(0);
         assert!((lo - 0.2).abs() < 1e-9 && (hi - 0.4).abs() < 1e-9);
 
         let q = tml_logic::parse_query("P=? [ F<=1 \"rich\" ]").unwrap();
-        let b2 = checker.query_interval_dtmc(&m, &q).unwrap();
+        let (b2, _) = checker.query(&m, &q).unwrap();
         assert_eq!(b2.at(0), (lo, hi), "one-step eventually equals next here");
 
         let q = tml_logic::parse_query("P=? [ G !\"rich\" ]").unwrap();
-        let g = checker.query_interval_dtmc(&m, &q).unwrap();
+        let (g, _) = checker.query(&m, &q).unwrap();
         let (glo, ghi) = g.at(0);
         // P(G ¬rich) = 1 − P(F rich): bracket [1−0.4, 1−0.2].
         assert!((glo - 0.6).abs() < 1e-9 && (ghi - 0.8).abs() < 1e-9);

@@ -13,8 +13,10 @@ use tml_numerics::{Budget, Diagnostics, Exhaustion};
 
 use crate::{backend_counters, CheckOptions};
 
-/// Context for one checking invocation.
-pub(crate) struct CheckRun<'a> {
+/// Context for one checking invocation (public only as the sealed
+/// [`Checkable`](crate::Checkable) interface's argument; nothing outside
+/// the crate can build one).
+pub struct CheckRun<'a> {
     pub(crate) opts: &'a CheckOptions,
     budget: &'a Budget,
     diag: RefCell<Diagnostics>,
@@ -80,7 +82,8 @@ impl<'a> CheckRun<'a> {
 
     /// Finalizes the run, stamping the elapsed wall-clock time and filling
     /// the diagnostics' telemetry snapshot with this run's totals (so the
-    /// `*_diag` APIs surface the same numbers a live subscriber would see).
+    /// `Checker::query` diagnostics surface the same numbers a live
+    /// subscriber would see).
     pub(crate) fn finish(self) -> Diagnostics {
         let mut diag = self.diag.into_inner();
         diag.elapsed = self.start.elapsed();

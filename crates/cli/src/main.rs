@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tml_checker::{Budget, Checker};
+use tml_checker::{Budget, CheckError, CheckResult, Checker, Diagnostics, RobustBracket};
 use tml_conformance::sim::{SimOptions, Simulator};
 use tml_logic::{parse_formula, parse_query};
 use tml_models::dsl::{parse_model, ModelFile};
@@ -196,6 +196,12 @@ struct UsageError(String);
 impl From<String> for UsageError {
     fn from(s: String) -> Self {
         UsageError(s)
+    }
+}
+
+impl From<CheckError> for UsageError {
+    fn from(e: CheckError) -> Self {
+        UsageError(e.to_string())
     }
 }
 
@@ -586,34 +592,22 @@ fn check(path: &str, property: &str, opts: &CliOptions) -> Result<u8, UsageError
     // confidence ball) take the robust path: a [pessimistic, optimistic]
     // bracket over every member of the uncertainty set.
     let ball = robust_ball(&model, &opts.robust)?;
-    let robust = match (&model, &ball) {
-        (_, Some(ball)) => Some(checker.check_interval_dtmc(ball, &phi)),
-        (ModelFile::IntervalDtmc(m), _) => Some(checker.check_interval_dtmc(m, &phi)),
-        (ModelFile::IntervalMdp(m), _) => Some(checker.check_interval_mdp(m, &phi)),
-        _ => None,
+    let holds = match (&model, &ball) {
+        (_, Some(ball)) => report_robust_check(&phi, &checker.check(ball, &phi)?),
+        (ModelFile::IntervalDtmc(m), None) => report_robust_check(&phi, &checker.check(m, &phi)?),
+        (ModelFile::IntervalMdp(m), None) => report_robust_check(&phi, &checker.check(m, &phi)?),
+        (ModelFile::Dtmc(m), None) => report_check(&phi, &checker.check(m, &phi)?),
+        (ModelFile::Mdp(m), None) => report_check(&phi, &checker.check(m, &phi)?),
     };
-    if let Some(result) = robust {
-        let result = result.map_err(|e| UsageError(e.to_string()))?;
-        outln!("property:   {phi}");
-        outln!("robustly holds at initial state: {}", result.holds());
-        let count = result.sat_mask().iter().filter(|&&b| b).count();
-        outln!("robustly satisfying states ({count})");
-        if let Some((lo, hi)) = result.bracket_at_initial() {
-            outln!("value bracket at initial state: [{lo}, {hi}]");
-        }
-        out!("{}", result.diagnostics().render_degradation());
-        if let Some(trajectories) = opts.simulate {
-            simulate_cross_check(&model, &phi, trajectories)?;
-        }
-        return Ok(if result.holds() { 0 } else { 1 });
+    if let Some(trajectories) = opts.simulate {
+        simulate_cross_check(&model, &phi, trajectories)?;
     }
-    let result = match &model {
-        ModelFile::Dtmc(m) => checker.check_dtmc(m, &phi),
-        ModelFile::Mdp(m) => checker.check_mdp(m, &phi),
-        // Interval models returned above.
-        ModelFile::IntervalDtmc(_) | ModelFile::IntervalMdp(_) => unreachable!(),
-    }
-    .map_err(|e| UsageError(e.to_string()))?;
+    // Distinguish "property violated" (exit 1) from usage errors (2).
+    Ok(if holds { 0 } else { 1 })
+}
+
+/// Prints a nominal check and returns its verdict.
+fn report_check(phi: &tml_logic::StateFormula, result: &CheckResult) -> bool {
     outln!("property:   {phi}");
     outln!("holds at initial state: {}", result.holds());
     outln!("satisfying states ({}): {:?}", result.count(), result.sat_states());
@@ -621,11 +615,19 @@ fn check(path: &str, property: &str, opts: &CliOptions) -> Result<u8, UsageError
         outln!("value at initial state: {v}");
     }
     out!("{}", result.diagnostics().render_degradation());
-    if let Some(trajectories) = opts.simulate {
-        simulate_cross_check(&model, &phi, trajectories)?;
+    result.holds()
+}
+
+/// Prints a robust check and returns its verdict.
+fn report_robust_check(phi: &tml_logic::StateFormula, result: &CheckResult<RobustBracket>) -> bool {
+    outln!("property:   {phi}");
+    outln!("robustly holds at initial state: {}", result.holds());
+    outln!("robustly satisfying states ({})", result.count());
+    if let Some((lo, hi)) = result.bracket_at_initial() {
+        outln!("value bracket at initial state: [{lo}, {hi}]");
     }
-    // Distinguish "property violated" (exit 1) from usage errors (2).
-    Ok(if result.holds() { 0 } else { 1 })
+    out!("{}", result.diagnostics().render_degradation());
+    result.holds()
 }
 
 /// Monte Carlo cross-check for `check --simulate N`: re-estimates the
@@ -689,48 +691,52 @@ fn query(path: &str, q: &str, opts: &CliOptions) -> Result<(), UsageError> {
     // Interval models (and --robust point chains, wrapped in their Wilson
     // confidence ball) answer with a robust bracket per state, not a value.
     let ball = robust_ball(&model, &opts.robust)?;
-    let robust = match (&model, &ball) {
-        (_, Some(ball)) => {
-            Some((checker.query_interval_dtmc_diag(ball, &parsed), ball.initial_state()))
+    match (&model, &ball) {
+        (_, Some(b)) => report_bracket(&parsed, &checker.query(b, &parsed)?, b.initial_state()),
+        (ModelFile::IntervalDtmc(m), None) => {
+            report_bracket(&parsed, &checker.query(m, &parsed)?, m.initial_state())
         }
-        (ModelFile::IntervalDtmc(m), _) => {
-            Some((checker.query_interval_dtmc_diag(m, &parsed), m.initial_state()))
+        (ModelFile::IntervalMdp(m), None) => {
+            report_bracket(&parsed, &checker.query(m, &parsed)?, m.initial_state())
         }
-        (ModelFile::IntervalMdp(m), _) => {
-            Some((checker.query_interval_mdp(m, &parsed), m.initial_state()))
+        (ModelFile::Dtmc(m), None) => {
+            report_values(&parsed, &checker.query(m, &parsed)?, m.initial_state())
         }
-        _ => None,
-    };
-    if let Some((result, initial)) = robust {
-        let (bracket, diag) = result.map_err(|e| UsageError(e.to_string()))?;
-        outln!("query: {parsed}");
-        for s in 0..model.num_states() {
-            let (lo, hi) = bracket.at(s);
-            outln!("  state {s}: [{lo}, {hi}]");
+        (ModelFile::Mdp(m), None) => {
+            report_values(&parsed, &checker.query(m, &parsed)?, m.initial_state())
         }
-        let (lo, hi) = bracket.at(initial);
-        outln!("bracket at initial state {initial}: [{lo}, {hi}]");
-        out!("{}", diag.render_degradation());
-        return Ok(());
     }
-    let (values, diag) = match &model {
-        ModelFile::Dtmc(m) => checker.query_dtmc_diag(m, &parsed),
-        ModelFile::Mdp(m) => checker.query_mdp_diag(m, &parsed),
-        ModelFile::IntervalDtmc(_) | ModelFile::IntervalMdp(_) => unreachable!(),
-    }
-    .map_err(|e| UsageError(e.to_string()))?;
-    outln!("query: {parsed}");
+    Ok(())
+}
+
+/// Prints a nominal query's value per state.
+fn report_values(
+    query: &tml_logic::Query,
+    (values, diag): &(Vec<f64>, Diagnostics),
+    initial: usize,
+) {
+    outln!("query: {query}");
     for (s, v) in values.iter().enumerate() {
         outln!("  state {s}: {v}");
     }
-    let initial = match &model {
-        ModelFile::Dtmc(m) => m.initial_state(),
-        ModelFile::Mdp(m) => m.initial_state(),
-        ModelFile::IntervalDtmc(_) | ModelFile::IntervalMdp(_) => unreachable!(),
-    };
     outln!("value at initial state {initial}: {}", values[initial]);
     out!("{}", diag.render_degradation());
-    Ok(())
+}
+
+/// Prints a robust query's bracket per state.
+fn report_bracket(
+    query: &tml_logic::Query,
+    (bracket, diag): &(RobustBracket, Diagnostics),
+    initial: usize,
+) {
+    outln!("query: {query}");
+    for s in 0..bracket.pessimistic.len() {
+        let (lo, hi) = bracket.at(s);
+        outln!("  state {s}: [{lo}, {hi}]");
+    }
+    let (lo, hi) = bracket.at(initial);
+    outln!("bracket at initial state {initial}: [{lo}, {hi}]");
+    out!("{}", diag.render_degradation());
 }
 
 /// `tml repair`: Model Repair over the perturbation template declared with

@@ -593,7 +593,7 @@ impl Oracle {
         };
         let exact = checker_dtmc::until_probabilities(d, &phi, &target, &direct).ok()?;
         let ball = IntervalDtmc::wilson_around(d, 0.95, 200.0).ok()?;
-        let bracket = Checker::new().query_interval_dtmc(&ball, &reach_query()).ok()?;
+        let bracket = Checker::new().query(&ball, &reach_query()).ok()?.0;
         // Robust VI converges to the checker tolerance; give the
         // containment a matching hair of slack.
         const SLACK: f64 = 1e-7;
@@ -621,7 +621,7 @@ impl Oracle {
     /// bracket at the initial state.
     fn eval_robust_vs_sampled(&self, d: &Dtmc, seed: u64) -> PairEval {
         let ball = IntervalDtmc::wilson_around(d, 0.9, 150.0).ok()?;
-        let bracket = Checker::new().query_interval_dtmc(&ball, &reach_query()).ok()?;
+        let bracket = Checker::new().query(&ball, &reach_query()).ok()?.0;
         let (lo, hi) = bracket.at(d.initial_state());
         const SLACK: f64 = 1e-7;
         for i in 0..4u64 {
@@ -835,7 +835,7 @@ fn compiled_vs_instantiate(seed: u64, n: usize) -> (PairEval, (u64, u64)) {
                 let checked = pdtmc
                     .instantiate(point)
                     .ok()
-                    .and_then(|m| checker.check_dtmc(&m, &phi).ok())
+                    .and_then(|m| checker.check(&m, &phi).ok())
                     .and_then(|r| r.value_at_initial())
                     .unwrap_or(f64::NAN);
                 if compiled.to_bits() != checked.to_bits()
@@ -906,7 +906,7 @@ fn compiled_data_vs_relearn(model: &Dtmc, seed: u64) -> (PairEval, (u64, u64)) {
                     return (Some((compiled, f64::NAN, f64::INFINITY)), counts);
                 }
                 let checked = relearned
-                    .and_then(|m| checker.check_dtmc(&m, &phi).ok())
+                    .and_then(|m| checker.check(&m, &phi).ok())
                     .and_then(|r| r.value_at_initial())
                     .unwrap_or(f64::NAN);
                 if compiled.to_bits() != checked.to_bits()

@@ -262,12 +262,27 @@ impl DataRepair {
         spec: &ModelSpec,
         formula: &StateFormula,
     ) -> Result<DataRepairOutcome, RepairError> {
+        self.repair_counted(dataset, spec, formula, None)
+    }
+
+    /// [`repair`](Self::repair), re-learning from `counts` when the caller
+    /// already built `dataset`'s trace counts for `spec.num_states` states.
+    pub(crate) fn repair_counted(
+        &self,
+        dataset: &TraceDataset,
+        spec: &ModelSpec,
+        formula: &StateFormula,
+        counts: Option<Arc<TraceCounts>>,
+    ) -> Result<DataRepairOutcome, RepairError> {
         if dataset.num_traces() == 0 || dataset.num_classes() == 0 {
             return Err(RepairError::InvalidInput { detail: "empty dataset".into() });
         }
         let _span =
             span!("data_repair", traces = dataset.num_traces(), classes = dataset.num_classes());
-        let counts = Arc::new(TraceCounts::new(dataset, spec.num_states)?);
+        let counts = match counts {
+            Some(counts) => counts,
+            None => Arc::new(TraceCounts::new(dataset, spec.num_states)?),
+        };
         let mut problem =
             DataProblem { repair: self, dataset, spec, counts, masses: class_masses(dataset) };
         let run = drive(&mut problem, formula, &self.opts, &self.budget, &self.warm_starts)?;

@@ -18,9 +18,9 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use tml_checker::{CheckError, CheckOptions, CheckResult, Checker};
+use tml_checker::{CheckOptions, Checkable, Checker};
 use tml_logic::{CmpOp, StateFormula};
-use tml_models::{Dtmc, IntervalDtmc, Mdp};
+use tml_models::IntervalDtmc;
 use tml_numerics::{Budget, Diagnostics};
 use tml_optimizer::{ConstraintSense, Nlp, PenaltySolver, Solution};
 use tml_parametric::{
@@ -32,23 +32,6 @@ use tml_telemetry::{counter, span, SpanGuard};
 use crate::constraint::{compile_constraint, SymbolicConstraint};
 use crate::oracle::CompiledOracle;
 use crate::{LinearExpr, RepairError, RepairOptions, RepairStatus, RepairStrategy, RobustSpec};
-
-/// A model the driver checks nominally.
-pub(crate) trait Checkable: Clone {
-    fn check(&self, checker: &Checker, formula: &StateFormula) -> Result<CheckResult, CheckError>;
-}
-
-impl Checkable for Dtmc {
-    fn check(&self, checker: &Checker, formula: &StateFormula) -> Result<CheckResult, CheckError> {
-        checker.check_dtmc(self, formula)
-    }
-}
-
-impl Checkable for Mdp {
-    fn check(&self, checker: &Checker, formula: &StateFormula) -> Result<CheckResult, CheckError> {
-        checker.check_mdp(self, formula)
-    }
-}
 
 /// The property's value at a point, `NaN` where the candidate cannot be
 /// built or checked.
@@ -75,8 +58,8 @@ pub(crate) struct OracleSpec {
 
 /// One repair as the driver sees it.
 pub(crate) trait RepairProblem {
-    /// The model the repair returns.
-    type Model: Checkable;
+    /// The model the repair returns, checked nominally.
+    type Model: Checkable<Values = Vec<f64>> + Clone;
     /// Whether [`drive`] opens the `model_repair.*` phase spans (data
     /// repair records only its root span).
     const PHASE_SPANS: bool = true;
@@ -344,12 +327,12 @@ fn verify<'p, P: RepairProblem>(
     let (model, ball) = problem.candidate(point, robust)?;
     let holds = match &ball {
         Some(ball) => {
-            let r = checker.check_interval_dtmc(ball, formula)?;
+            let r = checker.check(ball, formula)?;
             diag.absorb(r.diagnostics());
             r.holds()
         }
         None => {
-            let r = model.check(checker, formula)?;
+            let r = checker.check(model.as_ref(), formula)?;
             diag.absorb(r.diagnostics());
             r.holds()
         }
@@ -359,7 +342,7 @@ fn verify<'p, P: RepairProblem>(
 
 /// The property's value at the initial state of `model`, `NaN` when there
 /// is no model or the check fails: instantiate-and-check.
-pub(crate) fn checked_value<M: Checkable>(
+pub(crate) fn checked_value<M: Checkable<Values = Vec<f64>>>(
     model: Option<M>,
     formula: &StateFormula,
     check: &CheckOptions,
@@ -367,7 +350,7 @@ pub(crate) fn checked_value<M: Checkable>(
 ) -> f64 {
     let checker = Checker::with_options(*check).with_budget(budget.clone());
     model
-        .and_then(|m| m.check(&checker, formula).ok())
+        .and_then(|m| checker.check(&m, formula).ok())
         .and_then(|r| r.value_at_initial())
         .unwrap_or(f64::NAN)
 }
@@ -379,7 +362,7 @@ pub(crate) fn checked_value<M: Checkable>(
 /// robust solve fails.
 pub(crate) fn conservative_end(ball: Option<IntervalDtmc>, o: &OracleSpec) -> f64 {
     let checker = Checker::with_options(o.check).with_budget(o.budget.clone());
-    ball.and_then(|ball| checker.check_interval_dtmc(&ball, &o.formula).ok())
+    ball.and_then(|ball| checker.check(&ball, &o.formula).ok())
         .and_then(|r| r.bracket_at_initial())
         .map(|(lo, hi)| if o.op.is_lower_bound() { lo } else { hi })
         .unwrap_or(f64::NAN)

@@ -162,7 +162,7 @@ impl ModelRepair {
     /// Repairs an MDP through the instantiate-and-check oracle.
     ///
     /// The property is checked under the PRISM scheduler convention (see
-    /// `tml_checker::Checker::check_mdp`), so e.g.
+    /// `tml_checker::Checker::check`), so e.g.
     /// `R{"attempts"}<=40 [F done]` requires even the worst scheduler to
     /// stay under 40 expected attempts.
     ///

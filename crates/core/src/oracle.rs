@@ -151,7 +151,7 @@ impl CompiledOracle {
     }
 
     /// The property's value at the initial state of the candidate chain at
-    /// `point`: bitwise `check_dtmc(candidate).value_at_initial()`, `NaN`
+    /// `point`: bitwise `check(candidate).value_at_initial()`, `NaN`
     /// where the candidate cannot be built or checked.
     pub fn value(&self, point: &[f64]) -> f64 {
         SCRATCH.with(|cell| self.value_with(point, &mut cell.borrow_mut()))

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use tml_checker::Checker;
 use tml_logic::StateFormula;
-use tml_models::{Dtmc, TraceDataset};
+use tml_models::{Dtmc, TraceCounts, TraceDataset};
 use tml_numerics::{Budget, Diagnostics};
 use tml_telemetry::span;
 
@@ -324,8 +324,11 @@ impl TmlPipeline {
     pub fn run(&self, dataset: &TraceDataset) -> Result<TmlOutcome, RepairError> {
         let _span = span!("pipeline.run", states = self.spec.num_states);
         // 1. Learn.
+        // The trace counts are built once: the pipeline learns from them,
+        // and data repair re-learns every candidate from the same table.
         let learn_span = span!("pipeline.learn");
-        let model = self.spec.learn(dataset, None)?;
+        let counts = Arc::new(TraceCounts::new(dataset, self.spec.num_states)?);
+        let model = self.spec.relearn(&counts, None)?;
         drop(learn_span);
         let checkpoint = |stage: PipelineStage, solver_point: Option<Vec<f64>>| {
             if let Some(hook) = &self.checkpoint_hook {
@@ -339,7 +342,7 @@ impl TmlPipeline {
         let mut diag = Diagnostics::new();
         let initial = {
             let _s = span!("pipeline.verify");
-            checker.check_dtmc(&model, &self.formula)?
+            checker.check(&model, &self.formula)?
         };
         diag.absorb(initial.diagnostics());
         checkpoint(PipelineStage::Verify, None);
@@ -395,7 +398,8 @@ impl TmlPipeline {
                     repair = repair.start_from(x.clone());
                 }
             }
-            let mut out = repair.repair(dataset, &self.spec, &self.formula)?;
+            let mut out =
+                repair.repair_counted(dataset, &self.spec, &self.formula, Some(counts))?;
             data_repair_status = Some(out.status);
             evaluations = out.evaluations;
             checkpoint(PipelineStage::DataRepair, out.solver_point.clone());
@@ -551,7 +555,7 @@ mod tests {
         // A deterministic stand-in hook: "re-verify" by checking the
         // property holds in the model with a fresh checker.
         let hook: SimulationCrossCheck = Arc::new(|model: &Dtmc, phi: &StateFormula| {
-            Checker::new().check_dtmc(model, phi).ok().map(|r| r.holds())
+            Checker::new().check(model, phi).ok().map(|r| r.holds())
         });
 
         // Satisfied immediately.

@@ -56,21 +56,6 @@ pub struct IterRun {
     pub stopped: Option<Exhaustion>,
 }
 
-/// One synchronous step `out = A·x + b` into a caller-provided buffer.
-///
-/// The matvec streams rows in contiguous tiles (threaded for large
-/// matrices, see [`CsrMatrix::mat_vec_into`]); each element folds its row
-/// in natural order and then adds `b[r]` — the exact floating-point order
-/// of the historical serial sweep, so results are bitwise reproducible.
-///
-/// Shapes must have been validated by the caller.
-fn affine_apply_into(a: &CsrMatrix, b: &[f64], x: &[f64], out: &mut [f64]) {
-    a.mat_vec_into(x, out).expect("caller validated shapes");
-    for (o, &rhs) in out.iter_mut().zip(b) {
-        *o += rhs;
-    }
-}
-
 /// Gauss–Seidel iteration for `x = A·x + b`, starting from `x0`.
 ///
 /// Each sweep updates the components in place, in row order. It converges
@@ -194,28 +179,6 @@ fn finish_unbudgeted(run: IterRun) -> Result<IterSolution, NumericsError> {
     }
 }
 
-/// Applies `k` steps of `x ← A·x + b` and returns every intermediate iterate's
-/// final value (used for step-bounded until / cumulative reward).
-///
-/// # Errors
-///
-/// Returns [`NumericsError::ShapeMismatch`] on dimension mismatch.
-pub fn affine_power(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    k: usize,
-) -> Result<Vec<f64>, NumericsError> {
-    check_shapes(a, b, x0)?;
-    let mut x = x0.to_vec();
-    let mut next = vec![0.0; x.len()];
-    for _ in 0..k {
-        affine_apply_into(a, b, &x, &mut next);
-        std::mem::swap(&mut x, &mut next);
-    }
-    Ok(x)
-}
-
 fn check_shapes(a: &CsrMatrix, b: &[f64], x0: &[f64]) -> Result<(), NumericsError> {
     if a.rows() != a.cols() {
         return Err(NumericsError::ShapeMismatch {
@@ -244,16 +207,6 @@ fn check_shapes(a: &CsrMatrix, b: &[f64], x0: &[f64]) -> Result<(), NumericsErro
 mod tests {
     use super::*;
     use crate::Triplet;
-
-    #[test]
-    fn affine_power_counts_steps() {
-        // x <- 0*x + 1 repeated: after any k >= 1, x = 1.
-        let a = CsrMatrix::from_triplets(1, 1, &[]).unwrap();
-        let x = affine_power(&a, &[1.0], &[0.0], 3).unwrap();
-        assert_eq!(x, vec![1.0]);
-        let x0 = affine_power(&a, &[1.0], &[0.0], 0).unwrap();
-        assert_eq!(x0, vec![0.0]);
-    }
 
     /// `x0 = 2·x1 + 1, x1 = 2·x0 + 1`: spectral radius 2, so Gauss–Seidel
     /// diverges (a self-loop alone would be solved in closed form).

@@ -18,11 +18,6 @@ impl Triplet {
     }
 }
 
-/// Minimum number of stored entries before [`CsrMatrix::mat_vec`]
-/// distributes rows over threads; below this the per-dispatch overhead of
-/// spawning workers exceeds the multiply itself.
-pub(crate) const PAR_NNZ_THRESHOLD: usize = 16_384;
-
 /// A compressed-sparse-row matrix over `f64`.
 ///
 /// Used for the transition matrices of large Markov chains where dense
@@ -180,10 +175,7 @@ impl CsrMatrix {
     /// Matrix–vector product `A·x` written into a caller-provided buffer.
     ///
     /// This is the allocation-free kernel behind [`CsrMatrix::mat_vec`]:
-    /// rows are processed in contiguous tiles (recursively split over
-    /// threads via work-stealing `join` when the matrix is large enough),
-    /// and each output element folds its row in natural entry order, so the
-    /// result is **bitwise identical** to a serial row-by-row product.
+    /// each output element folds its row in natural entry order.
     ///
     /// # Errors
     ///
@@ -201,35 +193,14 @@ impl CsrMatrix {
                 ),
             });
         }
-        let threads = if self.nnz() >= PAR_NNZ_THRESHOLD && self.rows >= 2 {
-            rayon::current_num_threads()
-        } else {
-            1
-        };
-        self.tile_rows_into(x, out, 0, threads);
-        Ok(())
-    }
-
-    /// Computes `out[i] = row(first + i) · x` for a contiguous tile of rows,
-    /// splitting the tile in half across threads while `split > 1`.
-    fn tile_rows_into(&self, x: &[f64], out: &mut [f64], first: usize, split: usize) {
-        if split > 1 && out.len() >= 2 {
-            let mid = out.len() / 2;
-            let (lo, hi) = out.split_at_mut(mid);
-            rayon::join(
-                || self.tile_rows_into(x, lo, first, split / 2),
-                || self.tile_rows_into(x, hi, first + mid, split - split / 2),
-            );
-            return;
-        }
-        for (i, slot) in out.iter_mut().enumerate() {
-            let r = first + i;
+        for (r, slot) in out.iter_mut().enumerate() {
             let mut acc = 0.0;
             for (c, v) in self.row_entries(r) {
                 acc += v * x[c];
             }
             *slot = acc;
         }
+        Ok(())
     }
 
     /// The symmetric permutation `B[i][j] = A[order[i]][order[j]]`.
@@ -398,31 +369,5 @@ mod tests {
         assert!(m.permute_symmetric(&[0, 1, 5]).is_err()); // out of range
         let rect = CsrMatrix::from_triplets(2, 1, &[]).unwrap();
         assert!(rect.permute_symmetric(&[0, 1]).is_err()); // not square
-    }
-
-    #[test]
-    fn large_mat_vec_parallel_path_matches_serial_reference() {
-        // A tridiagonal matrix big enough to cross PAR_NNZ_THRESHOLD; the
-        // row-parallel product must be bitwise identical to a hand-rolled
-        // serial dot per row.
-        let n = 8_000;
-        let mut trips = Vec::new();
-        for i in 0..n {
-            trips.push(Triplet::new(i, i, 2.0 + (i % 7) as f64 * 0.125));
-            if i > 0 {
-                trips.push(Triplet::new(i, i - 1, -0.5));
-            }
-            if i + 1 < n {
-                trips.push(Triplet::new(i, i + 1, -0.25));
-            }
-        }
-        let m = CsrMatrix::from_triplets(n, n, &trips).unwrap();
-        assert!(m.nnz() >= PAR_NNZ_THRESHOLD);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let got = m.mat_vec(&x).unwrap();
-        for (r, &g) in got.iter().enumerate() {
-            let want: f64 = m.row_entries(r).map(|(c, v)| v * x[c]).sum();
-            assert_eq!(g, want, "row {r}");
-        }
     }
 }

@@ -145,7 +145,9 @@ fn reach_probability(
     let model = spec.learn(dataset, weights).map_err(|e| format!("anchor learn: {e}"))?;
     let query = parse_query(&format!("P=? [ F<={horizon} \"{GOAL_LABEL}\" ]"))
         .map_err(|e| format!("anchor query: {e}"))?;
-    Checker::new().value_dtmc(&model, &query).map_err(|e| format!("anchor check: {e}"))
+    let (values, _) =
+        Checker::new().query(&model, &query).map_err(|e| format!("anchor check: {e}"))?;
+    Ok(values[model.initial_state()])
 }
 
 #[cfg(test)]

@@ -30,8 +30,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use tml_checker::Checker;
-use tml_logic::parse_formula;
+use tml_checker::{Checkable, Checker};
+use tml_logic::{parse_formula, StateFormula};
 use tml_models::dsl::{parse_model, ModelFile};
 use tml_runtime::executor::{isolate, run_corpus_job, JobContext};
 use tml_runtime::job::fingerprint_dtmc;
@@ -561,6 +561,15 @@ fn journal_failure_outcome(job: u64, e: &io::Error) -> JobOutcome {
     }
 }
 
+/// Whether `formula` holds in `model`'s initial state.
+fn holds<M: Checkable>(
+    checker: &Checker,
+    model: &M,
+    formula: &StateFormula,
+) -> Result<bool, String> {
+    Ok(checker.check(model, formula).map_err(|e| e.to_string())?.holds())
+}
+
 /// Runs one verify-only job: parse, check, classify. Single attempt (the
 /// check is deterministic; retrying cannot change it), isolated exactly
 /// like a batch attempt, never chaos-injected.
@@ -582,23 +591,10 @@ fn run_verify(
             checker = checker.with_budget(spec.to_budget());
         }
         match parsed {
-            ModelFile::Dtmc(m) => {
-                let result = checker.check_dtmc(&m, &formula).map_err(|e| e.to_string())?;
-                Ok((result.holds(), Some(fingerprint_dtmc(&m))))
-            }
-            ModelFile::Mdp(m) => {
-                let result = checker.check_mdp(&m, &formula).map_err(|e| e.to_string())?;
-                Ok((result.holds(), None))
-            }
-            ModelFile::IntervalDtmc(m) => {
-                let result =
-                    checker.check_interval_dtmc(&m, &formula).map_err(|e| e.to_string())?;
-                Ok((result.holds(), None))
-            }
-            ModelFile::IntervalMdp(m) => {
-                let result = checker.check_interval_mdp(&m, &formula).map_err(|e| e.to_string())?;
-                Ok((result.holds(), None))
-            }
+            ModelFile::Dtmc(m) => Ok((holds(&checker, &m, &formula)?, Some(fingerprint_dtmc(&m)))),
+            ModelFile::Mdp(m) => Ok((holds(&checker, &m, &formula)?, None)),
+            ModelFile::IntervalDtmc(m) => Ok((holds(&checker, &m, &formula)?, None)),
+            ModelFile::IntervalMdp(m) => Ok((holds(&checker, &m, &formula)?, None)),
         }
     });
     let failure = |kind: FailureKind, detail: String| {

@@ -388,7 +388,7 @@ mod tests {
         // Delivery is almost sure.
         let checker = Checker::new();
         let q = parse_query("P=? [ F \"delivered\" ]").unwrap();
-        let v = checker.query_dtmc(&d, &q).unwrap();
+        let v = checker.query(&d, &q).unwrap().0;
         assert!((v[8] - 1.0).abs() < 1e-9);
     }
 
@@ -397,7 +397,7 @@ mod tests {
         let c = WsnConfig::default();
         let d = build_dtmc(&c).unwrap();
         let q = parse_query("R{\"attempts\"}=? [ F \"delivered\" ]").unwrap();
-        let v = Checker::new().query_dtmc(&d, &q).unwrap();
+        let v = Checker::new().query(&d, &q).unwrap().0;
         let attempts = v[c.source()];
         // 5 hops each taking ~1/(1-ignore) attempts: between 5 and 100.
         assert!(attempts > 5.0 && attempts < 100.0, "attempts = {attempts}");
@@ -411,9 +411,9 @@ mod tests {
         let qd = parse_query("R{\"attempts\"}=? [ F \"delivered\" ]").unwrap();
         let qmax = parse_query("R{\"attempts\"}max=? [ F \"delivered\" ]").unwrap();
         let qmin = parse_query("R{\"attempts\"}min=? [ F \"delivered\" ]").unwrap();
-        let avg = Checker::new().query_dtmc(&d, &qd).unwrap()[c.source()];
-        let worst = Checker::new().query_mdp(&m, &qmax).unwrap()[c.source()];
-        let best = Checker::new().query_mdp(&m, &qmin).unwrap()[c.source()];
+        let avg = Checker::new().query(&d, &qd).unwrap().0[c.source()];
+        let worst = Checker::new().query(&m, &qmax).unwrap().0[c.source()];
+        let best = Checker::new().query(&m, &qmin).unwrap().0[c.source()];
         assert!(best <= avg + 1e-9 && avg <= worst + 1e-9, "{best} <= {avg} <= {worst}");
     }
 
@@ -488,11 +488,8 @@ mod tests {
         let d = build_dtmc(&c).unwrap();
         let checker = Checker::new();
         // Pick a deadline where the base model is close but short of 0.5.
-        let base = checker
-            .check_dtmc(&d, &deadline_property(20, 0.5))
-            .unwrap()
-            .value_at_initial()
-            .unwrap();
+        let base =
+            checker.check(&d, &deadline_property(20, 0.5)).unwrap().value_at_initial().unwrap();
         assert!(base < 0.5, "base deadline probability {base}");
         let out = ModelRepair::new()
             .repair_dtmc(&d, &deadline_property(20, 0.5), &repair_template(&c).unwrap())

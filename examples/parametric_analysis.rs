@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let point = [0.05, 0.03];
     let inst = pdtmc.instantiate(&point)?;
     let q = parse_query("R{\"attempts\"}=? [ F \"delivered\" ]")?;
-    let oracle = Checker::new().query_dtmc(&inst, &q)?[config.source()];
+    let oracle = Checker::new().query(&inst, &q)?.0[config.source()];
     let sym = f.eval(&point)?;
     println!("\ncross-check at (0.05, 0.03): symbolic {sym:.10} vs checker {oracle:.10}");
     assert!((sym - oracle).abs() < 1e-9);

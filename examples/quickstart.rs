@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Requirement: messages are eventually delivered with probability 0.97.
     let phi = parse_formula("P>=0.97 [ F \"delivered\" ]")?;
     let checker = Checker::new();
-    let result = checker.check_dtmc(&channel, &phi)?;
+    let result = checker.check(&channel, &phi)?;
     println!("property: {phi}");
     println!(
         "base model: P(F delivered) = {:.4} -> satisfied: {}",
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  perturbation cost ||Z||_F^2 = {:.6}", outcome.cost);
 
     let repaired = outcome.model.expect("repaired model");
-    let after = checker.check_dtmc(&repaired, &phi)?;
+    let after = checker.check(&repaired, &phi)?;
     println!(
         "repaired model: P(F delivered) = {:.4} -> satisfied: {}",
         after.value_at_initial().unwrap_or(f64::NAN),

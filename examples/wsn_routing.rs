@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "{0}x{0} grid, expected routing attempts field->station: {1:.2}",
         config.n,
-        checker.query_dtmc(&chain, &q)?[config.source()]
+        checker.query(&chain, &q)?.0[config.source()]
     );
 
     // --- Model repair: meet X = 40 by lowering ignore probabilities.
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let repaired = out_data.model.expect("repaired model");
     println!(
         "re-learned expected attempts: {:.2}",
-        checker.query_dtmc(&repaired, &q)?[config.source()]
+        checker.query(&repaired, &q)?.0[config.source()]
     );
     Ok(())
 }

@@ -44,7 +44,7 @@
 //! let dtmc = b.build()?;
 //!
 //! let phi = parse_formula("P>=0.99 [ F \"done\" ]")?;
-//! let result = Checker::new().check_dtmc(&dtmc, &phi)?;
+//! let result = Checker::new().check(&dtmc, &phi)?;
 //! assert!(result.holds_in(0)); // eventually done almost surely
 //! # Ok(())
 //! # }

@@ -6,13 +6,17 @@
 //! - The diagnostics of a check count one solve: the same sweeps,
 //!   backend attempts and fallbacks as a query of the same operator.
 //! - The values of a check are bitwise those of the query, on the
-//!   generator families and on every point model in `assets/`.
+//!   generator families and on every model in `assets/`; on interval
+//!   models (the sensor, the Wilson ball of the channel, generated interval
+//!   MDPs) the check's bracket is bitwise the query's.
 
 use tml_conformance::gen::{grid_dtmc, layered_scc_dtmc, random_mdp};
-use trusted_ml::checker::{Budget, CheckOptions, Checker, Diagnostics, LinearSolver};
+use trusted_ml::checker::{
+    Budget, CheckOptions, Checkable, Checker, Diagnostics, LinearSolver, RobustBracket,
+};
 use trusted_ml::logic::{parse_formula, parse_query, CmpOp, StateFormula};
 use trusted_ml::models::dsl::{parse_model, ModelFile};
-use trusted_ml::models::{Dtmc, DtmcBuilder, Mdp, MdpBuilder};
+use trusted_ml::models::{Dtmc, DtmcBuilder, IntervalDtmc, IntervalMdp, Mdp, MdpBuilder};
 
 const STATES: usize = 600;
 const INITIAL: usize = 300;
@@ -87,13 +91,13 @@ fn capped_dtmc_check_masks_agree_with_their_values() {
     let d = gambler_dtmc();
     let phi = parse_formula(RICH_AT_LEAST).unwrap();
     let q = parse_query("P=? [ F \"rich\" ]").unwrap();
-    let (_, diag) = Checker::new().query_dtmc_diag(&d, &q).unwrap();
+    let (_, diag) = Checker::new().query(&d, &q).unwrap();
     assert!(diag.evaluations > 100, "the solve must iterate: {} sweeps", diag.evaluations);
 
     let disagreeing = caps_with_a_disagreeing_mask(
         diag.evaluations,
         |checker| {
-            let r = checker.check_dtmc(&d, &phi).unwrap();
+            let r = checker.check(&d, &phi).unwrap();
             (r.sat_mask().to_vec(), r.values().unwrap().to_vec())
         },
         &phi,
@@ -106,13 +110,13 @@ fn capped_mdp_check_masks_agree_with_their_values() {
     let m = gambler_mdp();
     let phi = parse_formula(RICH_AT_LEAST).unwrap();
     let q = parse_query("Pmin=? [ F \"rich\" ]").unwrap();
-    let (_, diag) = Checker::new().query_mdp_diag(&m, &q).unwrap();
+    let (_, diag) = Checker::new().query(&m, &q).unwrap();
     assert!(diag.evaluations > 100, "the solve must iterate: {} sweeps", diag.evaluations);
 
     let disagreeing = caps_with_a_disagreeing_mask(
         diag.evaluations,
         |checker| {
-            let r = checker.check_mdp(&m, &phi).unwrap();
+            let r = checker.check(&m, &phi).unwrap();
             (r.sat_mask().to_vec(), r.values().unwrap().to_vec())
         },
         &phi,
@@ -135,8 +139,8 @@ fn a_check_records_one_solve_of_its_operator() {
     let d = gambler_dtmc();
     let phi = parse_formula(RICH_AT_LEAST).unwrap();
     let q = parse_query("P=? [ F \"rich\" ]").unwrap();
-    let checked = Checker::new().check_dtmc(&d, &phi).unwrap();
-    let (_, queried) = Checker::new().query_dtmc_diag(&d, &q).unwrap();
+    let checked = Checker::new().check(&d, &phi).unwrap();
+    let (_, queried) = Checker::new().query(&d, &q).unwrap();
     assert_eq!(solve_record(checked.diagnostics()), solve_record(&queried));
     assert_eq!(checked.diagnostics().telemetry.counter("checker.backend.scc.ok"), 1);
 
@@ -144,16 +148,45 @@ fn a_check_records_one_solve_of_its_operator() {
     // attempt, no sweeps.
     let small = parse_dtmc("assets/gambler.tml");
     let phi = parse_formula("P>=0.5 [ F \"rich\" ]").unwrap();
-    let checked = Checker::new().check_dtmc(&small, &phi).unwrap();
+    let checked = Checker::new().check(&small, &phi).unwrap();
     assert_eq!(checked.diagnostics().evaluations, 0);
     assert_eq!(checked.diagnostics().telemetry.counter("checker.backend.direct.ok"), 1);
 
     let m = gambler_mdp();
     let phi = parse_formula(RICH_AT_LEAST).unwrap();
     let q = parse_query("Pmin=? [ F \"rich\" ]").unwrap();
-    let checked = Checker::new().check_mdp(&m, &phi).unwrap();
-    let (_, queried) = Checker::new().query_mdp_diag(&m, &q).unwrap();
+    let checked = Checker::new().check(&m, &phi).unwrap();
+    let (_, queried) = Checker::new().query(&m, &q).unwrap();
     assert_eq!(solve_record(checked.diagnostics()), solve_record(&queried));
+
+    // Interval models: the robust solve of a check is the query's.
+    let sensor = match parse_asset("assets/sensor.tml") {
+        ModelFile::IntervalDtmc(m) => m,
+        _ => panic!("assets/sensor.tml is not an idtmc"),
+    };
+    let phi = parse_formula("P>=0.45 [ F \"delivered\" ]").unwrap();
+    let q = parse_query("P=? [ F \"delivered\" ]").unwrap();
+    let checked = Checker::new().check(&sensor, &phi).unwrap();
+    let (_, queried) = Checker::new().query(&sensor, &q).unwrap();
+    assert_eq!(robust_record(checked.diagnostics()), robust_record(&queried));
+    assert!(checked.diagnostics().evaluations > 0, "the robust solve iterates");
+
+    let imdp = IntervalMdp::from_mdp(&random_mdp(1, 40, 3), 0.05);
+    let phi = parse_formula("P>=0.5 [ F \"goal\" ]").unwrap();
+    let q = parse_query("P=? [ F \"goal\" ]").unwrap();
+    let checked = Checker::new().check(&imdp, &phi).unwrap();
+    let (_, queried) = Checker::new().query(&imdp, &q).unwrap();
+    assert_eq!(robust_record(checked.diagnostics()), robust_record(&queried));
+}
+
+/// [`solve_record`] plus the robust backend's attempts.
+fn robust_record(diag: &Diagnostics) -> ((u64, Vec<String>, u64, u64), u64, u64) {
+    let counter = |name: &str| diag.telemetry.counter(name);
+    (
+        solve_record(diag),
+        counter("checker.backend.robust.ok"),
+        counter("checker.backend.robust.fail"),
+    )
 }
 
 #[test]
@@ -170,8 +203,8 @@ fn a_starved_check_records_each_fallback_once() {
     let d = gambler_dtmc();
     let phi = parse_formula(RICH_AT_LEAST).unwrap();
     let q = parse_query("P=? [ F \"rich\" ]").unwrap();
-    let checked = Checker::with_options(starved).check_dtmc(&d, &phi).unwrap();
-    let (values, queried) = Checker::with_options(starved).query_dtmc_diag(&d, &q).unwrap();
+    let checked = Checker::with_options(starved).check(&d, &phi).unwrap();
+    let (values, queried) = Checker::with_options(starved).query(&d, &q).unwrap();
 
     let fallbacks = &checked.diagnostics().fallbacks;
     assert_eq!(fallbacks.len(), 1, "scc→direct: {fallbacks:?}");
@@ -182,15 +215,19 @@ fn a_starved_check_records_each_fallback_once() {
     }
     assert_eq!(bits(checked.values().unwrap()), bits(&values));
     let direct = CheckOptions { solver: LinearSolver::Direct, ..CheckOptions::default() };
-    assert_eq!(bits(&values), bits(&Checker::with_options(direct).query_dtmc(&d, &q).unwrap()));
+    assert_eq!(bits(&values), bits(&Checker::with_options(direct).query(&d, &q).unwrap().0));
 }
 
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+fn parse_asset(path: &str) -> ModelFile {
+    parse_model(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
 fn parse_dtmc(path: &str) -> Dtmc {
-    match parse_model(&std::fs::read_to_string(path).unwrap()).unwrap() {
+    match parse_asset(path) {
         ModelFile::Dtmc(d) => d,
         _ => panic!("{path} is not a dtmc"),
     }
@@ -221,8 +258,8 @@ fn assert_dtmc_values_match_queries(name: &str, d: &Dtmc) {
         for (kind, bound, path) in operators(&label, rewards) {
             let phi = parse_formula(&format!("{kind}{bound} [ {path} ]")).unwrap();
             let q = parse_query(&format!("{kind}=? [ {path} ]")).unwrap();
-            let checked = Checker::new().check_dtmc(d, &phi).unwrap();
-            let queried = Checker::new().query_dtmc(d, &q).unwrap();
+            let checked = Checker::new().check(d, &phi).unwrap();
+            let queried = Checker::new().query(d, &q).unwrap().0;
             assert_eq!(bits(checked.values().unwrap()), bits(&queried), "{name}: {phi}");
         }
     }
@@ -235,11 +272,52 @@ fn assert_mdp_values_match_queries(name: &str, m: &Mdp) {
             let opt = if bound.starts_with('>') { "min" } else { "max" };
             let phi = parse_formula(&format!("{kind}{bound} [ {path} ]")).unwrap();
             let q = parse_query(&format!("{kind}{opt}=? [ {path} ]")).unwrap();
-            let checked = Checker::new().check_mdp(m, &phi).unwrap();
-            let queried = Checker::new().query_mdp(m, &q).unwrap();
+            let checked = Checker::new().check(m, &phi).unwrap();
+            let queried = Checker::new().query(m, &q).unwrap().0;
             assert_eq!(bits(checked.values().unwrap()), bits(&queried), "{name}: {phi}");
         }
     }
+}
+
+fn bracket_bits(b: &RobustBracket) -> (Vec<u64>, Vec<u64>) {
+    (bits(&b.pessimistic), bits(&b.optimistic))
+}
+
+/// Robust checks support top-level operators only, and an interval MDP
+/// no reach rewards; `reach_rewards` says whether this model takes them.
+fn assert_interval_values_match_queries<M: Checkable<Values = RobustBracket>>(
+    name: &str,
+    model: &M,
+    labels: &[String],
+    rewards: bool,
+    reach_rewards: bool,
+) {
+    for label in labels {
+        for (kind, bound, path) in operators(label, rewards) {
+            let nested = path.contains('[');
+            if nested || (kind == "R" && path.starts_with('F') && !reach_rewards) {
+                continue;
+            }
+            let phi = parse_formula(&format!("{kind}{bound} [ {path} ]")).unwrap();
+            let q = parse_query(&format!("{kind}=? [ {path} ]")).unwrap();
+            let checked = Checker::new().check(model, &phi).unwrap();
+            let queried = Checker::new().query(model, &q).unwrap().0;
+            let checked = bracket_bits(checked.values().unwrap());
+            assert_eq!(checked, bracket_bits(&queried), "{name}: {phi}");
+        }
+    }
+}
+
+fn assert_idtmc_values_match_queries(name: &str, m: &IntervalDtmc) {
+    let labels: Vec<String> = m.labeling().labels().map(str::to_string).collect();
+    let rewards = m.reward_structures().next().is_some();
+    assert_interval_values_match_queries(name, m, &labels, rewards, true);
+}
+
+fn assert_imdp_values_match_queries(name: &str, m: &IntervalMdp) {
+    let labels: Vec<String> = m.labeling().labels().map(str::to_string).collect();
+    let rewards = m.reward_structures().next().is_some();
+    assert_interval_values_match_queries(name, m, &labels, rewards, false);
 }
 
 #[test]
@@ -252,20 +330,40 @@ fn check_values_are_bitwise_the_query_values() {
     assert_dtmc_values_match_queries("gambler 600", &gambler_dtmc());
     assert_mdp_values_match_queries("gambler 600 mdp", &gambler_mdp());
 
-    let mut point_models = 0;
+    let (mut point_models, mut interval_models) = (0, 0);
     let mut assets: Vec<_> =
         std::fs::read_dir("assets").unwrap().map(|e| e.unwrap().path()).collect();
     assets.sort();
     for path in assets.iter().filter(|p| p.extension().is_some_and(|e| e == "tml")) {
         let name = path.display().to_string();
         match parse_model(&std::fs::read_to_string(path).unwrap()).unwrap() {
-            ModelFile::Dtmc(d) => assert_dtmc_values_match_queries(&name, &d),
-            ModelFile::Mdp(m) => assert_mdp_values_match_queries(&name, &m),
-            // Interval models go through the robust checker, which already
-            // solves each operator once.
-            ModelFile::IntervalDtmc(_) | ModelFile::IntervalMdp(_) => continue,
+            ModelFile::Dtmc(d) => {
+                assert_dtmc_values_match_queries(&name, &d);
+                point_models += 1;
+            }
+            ModelFile::Mdp(m) => {
+                assert_mdp_values_match_queries(&name, &m);
+                point_models += 1;
+            }
+            ModelFile::IntervalDtmc(m) => {
+                assert_idtmc_values_match_queries(&name, &m);
+                interval_models += 1;
+            }
+            ModelFile::IntervalMdp(m) => {
+                assert_imdp_values_match_queries(&name, &m);
+                interval_models += 1;
+            }
         }
-        point_models += 1;
     }
     assert!(point_models >= 3, "found {point_models} point models in assets/");
+    assert!(interval_models >= 1, "found {interval_models} interval models in assets/");
+
+    for asset in ["assets/channel.tml", "assets/gambler.tml"] {
+        let ball = IntervalDtmc::wilson_around(&parse_dtmc(asset), 0.95, 100.0).unwrap();
+        assert_idtmc_values_match_queries(&format!("{asset} Wilson ball"), &ball);
+    }
+    for seed in 0..3 {
+        let imdp = IntervalMdp::from_mdp(&random_mdp(seed, 40, 3), 0.05);
+        assert_imdp_values_match_queries("random interval mdp", &imdp);
+    }
 }

@@ -49,13 +49,14 @@ fn degradation_chain_falls_back_to_direct_and_matches_it() {
     let q = parse_query("P=? [ F \"rich\" ]").unwrap();
 
     let (degraded, diag) =
-        Checker::with_options(starved()).query_dtmc_diag(&d, &q).expect("degraded solve succeeds");
+        Checker::with_options(starved()).query(&d, &q).expect("degraded solve succeeds");
     let exact = Checker::with_options(CheckOptions {
         solver: LinearSolver::Direct,
         ..CheckOptions::default()
     })
-    .query_dtmc(&d, &q)
-    .expect("direct solve succeeds");
+    .query(&d, &q)
+    .expect("direct solve succeeds")
+    .0;
 
     assert_eq!(diag.fallbacks.len(), 1, "one fallback: {:?}", diag.fallbacks);
     assert!(diag.fallbacks[0].contains("directly"), "{:?}", diag.fallbacks[0]);
@@ -75,7 +76,7 @@ fn a_stalled_solve_above_the_dense_limit_returns_its_best_iterate() {
     let q = parse_query("P=? [ F \"rich\" ]").unwrap();
 
     let (values, diag) =
-        Checker::with_options(starved()).query_dtmc_diag(&d, &q).expect("best iterate, no error");
+        Checker::with_options(starved()).query(&d, &q).expect("best iterate, no error");
     assert_eq!(values.len(), 2100);
     assert!(values.iter().all(|v| (0.0..=1.0).contains(v)), "iterates stay probabilities");
     assert_eq!(diag.fallbacks.len(), 1, "one fallback: {:?}", diag.fallbacks);
@@ -96,7 +97,7 @@ fn scc_stage_solves_the_near_singular_chain_without_degrading() {
     let q = parse_query("R{\"cost\"}=? [ F \"goal\" ]").unwrap();
 
     let (values, diag) =
-        Checker::with_options(starved()).query_dtmc_diag(&d, &q).expect("scc stage solves exactly");
+        Checker::with_options(starved()).query(&d, &q).expect("scc stage solves exactly");
     assert!(diag.fallbacks.is_empty(), "no degradation expected: {:?}", diag.fallbacks);
     assert!(!diag.degraded());
 
@@ -104,8 +105,9 @@ fn scc_stage_solves_the_near_singular_chain_without_degrading() {
         solver: LinearSolver::Direct,
         ..CheckOptions::default()
     })
-    .query_dtmc(&d, &q)
-    .expect("direct solve succeeds");
+    .query(&d, &q)
+    .expect("direct solve succeeds")
+    .0;
     for s in 0..d.num_states() {
         assert!(
             (values[s] - exact[s]).abs() < 1e-9 * (1.0 + exact[s].abs()),
@@ -121,10 +123,10 @@ fn explicit_gauss_seidel_keeps_the_strict_error_contract() {
     let d = near_singular_dtmc(17, 24);
     let q = parse_query("R{\"cost\"}=? [ F \"goal\" ]").unwrap();
     let opts = CheckOptions { solver: LinearSolver::GaussSeidel, ..starved() };
-    let err = Checker::with_options(opts).query_dtmc(&d, &q);
+    let err = Checker::with_options(opts).query(&d, &q);
     assert!(err.is_err(), "explicitly requested GS must error instead of degrading");
     let opts = CheckOptions { solver: LinearSolver::Scc, ..starved() };
     let err = Checker::with_options(opts)
-        .query_dtmc(&biased_gambler(600), &parse_query("P=? [ F \"rich\" ]").unwrap());
+        .query(&biased_gambler(600), &parse_query("P=? [ F \"rich\" ]").unwrap());
     assert!(err.is_err(), "explicitly requested SCC must error instead of degrading");
 }

@@ -109,9 +109,8 @@ fn mdp_optima_bracket_all_policies() {
 fn cumulative_converges_to_reachability_reward() {
     let d = random_dtmc(11, 6);
     let checker = Checker::new();
-    let reach =
-        checker.query_dtmc(&d, &parse_query("R{\"cost\"}=? [ F \"goal\" ]").unwrap()).unwrap();
-    let cum = checker.query_dtmc(&d, &parse_query("R{\"cost\"}=? [ C<=4000 ]").unwrap()).unwrap();
+    let reach = checker.query(&d, &parse_query("R{\"cost\"}=? [ F \"goal\" ]").unwrap()).unwrap().0;
+    let cum = checker.query(&d, &parse_query("R{\"cost\"}=? [ C<=4000 ]").unwrap()).unwrap().0;
     for s in 0..6 {
         if reach[s].is_finite() {
             assert!(
@@ -133,7 +132,7 @@ fn nested_operators_monotone_in_bound() {
     let mut last_count = usize::MAX;
     for bound in ["0.1", "0.5", "0.9"] {
         let f = parse_formula(&format!("P>={bound} [ F \"goal\" ]")).unwrap();
-        let res = checker.check_dtmc(&d, &f).unwrap();
+        let res = checker.check(&d, &f).unwrap();
         assert!(res.count() <= last_count, "satisfying set must shrink as the bound rises");
         last_count = res.count();
     }

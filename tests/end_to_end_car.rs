@@ -123,13 +123,13 @@ fn repaired_policy_chain_satisfies_pctl() {
     let pi = car::greedy_policy(&mdp, &out.theta).unwrap();
     let chain = DeterministicPolicy::new(pi).induce(&mdp).unwrap();
     let phi = parse_formula("P>=0.99 [ !\"unsafe\" U \"goal\" ]").unwrap();
-    let res = Checker::new().check_dtmc(&chain, &phi).unwrap();
+    let res = Checker::new().check(&chain, &phi).unwrap();
     assert!(res.holds(), "repaired controller violates the PCTL safety spec");
 
     // While the learned (unrepaired) policy violates it.
     let pi0 = car::greedy_policy(&mdp, &irl.theta).unwrap();
     let chain0 = DeterministicPolicy::new(pi0).induce(&mdp).unwrap();
-    let res0 = Checker::new().check_dtmc(&chain0, &phi).unwrap();
+    let res0 = Checker::new().check(&chain0, &phi).unwrap();
     assert!(!res0.holds());
 }
 
@@ -160,8 +160,9 @@ fn repaired_policy_chain_passes_simulation_cross_check() {
     // Sanity: the exact collision probability really is zero, so the
     // Corroborated assertions below are about the simulator, not luck.
     let exact = Checker::new()
-        .query_dtmc(&chain, &trusted_ml::logic::parse_query("P=? [ F \"unsafe\" ]").unwrap())
-        .unwrap()[chain.initial_state()];
+        .query(&chain, &trusted_ml::logic::parse_query("P=? [ F \"unsafe\" ]").unwrap())
+        .unwrap()
+        .0[chain.initial_state()];
     assert!(exact.abs() < 1e-12, "repaired chain reaches unsafe with P = {exact}");
 
     let sim = Simulator::new(SimOptions { trajectories: 20_000, seed: 3, ..SimOptions::default() });

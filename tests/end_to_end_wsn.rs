@@ -12,7 +12,7 @@ use trusted_ml::wsn::{
 
 fn expected_attempts(chain: &trusted_ml::models::Dtmc, source: usize) -> f64 {
     let q = parse_query("R{\"attempts\"}=? [ F \"delivered\" ]").unwrap();
-    Checker::new().query_dtmc(chain, &q).unwrap()[source]
+    Checker::new().query(chain, &q).unwrap().0[source]
 }
 
 /// E1: the learned model satisfies `R{attempts} <= 100 [F delivered]`
@@ -98,8 +98,8 @@ fn mdp_brackets_dtmc() {
     let avg = expected_attempts(&chain, config.source());
     let rmax = parse_query("R{\"attempts\"}max=? [ F \"delivered\" ]").unwrap();
     let rmin = parse_query("R{\"attempts\"}min=? [ F \"delivered\" ]").unwrap();
-    let worst = checker.query_mdp(&mdp, &rmax).unwrap()[config.source()];
-    let best = checker.query_mdp(&mdp, &rmin).unwrap()[config.source()];
+    let worst = checker.query(&mdp, &rmax).unwrap().0[config.source()];
+    let best = checker.query(&mdp, &rmin).unwrap().0[config.source()];
     assert!(best <= avg + 1e-6 && avg <= worst + 1e-6, "{best} <= {avg} <= {worst}");
 }
 
@@ -140,7 +140,7 @@ fn symbolic_matches_oracle_on_small_wsn() {
     let q = parse_query("R{\"attempts\"}=? [ F \"delivered\" ]").unwrap();
     for &(p, qv) in &[(0.0, 0.0), (0.02, 0.01), (0.05, 0.05), (0.09, 0.03)] {
         let inst = pdtmc.instantiate(&[p, qv]).unwrap();
-        let oracle = Checker::new().query_dtmc(&inst, &q).unwrap()[config.source()];
+        let oracle = Checker::new().query(&inst, &q).unwrap().0[config.source()];
         let sym = symbolic[config.source()].eval(&[p, qv]).unwrap();
         let rel = (sym - oracle).abs() / oracle;
         assert!(rel < 1e-9, "p={p} q={qv}: symbolic {sym} vs oracle {oracle}");
@@ -164,7 +164,7 @@ fn symbolic_degrades_gracefully_on_full_wsn() {
     assert!(symbolic[config.source()].complexity() > 16, "3x3 grid exceeds degree 16");
     let q = parse_query("R{\"attempts\"}=? [ F \"delivered\" ]").unwrap();
     let inst = pdtmc.instantiate(&[0.09, 0.09]).unwrap();
-    let oracle = Checker::new().query_dtmc(&inst, &q).unwrap()[config.source()];
+    let oracle = Checker::new().query(&inst, &q).unwrap().0[config.source()];
     let sym = symbolic[config.source()].eval(&[0.09, 0.09]).unwrap();
     assert!((sym - oracle).abs() / oracle < 1e-2, "interior accuracy: {sym} vs {oracle}");
 }
@@ -178,7 +178,7 @@ fn mdp_model_repair_worst_case_bound() {
     let mdp = build_mdp(&config).unwrap();
     let checker = Checker::new();
     let rmax = parse_query("R{\"attempts\"}max=? [ F \"delivered\" ]").unwrap();
-    let base_worst = checker.query_mdp(&mdp, &rmax).unwrap()[config.source()];
+    let base_worst = checker.query(&mdp, &rmax).unwrap().0[config.source()];
 
     // Perturb every forwarding choice: success up by v, retry down by v.
     let mut template = MdpPerturbationTemplate::new();
@@ -202,7 +202,7 @@ fn mdp_model_repair_worst_case_bound() {
     assert_eq!(out.status, trusted_ml::repair::RepairStatus::Repaired);
     assert!(out.verified);
     let repaired = out.model.unwrap();
-    let worst = checker.query_mdp(&repaired, &rmax).unwrap()[config.source()];
+    let worst = checker.query(&repaired, &rmax).unwrap().0[config.source()];
     assert!(worst <= bound + 1e-6, "worst {worst} vs bound {bound}");
 }
 

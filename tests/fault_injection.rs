@@ -388,7 +388,7 @@ mod degenerate_intervals {
         let model = b.build().expect("unchecked builder accepts malformed rows");
         let phi = parse_formula("P>=0.5 [ F \"goal\" ]").unwrap();
         let start = Instant::now();
-        let err = Checker::new().check_interval_dtmc(&model, &phi).unwrap_err();
+        let err = Checker::new().check(&model, &phi).unwrap_err();
         assert!(start.elapsed() < Duration::from_secs(5), "validation must not iterate");
         err
     }
@@ -448,14 +448,14 @@ fn checker_budget_exhaustion_paths_are_best_effort() {
     // Evaluation cap.
     let capped = trusted_ml::checker::Checker::with_options(iterative)
         .with_budget(Budget::unlimited().with_max_evaluations(1));
-    let r = capped.check_dtmc(&d, &phi).unwrap();
+    let r = capped.check(&d, &phi).unwrap();
     assert_eq!(r.diagnostics().exhausted, Some(Exhaustion::Evaluations));
     assert!(r.degraded());
 
     // Expired deadline.
     let expired = trusted_ml::checker::Checker::with_options(iterative)
         .with_budget(Budget::unlimited().with_deadline(Duration::ZERO));
-    let r = expired.check_dtmc(&d, &phi).unwrap();
+    let r = expired.check(&d, &phi).unwrap();
     assert_eq!(r.diagnostics().exhausted, Some(Exhaustion::Deadline));
 
     // Cancellation.
@@ -463,6 +463,6 @@ fn checker_budget_exhaustion_paths_are_best_effort() {
     token.cancel();
     let cancelled = trusted_ml::checker::Checker::with_options(iterative)
         .with_budget(Budget::unlimited().with_cancel_token(token));
-    let r = cancelled.check_dtmc(&d, &phi).unwrap();
+    let r = cancelled.check(&d, &phi).unwrap();
     assert_eq!(r.diagnostics().exhausted, Some(Exhaustion::Cancelled));
 }

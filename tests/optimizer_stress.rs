@@ -83,8 +83,8 @@ proptest! {
         let d = random_dtmc(seed, n);
         let checker = Checker::new();
         let current = checker
-            .query_dtmc(&d, &trusted_ml::logic::parse_query("P=? [ F \"goal\" ]").unwrap())
-            .unwrap()[d.initial_state()];
+            .query(&d, &trusted_ml::logic::parse_query("P=? [ F \"goal\" ]").unwrap())
+            .unwrap().0[d.initial_state()];
 
         // Shift mass between state 0's two successors; both carry at least
         // 0.1 of mass, so a ±0.05 shift never leaves the support class.
@@ -104,7 +104,7 @@ proptest! {
             RepairStatus::Repaired => {
                 let m = out.model.as_ref().expect("repaired model present");
                 if out.verified {
-                    let confirmed = checker.check_dtmc(m, &phi).unwrap();
+                    let confirmed = checker.check(m, &phi).unwrap();
                     prop_assert!(confirmed.holds(), "seed {} bound {}", seed, bound);
                 }
             }

@@ -70,8 +70,8 @@ proptest! {
         let q = reach_query();
         let narrow = IntervalDtmc::from_dtmc(&d, narrow_w);
         let wide = IntervalDtmc::from_dtmc(&d, narrow_w + extra_w);
-        let bn = tight_checker().query_interval_dtmc(&narrow, &q).unwrap();
-        let bw = tight_checker().query_interval_dtmc(&wide, &q).unwrap();
+        let bn = tight_checker().query(&narrow, &q).unwrap().0;
+        let bw = tight_checker().query(&wide, &q).unwrap().0;
         for s in 0..n {
             let (lo_n, hi_n) = bn.at(s);
             let (lo_w, hi_w) = bw.at(s);
@@ -93,9 +93,9 @@ proptest! {
         let n = 10;
         let d = random_chain(&seed, n);
         let q = reach_query();
-        let exact = tight_checker().query_dtmc(&d, &q).unwrap();
+        let exact = tight_checker().query(&d, &q).unwrap().0;
         let bracket =
-            tight_checker().query_interval_dtmc(&IntervalDtmc::degenerate(&d), &q).unwrap();
+            tight_checker().query(&IntervalDtmc::degenerate(&d), &q).unwrap().0;
         for (s, &point) in exact.iter().enumerate() {
             let (lo, hi) = bracket.at(s);
             prop_assert!((hi - lo).abs() <= 1e-10,
@@ -136,11 +136,11 @@ proptest! {
         // this exercises the serial and the parallel configuration of the
         // numerics layer under the same query.
         std::env::set_var("RAYON_NUM_THREADS", "1");
-        let serial = tight_checker().query_interval_dtmc(&ball, &q).unwrap();
+        let serial = tight_checker().query(&ball, &q).unwrap().0;
         std::env::set_var("RAYON_NUM_THREADS", "4");
-        let parallel = tight_checker().query_interval_dtmc(&ball, &q).unwrap();
-        let rerun = tight_checker().query_interval_dtmc(&ball, &q).unwrap();
-        let reordered = tight_checker().query_interval_dtmc(&reversed, &q).unwrap();
+        let parallel = tight_checker().query(&ball, &q).unwrap().0;
+        let rerun = tight_checker().query(&ball, &q).unwrap().0;
+        let reordered = tight_checker().query(&reversed, &q).unwrap().0;
         std::env::remove_var("RAYON_NUM_THREADS");
 
         for s in 0..n {
@@ -183,8 +183,8 @@ fn degenerate_balls_of_block_models_reproduce_the_scalar_checker() {
         let model = with_blocked(&model);
         let ball = IntervalDtmc::degenerate(&model);
         for q in robust_queries() {
-            let exact = tight_checker().query_dtmc(&model, &q).unwrap();
-            let bracket = tight_checker().query_interval_dtmc(&ball, &q).unwrap();
+            let exact = tight_checker().query(&model, &q).unwrap().0;
+            let bracket = tight_checker().query(&ball, &q).unwrap().0;
             for (s, &point) in exact.iter().enumerate() {
                 let (lo, hi) = bracket.at(s);
                 assert!(
@@ -226,15 +226,15 @@ fn two_blocks(zero_edge: bool) -> IntervalDtmc {
 fn zero_upper_bound_edges_stay_out_of_the_support_graph() {
     let q = reach_query();
     let ball = two_blocks(true);
-    let bracket = tight_checker().query_interval_dtmc(&ball, &q).unwrap();
+    let bracket = tight_checker().query(&ball, &q).unwrap().0;
     // The zero edge changes nothing: the same set without it gives the
     // same blocks and therefore the same bits.
-    let without = tight_checker().query_interval_dtmc(&two_blocks(false), &q).unwrap();
+    let without = tight_checker().query(&two_blocks(false), &q).unwrap().0;
     assert_eq!(bits(&bracket), bits(&without));
     assert!(bracket.width() > 0.1, "a real bracket");
     for seed in 0..64 {
         let member = ball.sample_member(seed).unwrap();
-        let exact = Checker::new().query_dtmc(&member, &q).unwrap();
+        let exact = Checker::new().query(&member, &q).unwrap().0;
         assert!(bracket.contains(&exact, 1e-9), "seed {seed}: {exact:?} outside {bracket:?}");
     }
 }
@@ -244,9 +244,9 @@ fn one_evaluation_budget_stops_a_multi_block_solve_with_bounds_from_below() {
     let model = with_blocked(&gen::layered_scc_dtmc(5, 6, 12, 3));
     let ball = IntervalDtmc::wilson_around(&model, 0.95, 200.0).unwrap();
     let q = parse_query("P=? [ !\"blocked\" U \"goal\" ]").unwrap();
-    let full = Checker::new().query_interval_dtmc(&ball, &q).unwrap();
+    let full = Checker::new().query(&ball, &q).unwrap().0;
     let starved = Checker::new().with_budget(Budget::unlimited().with_max_evaluations(1));
-    let (bracket, diag) = starved.query_interval_dtmc_diag(&ball, &q).unwrap();
+    let (bracket, diag) = starved.query(&ball, &q).unwrap();
     assert_eq!(diag.exhausted, Some(Exhaustion::Evaluations));
     for s in 0..ball.num_states() {
         let (lo, hi) = bracket.at(s);
@@ -274,8 +274,8 @@ fn nominal_value_lies_in_its_own_wilson_ball_bracket() {
     let model = gen::layered_scc_dtmc(4, 16, 25, 3);
     let ball = IntervalDtmc::wilson_around(&model, 0.95, 500.0).unwrap();
     let q = parse_query("P=? [ F \"goal\" ]").unwrap();
-    let nominal = Checker::new().query_dtmc(&model, &q).unwrap();
-    let bracket = Checker::new().query_interval_dtmc(&ball, &q).unwrap();
+    let nominal = Checker::new().query(&model, &q).unwrap().0;
+    let bracket = Checker::new().query(&ball, &q).unwrap().0;
     assert_eq!(nominal[model.initial_state()], 1.0);
     for (s, &v) in nominal.iter().enumerate() {
         let (lo, hi) = bracket.at(s);
@@ -457,9 +457,9 @@ fn bracket_ends_at_exactly_one_are_the_brute_force_prob1_sets() {
         }
         let checker = tight_checker();
         let bracket = if choices == 1 {
-            checker.query_interval_dtmc(&dtmc.build().unwrap(), &q).unwrap()
+            checker.query(&dtmc.build().unwrap(), &q).unwrap().0
         } else {
-            checker.query_interval_mdp(&mdp.build().unwrap(), &q).unwrap().0
+            checker.query(&mdp.build().unwrap(), &q).unwrap().0
         };
         assert_eq!(ones(&bracket.pessimistic), want_pess, "case {case}: {rows:?} {phi:?}");
         assert_eq!(ones(&bracket.optimistic), want_opt, "case {case}: {rows:?} {phi:?}");

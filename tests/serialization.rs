@@ -50,7 +50,7 @@ fn dsl_roundtrip_checks_identically() {
     let ModelFile::Dtmc(back) = parse_model(&dtmc_to_dsl(&d)).unwrap() else { panic!() };
     let checker = trusted_ml::checker::Checker::new();
     let q = parse_query("P=? [ F \"goal\" ]").unwrap();
-    let a = checker.query_dtmc(&d, &q).unwrap();
-    let b = checker.query_dtmc(&back, &q).unwrap();
+    let a = checker.query(&d, &q).unwrap().0;
+    let b = checker.query(&back, &q).unwrap().0;
     assert_eq!(a, b);
 }

@@ -53,7 +53,7 @@ fn wsn_repair_trace_phases_sum_to_the_parent_span() {
     // A robust check of the chain's Wilson ball, so the naming walk below
     // also covers the robust solver's counters.
     let ball = IntervalDtmc::wilson_around(&chain, 0.95, 500.0).expect("wilson ball");
-    Checker::new().check_interval_dtmc(&ball, &attempts_property(40.0)).expect("robust check");
+    Checker::new().check(&ball, &attempts_property(40.0)).expect("robust check");
     trusted_ml::telemetry::uninstall_global();
     assert!(outcome.verified, "the x=40 WSN repair verifies");
 

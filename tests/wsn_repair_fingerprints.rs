@@ -249,7 +249,7 @@ fn wsn_mdp_repair(strategy: RepairStrategy) -> Fingerprint {
     let config = WsnConfig { n: 2, ..Default::default() };
     let mdp: Mdp = build_mdp(&config).unwrap();
     let rmax = parse_query("R{\"attempts\"}max=? [ F \"delivered\" ]").unwrap();
-    let base_worst = Checker::new().query_mdp(&mdp, &rmax).unwrap()[config.source()];
+    let base_worst = Checker::new().query(&mdp, &rmax).unwrap().0[config.source()];
     let mut template = MdpPerturbationTemplate::new();
     let v = template.parameter("v", 0.0, 0.08);
     for s in 0..config.n * config.n {
