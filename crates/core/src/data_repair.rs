@@ -409,7 +409,7 @@ impl RepairProblem for DataProblem<'_> {
 /// Builds the parametric chain whose transition probabilities are the ML
 /// estimates as rational functions of the keep-weights: row `s` divides
 /// each `Σ_g w_g·c_g(s,t)` by `Σ_g w_g·c_g(s,·)`, with every class's counts
-/// `c_g` read from one fill of `counts` at that class's indicator.
+/// `c_g` read from the table.
 fn parametric_model(
     counts: &TraceCounts,
     class_names: &[String],
@@ -417,11 +417,6 @@ fn parametric_model(
 ) -> Result<ParametricDtmc, RepairError> {
     let g = counts.num_classes();
     let n = counts.num_states();
-    let mut per_class = vec![Vec::new(); g];
-    for (class, class_counts) in per_class.iter_mut().enumerate() {
-        let indicator: Vec<f64> = (0..g).map(|i| if i == class { 1.0 } else { 0.0 }).collect();
-        counts.fill(Some(&indicator), class_counts)?;
-    }
     let param_names: Vec<String> = class_names.iter().map(|c| format!("w_{c}")).collect();
     let mut b = ParametricDtmc::builder(n, param_names);
     b.initial_state(spec.initial)?;
@@ -429,8 +424,8 @@ fn parametric_model(
         let (slots, targets) = counts.row(s);
         // den(s) = Σ_g w_g · c_g(s,·)
         let mut den = Polynomial::zero(g);
-        for (class, class_counts) in per_class.iter().enumerate() {
-            let tot: f64 = class_counts[slots.clone()].iter().sum();
+        for class in 0..g {
+            let tot: f64 = counts.class_counts(class)[slots.clone()].iter().sum();
             if tot > 0.0 {
                 den = den.add(&Polynomial::var(g, class).scale(tot));
             }
@@ -442,8 +437,8 @@ fn parametric_model(
         }
         for (slot, &t) in slots.zip(targets) {
             let mut num = Polynomial::zero(g);
-            for (class, class_counts) in per_class.iter().enumerate() {
-                let c = class_counts[slot];
+            for class in 0..g {
+                let c = counts.class_counts(class)[slot];
                 if c > 0.0 {
                     num = num.add(&Polynomial::var(g, class).scale(c));
                 }
