@@ -1140,6 +1140,28 @@ mod tests {
     }
 
     #[test]
+    fn min_and_max_qualifiers_give_one_bracket_on_an_interval_mdp() {
+        let mut b = tml_models::interval::IntervalMdpBuilder::new(3);
+        b.choice(0, "safe", &[(1, 0.55, 0.65), (2, 0.35, 0.45)]).unwrap();
+        b.choice(0, "risky", &[(1, 0.2, 0.9), (2, 0.1, 0.8)]).unwrap();
+        b.choice(1, "stay", &[(1, 1.0, 1.0)]).unwrap();
+        b.choice(2, "stay", &[(2, 1.0, 1.0)]).unwrap();
+        b.label(1, "goal").unwrap();
+        let m = b.build().unwrap();
+        let bits = |text: &str| {
+            let q = tml_logic::parse_query(text).unwrap();
+            let (bracket, _) = Checker::new().query(&m, &q).unwrap();
+            let ends = bracket.pessimistic.iter().chain(&bracket.optimistic);
+            ends.map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        // The scheduler joins nature on each side, whatever the qualifier.
+        let max = bits("Pmax=? [ F \"goal\" ]");
+        assert_eq!(max, bits("Pmin=? [ F \"goal\" ]"));
+        assert_eq!(max, bits("P=? [ F \"goal\" ]"));
+        assert_ne!(max[0], max[3], "two ends, not one value");
+    }
+
+    #[test]
     fn budget_exhaustion_is_reported_not_hung() {
         let d = gambler();
         let m = IntervalDtmc::from_dtmc(&d, 0.1);
